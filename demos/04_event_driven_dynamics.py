@@ -1,8 +1,11 @@
-"""The event-driven continuous-time dynamics as the ground-truth oracle.
+"""The simulated contact dynamics as the ground-truth oracle.
 
-The simulator implements the actual contact process (exponential clocks,
-uniform neighbor choice), so its empirical offspring law must reproduce the
-closed form, and its level-reach frequency must match theta.  It also settles
+The simulator runs the actual contact race of every spreader (uniform
+neighbor choice until it touches a non-ignorant neighbor).  On a tree that
+race depends only on the spreader's own draws, so no clocks are needed: the
+spreaders are explored depth first until one appears at the target level.
+Its empirical offspring law must reproduce the closed form, and its
+level-reach frequency must match theta.  It also settles
 the traversal-probability audit: the empirical value sits on the
 first-principles series, not on the published closed form.
 """

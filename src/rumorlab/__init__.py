@@ -2,8 +2,8 @@
 
 The package pairs every closed-form quantity (offspring laws, generating
 functions, critical thresholds, survival probabilities) with an independent
-stochastic oracle (branching-process Monte Carlo and an event-driven
-simulator of the actual continuous-time dynamics).
+stochastic oracle (branching-process Monte Carlo and a clockless
+simulator of the contact dynamics).
 """
 
 from .errors import NumericFault
@@ -45,6 +45,7 @@ from .thresholds import (
     theta_double_sum,
 )
 from .gw import (
+    CappedEstimate,
     EstimateCI,
     GwOutcome,
     GwSpec,
@@ -60,6 +61,7 @@ from .ctmc import (
     SimOutcome,
     SurvivalEstimate,
     estimate_survival_ctmc,
+    estimate_survival_levels,
     offspring_empirical,
     path_traversal_empirical,
     simulate_mt,
@@ -68,6 +70,7 @@ from .ctmc import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CappedEstimate",
     "EXACT_LIMIT",
     "EstimateCI",
     "ExactScalar",
@@ -95,6 +98,7 @@ __all__ = [
     "children",
     "coupled_monotonicity_trial",
     "estimate_survival_ctmc",
+    "estimate_survival_levels",
     "extinction_by_iteration",
     "gamma_asymptotic_log",
     "gamma_recurrence_residual",

@@ -266,18 +266,13 @@ def cmd_simulate(args, parser) -> int:
     if not 0 < args.p <= 1:
         parser.error(f"p must lie in (0, 1], got {args.p}")
     topology = _topology_from_args(args, parser)
-
-    def run(level: int) -> ctmc.SurvivalEstimate:
-        return ctmc.estimate_survival_ctmc(
-            topology,
-            args.p,
-            target_level=level,
-            replicas=args.replicas,
-            event_cap=args.event_cap,
-            seed=args.seed,
-            workers=args.threads,
-            level_unit=args.level_unit,
-        )
+    run = dict(
+        replicas=args.replicas,
+        event_cap=args.event_cap,
+        seed=args.seed,
+        workers=args.threads,
+        level_unit=args.level_unit,
+    )
 
     if args.level_sweep:
         try:
@@ -286,16 +281,17 @@ def cmd_simulate(args, parser) -> int:
             parser.error("--level-sweep expects MIN:MAX:STEP")
         if lo < 1 or hi < lo or step < 1:
             parser.error("--level-sweep expects 1 <= MIN <= MAX and STEP >= 1")
-        rows = []
-        for level in range(lo, hi + 1, step):
-            est = run(level)
-            rows.append(
-                {"level": level, "estimate": est.estimate, "ci_low": est.ci_low,
-                 "ci_high": est.ci_high, "cap_hits": est.cap_hits}
-            )
+        estimates = ctmc.estimate_survival_levels(
+            topology, args.p, list(range(lo, hi + 1, step)), **run
+        )
+        rows = [
+            {"level": est.target_level, "estimate": est.estimate, "ci_low": est.ci_low,
+             "ci_high": est.ci_high, "cap_hits": est.cap_hits}
+            for est in estimates
+        ]
         return _finish(args, "simulate", rows, started=started)
 
-    est = run(args.level) if args.level else run(None)
+    est = ctmc.estimate_survival_ctmc(topology, args.p, target_level=args.level, **run)
     payload = {
         "estimate": est.estimate,
         "ci_low": est.ci_low,
@@ -376,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=100_000)
     p.set_defaults(func=cmd_offspring)
 
-    p = sub.add_parser("simulate", parents=[common], help="event-driven survival estimate")
+    p = sub.add_parser("simulate", parents=[common], help="level-reach survival estimate from the simulated dynamics")
     p.add_argument("--tree", choices=("cayley", "hub_path"), default="cayley")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int)

@@ -1,34 +1,34 @@
-"""Event-driven simulation of the Maki-Thompson dynamics on lazy trees.
+"""Simulation of the Maki-Thompson dynamics on lazy trees.
 
-Each spreader of degree g contacts a uniformly chosen neighbor after an
-Exponential(g) waiting time.  Contacting an ignorant flips it to spreader
-with probability p (stifler otherwise); contacting a non-ignorant flips the
-contacting spreader to stifler.  On a tree this per-spreader contact scheme
-is distributionally identical to the global transition rates (ignorants flip
-at rate p*n1 / (1-p)*n1, spreaders stifle at rate n1+n2).
+Each spreader of degree g contacts a uniformly chosen neighbor, again and
+again.  Contacting an ignorant flips it to spreader with probability p
+(stifler otherwise); contacting a non-ignorant flips the contacting spreader
+to stifler.  On a tree a spreader's informer is never ignorant and only that
+spreader can inform its own children, so each spreader's contact race
+depends on its own draws alone.  Whether the rumor reaches a level is
+therefore a function of the genealogy, not of the clock, and the engine
+draws no waiting times.
 
-The engine materializes only informed vertices.  When a vertex becomes a
-spreader its whole contact race is generated at once and only the resulting
-child-infection events enter the priority queue; this preserves the exact
-joint law of the process while keeping the queue small.  Child subtrees on a
-tree are exchangeable, so child roles are drawn i.i.d. at first contact.
+The engine materializes only informed vertices and explores spreaders depth
+first from a stack: a popped spreader runs its whole contact race and pushes
+the children it made spreaders.  A run stops at the first spreader created at
+the target level.  Child subtrees on a tree are exchangeable, so the role of
+a child spreader (hub, path or leaf) is drawn when it is made.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ._seeds import substream, substream_random
-from .gw import EstimateCI, wilson_interval
+from .gw import CappedEstimate, EstimateCI, wilson_interval
 from .laws import Pmf, pmf_from_counts
 from .treegen import TreeTopology
 
 IGNORANT, SPREADER, STIFLER = 0, 1, 2
 
-#: role codes carried inside event tuples
+#: role codes carried inside stack entries
 _HUB, _PATH, _LEAF = 0, 1, 2
 
 DEFAULT_EVENT_CAP = 10 ** 8
@@ -45,7 +45,6 @@ class SimOutcome:
     """Summary of one dynamics run."""
 
     reached_level: int
-    active_spreaders_at_stop: int
     events_processed: int
     informed_total: int
     stop_reason: str  # 'absorbed' | 'level_reached' | 'event_cap'
@@ -53,10 +52,9 @@ class SimOutcome:
 
 
 @dataclass(frozen=True)
-class SurvivalEstimate(EstimateCI):
+class SurvivalEstimate(CappedEstimate):
     """Level-reach estimate; cap-hit replicas are counted as reaching."""
 
-    cap_hits: int = 0
     target_level: int = 0
     level_unit: str = "graph"
 
@@ -82,50 +80,32 @@ def simulate_mt(
 
     ``level_unit`` 'graph' counts edges from the root; 'hub' counts hub
     generations (the branching process of the hub analysis lives on hubs)
-    and is the default for hub_path topologies.
+    and is the default for hub_path topologies.  The exploration order does
+    not depend on ``target_level``: a run to a higher level passes through
+    exactly the states of a run to a lower one until that one stops.
     """
     if not 0 < p <= 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     if target_level < 1:
         raise ValueError(f"target_level must be at least 1, got {target_level}")
     unit = _resolve_level_unit(topology, level_unit)
-    rng = substream_random(seed, "mt")
-    rand = rng.random
-    log = math.log
+    rand = substream_random(seed, "mt").random
 
     d = topology.d
     is_hub_path = topology.kind == "hub_path"
     k = topology.k if is_hub_path else 0
     alpha = topology.alpha if is_hub_path else 1.0
     h = topology.h if is_hub_path else 1
+    hub_unit = unit == "hub"
 
-    # inform events: (time, seq, depth, hub_gen, role, path_pos)
-    heap = [(0.0, 0, 0, 0, _HUB, 0)]
-    seq = 1
+    # unexplored spreaders: (depth, hub_gen, role, path_pos)
+    stack = [(0, 0, _HUB, 0)]
     events = 0
     informed = 1
     max_level = 0
-    stifle_times: list[float] = []
 
-    def active_at(t: float, include_current: bool) -> int:
-        return int(include_current) + sum(1 for st in stifle_times if st > t)
-
-    while heap:
-        t, _, depth, hgen, role, pos = heapq.heappop(heap)
-        level = hgen if unit == "hub" else depth
-        countable = role == _HUB or unit == "graph"
-        if countable and level > max_level:
-            max_level = level
-        if countable and level >= target_level:
-            return SimOutcome(
-                reached_level=max_level,
-                active_spreaders_at_stop=active_at(t, True),
-                events_processed=events,
-                informed_total=informed,
-                stop_reason="level_reached",
-                level_unit=unit,
-            )
-
+    while stack:
+        depth, hgen, role, pos = stack.pop()
         if role == _HUB:
             deg = d + 1
             free = d + 1 if depth == 0 else d
@@ -137,60 +117,42 @@ def simulate_mt(
             free = 0
         onward_fresh = role == _PATH  # the path slot toward the next hub
 
-        tt = t
         while True:
             events += 1
             if events >= event_cap:
-                return SimOutcome(
-                    reached_level=max_level,
-                    active_spreaders_at_stop=active_at(tt, True),
-                    events_processed=events,
-                    informed_total=informed,
-                    stop_reason="event_cap",
-                    level_unit=unit,
-                )
-            tt -= log(1.0 - rand()) / deg
+                return SimOutcome(max_level, events, informed, "event_cap", unit)
             u = rand() * deg
             if u >= free:
-                # contacted the informer or an already-informed neighbor
-                stifle_times.append(tt)
-                break
+                break  # contacted the informer or an already-informed neighbor
             informed += 1
-            if role == _HUB:
-                if is_hub_path:
-                    if rand() < alpha:
-                        if h == 1:
-                            c_role, c_pos, c_hgen = _HUB, 0, hgen + 1
-                        else:
-                            c_role, c_pos, c_hgen = _PATH, 1, hgen
-                    else:
-                        c_role, c_pos, c_hgen = _LEAF, 0, hgen
-                else:
-                    c_role, c_pos, c_hgen = _HUB, 0, hgen + 1
-            elif role == _PATH:
-                if onward_fresh and u < 1.0:
-                    onward_fresh = False
-                    if pos == h - 1:
-                        c_role, c_pos, c_hgen = _HUB, 0, hgen + 1
-                    else:
-                        c_role, c_pos, c_hgen = _PATH, pos + 1, hgen
-                else:
-                    c_role, c_pos, c_hgen = _LEAF, 0, hgen
-            else:  # pragma: no cover - leaves have free == 0
-                raise AssertionError("leaf spreaders have no ignorant neighbors")
             free -= 1
-            if rand() < p:
-                heapq.heappush(heap, (tt, seq, depth + 1, c_hgen, c_role, c_pos))
-                seq += 1
+            onward = onward_fresh and u < 1.0
+            if onward:
+                onward_fresh = False
+            if rand() >= p:
+                continue  # the contacted ignorant stifles at once
+            if role == _PATH:
+                if not onward:
+                    c_role, c_pos, c_hgen = _LEAF, 0, hgen
+                elif pos == h - 1:
+                    c_role, c_pos, c_hgen = _HUB, 0, hgen + 1
+                else:
+                    c_role, c_pos, c_hgen = _PATH, pos + 1, hgen
+            elif is_hub_path and rand() >= alpha:
+                c_role, c_pos, c_hgen = _LEAF, 0, hgen
+            elif h == 1:
+                c_role, c_pos, c_hgen = _HUB, 0, hgen + 1
+            else:
+                c_role, c_pos, c_hgen = _PATH, 1, hgen
+            if c_role == _HUB or not hub_unit:
+                level = c_hgen if hub_unit else depth + 1
+                if level > max_level:
+                    max_level = level
+                    if level >= target_level:
+                        return SimOutcome(level, events, informed, "level_reached", unit)
+            stack.append((depth + 1, c_hgen, c_role, c_pos))
 
-    return SimOutcome(
-        reached_level=max_level,
-        active_spreaders_at_stop=0,
-        events_processed=events,
-        informed_total=informed,
-        stop_reason="absorbed",
-        level_unit=unit,
-    )
+    return SimOutcome(max_level, events, informed, "absorbed", unit)
 
 
 def offspring_empirical(d: int, p: float, replicas: int, seed: int = 0) -> Pmf:
@@ -251,25 +213,91 @@ def path_traversal_empirical(k: int, replicas: int, seed: int = 0) -> EstimateCI
     return EstimateCI(hits / replicas, low, high, replicas, seed)
 
 
-def _survival_chunk(args) -> tuple[int, int]:
-    (topology, p, target_level, event_cap, seed, lo, hi, unit) = args
-    reached = 0
-    cap_hits = 0
+def _survival_chunk(args) -> tuple[list[int], list[int]]:
+    """Histograms over ``reached_level`` of replicas lo..hi-1: all of them,
+    and those that hit the event cap."""
+    (topology, p, top, event_cap, seed, lo, hi, unit) = args
+    ended = [0] * (top + 1)
+    capped = [0] * (top + 1)
     for r in range(lo, hi):
         out = simulate_mt(
             topology,
             p,
-            target_level,
+            top,
             event_cap=event_cap,
             seed=substream(seed, "survival", r),
             level_unit=unit,
         )
+        ended[out.reached_level] += 1
         if out.stop_reason == "event_cap":
-            cap_hits += 1
-            reached += 1  # conservative: cap hits counted as reaching
-        elif out.stop_reason == "level_reached":
-            reached += 1
-    return reached, cap_hits
+            capped[out.reached_level] += 1
+    return ended, capped
+
+
+def estimate_survival_levels(
+    topology: TreeTopology,
+    p: float,
+    levels: list[int],
+    replicas: int = 10_000,
+    event_cap: int = DEFAULT_EVENT_CAP,
+    seed: int = 0,
+    workers: int = 1,
+    level_unit: str | None = None,
+) -> list[SurvivalEstimate]:
+    """Wilson 95% CIs on P(the rumor reaches L), one for each L in ``levels``.
+
+    Each replica runs once, to the highest level.  The exploration order
+    does not depend on the target, so a separate run to L would reach L
+    exactly when this run's ``reached_level`` is at least L, and would hit
+    the cap exactly when this run capped below L.  Cap hits are counted as
+    reaching.  Replica r runs from the substream (seed, 'survival', r), so
+    the estimates are independent of worker scheduling.
+    """
+    if replicas < 1:
+        raise ValueError("replicas must be at least 1")
+    if not levels or min(levels) < 1:
+        raise ValueError(f"levels must be a nonempty list of levels >= 1, got {levels!r}")
+    unit = _resolve_level_unit(topology, level_unit)
+    if topology.kind == "hub_path" and topology.alpha * (topology.d + 1) <= 1:
+        raise ValueError(
+            "hub_path survival experiments require alpha > 1/(d+1); "
+            f"got alpha={topology.alpha}, d={topology.d}"
+        )
+    top = max(levels)
+    if workers <= 1:
+        ended, capped = _survival_chunk(
+            (topology, p, top, event_cap, seed, 0, replicas, unit)
+        )
+    else:
+        bounds = [replicas * i // workers for i in range(workers + 1)]
+        jobs = [
+            (topology, p, top, event_cap, seed, lo, hi, unit)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo
+        ]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_survival_chunk, jobs))
+        ended = [sum(col) for col in zip(*(e for e, _ in parts))]
+        capped = [sum(col) for col in zip(*(c for _, c in parts))]
+
+    estimates = []
+    for level in levels:
+        cap_hits = sum(capped[:level])
+        reached = sum(ended[level:]) + cap_hits
+        low, high = wilson_interval(reached, replicas)
+        estimates.append(
+            SurvivalEstimate(
+                estimate=reached / replicas,
+                ci_low=low,
+                ci_high=high,
+                replicas=replicas,
+                seed=seed,
+                cap_hits=cap_hits,
+                target_level=level,
+                level_unit=unit,
+            )
+        )
+    return estimates
 
 
 def estimate_survival_ctmc(
@@ -285,42 +313,14 @@ def estimate_survival_ctmc(
     """Wilson 95% CI on P(the rumor reaches ``target_level``).
 
     The reach event upper-bounds survival and decreases to it as the level
-    grows.  Replica r runs from the substream (seed, 'survival', r), so the
-    estimate is independent of worker scheduling.
+    grows.  The default level is DEFAULT_LEVEL_HUB in hub units and
+    DEFAULT_LEVEL_CAYLEY in graph units.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be at least 1")
-    unit = _resolve_level_unit(topology, level_unit)
     if target_level is None:
-        target_level = DEFAULT_LEVEL_HUB if unit == "hub" else DEFAULT_LEVEL_CAYLEY
-    if topology.kind == "hub_path" and topology.alpha * (topology.d + 1) <= 1:
-        raise ValueError(
-            "hub_path survival experiments require alpha > 1/(d+1); "
-            f"got alpha={topology.alpha}, d={topology.d}"
-        )
-    if workers <= 1:
-        reached, cap_hits = _survival_chunk(
-            (topology, p, target_level, event_cap, seed, 0, replicas, unit)
-        )
-    else:
-        bounds = [replicas * i // workers for i in range(workers + 1)]
-        jobs = [
-            (topology, p, target_level, event_cap, seed, lo, hi, unit)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_survival_chunk, jobs))
-        reached = sum(r for r, _ in parts)
-        cap_hits = sum(c for _, c in parts)
-    low, high = wilson_interval(reached, replicas)
-    return SurvivalEstimate(
-        estimate=reached / replicas,
-        ci_low=low,
-        ci_high=high,
-        replicas=replicas,
-        seed=seed,
-        cap_hits=cap_hits,
-        target_level=target_level,
-        level_unit=unit,
+        hub_unit = _resolve_level_unit(topology, level_unit) == "hub"
+        target_level = DEFAULT_LEVEL_HUB if hub_unit else DEFAULT_LEVEL_CAYLEY
+    (est,) = estimate_survival_levels(
+        topology, p, [target_level], replicas=replicas, event_cap=event_cap,
+        seed=seed, workers=workers, level_unit=level_unit,
     )
+    return est

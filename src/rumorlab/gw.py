@@ -40,6 +40,17 @@ class EstimateCI:
 
 
 @dataclass(frozen=True)
+class CappedEstimate(EstimateCI):
+    """Estimate that counts replicas stopped by a cap as successes.
+
+    ``cap_hits`` says how many replicas that was, so the upward bias the cap
+    introduces is visible in every report.
+    """
+
+    cap_hits: int = 0
+
+
+@dataclass(frozen=True)
 class GwSpec:
     """Branching process specification: initial law, offspring law, limits."""
 
@@ -131,16 +142,18 @@ def simulate_gw(spec: GwSpec, rng_seed: int) -> GwOutcome:
     )
 
 
-def _survival_chunk(args) -> int:
+def _survival_chunk(args) -> tuple[int, int]:
     (seed, lo, hi, init_values, init_cdf, off_values, off_pvals, horizon, cap) = args
     survived = 0
+    capped = 0
     for r in range(lo, hi):
         rng = np.random.default_rng([seed, r])
         out = _run_trajectory(
             rng, init_values, init_cdf, off_values, off_pvals, horizon, cap
         )
         survived += out.survived_to_horizon
-    return survived
+        capped += out.capped
+    return survived, capped
 
 
 def survival_mc(
@@ -151,11 +164,13 @@ def survival_mc(
     cap: int = DEFAULT_POPULATION_CAP,
     seed: int = 0,
     workers: int = 1,
-) -> EstimateCI:
+) -> CappedEstimate:
     """Wilson 95% CI on P(Z_horizon >= 1) for the rumor branching process.
 
-    Replica r draws its generator from the substream [seed, r], so results
-    are independent of scheduling and of the worker count.
+    Trajectories that reach the population ``cap`` count as surviving and
+    are reported in ``cap_hits``.  Replica r draws its generator from the
+    substream [seed, r], so results are independent of scheduling and of
+    the worker count.
     """
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
@@ -164,7 +179,7 @@ def survival_mc(
     init_cdf = np.cumsum(init_pvals)
 
     if workers <= 1:
-        survived = _survival_chunk(
+        survived, cap_hits = _survival_chunk(
             (seed, 0, replicas, init_values, init_cdf, off_values, off_pvals, horizon, cap)
         )
     else:
@@ -175,10 +190,12 @@ def survival_mc(
             if hi > lo
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            survived = sum(pool.map(_survival_chunk, jobs))
+            parts = list(pool.map(_survival_chunk, jobs))
+        survived = sum(s for s, _ in parts)
+        cap_hits = sum(c for _, c in parts)
 
     low, high = wilson_interval(survived, replicas)
-    return EstimateCI(survived / replicas, low, high, replicas, seed)
+    return CappedEstimate(survived / replicas, low, high, replicas, seed, cap_hits=cap_hits)
 
 
 def extinction_by_iteration(offspring_law: Pmf, tol: float = 1e-12) -> float:

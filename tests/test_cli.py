@@ -226,6 +226,25 @@ class TestSimulate:
         estimates = [float(r["estimate"]) for r in rows]
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_level_sweep_matches_separate_levels(self, capsys, threads):
+        common = ["simulate", "--tree", "cayley", "--d", "4", "--p", "0.9",
+                  "--replicas", "300", "--seed", "10", "--threads", threads]
+        _, out = run_cli(common + ["--level-sweep", "5:40:5"], capsys)
+        swept = parse_csv(out)
+        assert [r["level"] for r in swept] == [str(level) for level in range(5, 41, 5)]
+        for row in swept:
+            _, out = run_cli(common + ["--level", row["level"]], capsys)
+            (single,) = parse_csv(out)
+            assert single["target_level"] == row["level"]
+            for key in ("estimate", "ci_low", "ci_high", "cap_hits"):
+                assert single[key] == row[key]
+
+    def test_level_zero_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--tree", "cayley", "--d", "3", "--level", "0", "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_bad_sweep_spec(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--tree", "cayley", "--d", "3", "--level-sweep", "5", "--seed", "1"])
@@ -241,6 +260,13 @@ class TestGwCommand:
         doc = json.loads(out)
         assert 0.6 < doc["estimate"] < 0.9
         assert doc["method"] == "wilson"
+        assert 0 <= doc["cap_hits"] <= doc["estimate"] * doc["replicas"]
+
+    def test_theta_gw_mc_reports_cap_hits(self, capsys):
+        tail = ["--replicas", "500", "--seed", "9", "--format", "json"]
+        _, out = run_cli(["gw", "4", "0.9"] + tail, capsys)
+        _, theta_out = run_cli(["theta", "4", "0.9", "--method", "gw_mc"] + tail, capsys)
+        assert json.loads(theta_out)["gw_mc"]["cap_hits"] == json.loads(out)["cap_hits"] > 0
 
 
 class TestPlumbing:

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from rumorlab._seeds import substream
 from rumorlab.ctmc import (
     SurvivalEstimate,
     estimate_survival_ctmc,
+    estimate_survival_levels,
     offspring_empirical,
     path_traversal_empirical,
     simulate_mt,
@@ -33,16 +35,44 @@ class TestSimulateMt:
         assert a == b
 
     def test_absorbed_has_no_active_spreaders(self):
+        # nothing is left to explore, so a deeper target changes nothing
         for seed in range(30):
             out = simulate_mt(cayley(3), 0.2, target_level=20, seed=seed)
-            if out.stop_reason == "absorbed":
-                assert out.active_spreaders_at_stop == 0
+            assert out.stop_reason == "absorbed"
+            assert out.reached_level < 20
+            assert simulate_mt(cayley(3), 0.2, target_level=10**6, seed=seed) == out
 
     def test_level_reached_stops_at_target(self):
-        out = simulate_mt(cayley(3), 1.0, target_level=5, seed=1)
-        if out.stop_reason == "level_reached":
-            assert out.reached_level == 5
-            assert out.active_spreaders_at_stop >= 1
+        reasons = set()
+        for seed in range(30):
+            out = simulate_mt(cayley(3), 1.0, target_level=5, seed=seed)
+            reasons.add(out.stop_reason)
+            if out.stop_reason == "level_reached":
+                assert out.reached_level == 5
+            else:
+                assert out.stop_reason == "absorbed"
+                assert out.reached_level < 5
+        assert reasons == {"level_reached", "absorbed"}
+
+    def test_exploration_order_ignores_target(self):
+        # a run to a deeper level passes through the states of a shallower run
+        for seed in range(40):
+            deep = simulate_mt(cayley(4), 0.9, target_level=12, event_cap=400, seed=seed)
+            shallow = simulate_mt(cayley(4), 0.9, target_level=6, event_cap=400, seed=seed)
+            if deep.reached_level >= 6:
+                assert shallow.stop_reason == "level_reached"
+                assert shallow.reached_level == 6
+                assert shallow.events_processed <= deep.events_processed
+            else:
+                assert shallow == deep
+
+    def test_work_is_linear_in_level(self):
+        level, n = 200, 4000
+        events = sum(
+            simulate_mt(cayley(4), 0.9, target_level=level, seed=substream(21, r)).events_processed
+            for r in range(n)
+        )
+        assert events / n <= 10 * level
 
     def test_deep_subcritical_rarely_reaches(self):
         reached = sum(
@@ -138,10 +168,42 @@ class TestEstimateSurvival:
         se = mc_se(est.estimate, est.replicas)
         assert abs(est.estimate - theta(4, 0.9)) <= 3 * se + 1e-9
 
+    def test_deep_level_matches_theta_on_cayley(self):
+        from rumorlab.thresholds import theta
+
+        est = estimate_survival_ctmc(cayley(4), 0.9, target_level=200, replicas=4000, seed=22)
+        se = mc_se(est.estimate, est.replicas)
+        assert abs(est.estimate - theta(4, 0.9)) <= 3 * se + 1e-9
+
     def test_deterministic_and_worker_independent(self):
         a = estimate_survival_ctmc(cayley(3), 0.9, target_level=10, replicas=400, seed=16, workers=1)
         b = estimate_survival_ctmc(cayley(3), 0.9, target_level=10, replicas=400, seed=16, workers=2)
         assert a == b
+
+    def test_hub_tree_worker_independent(self):
+        topology = hub_path(20, 4, 0.6, 2)
+        a = estimate_survival_ctmc(topology, 1.0, target_level=6, replicas=300, seed=23, workers=1)
+        b = estimate_survival_ctmc(topology, 1.0, target_level=6, replicas=300, seed=23, workers=2)
+        assert a == b
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_levels_in_one_pass_match_separate_runs(self, workers):
+        # a small event cap makes some replicas cap below some of the levels
+        levels = [2, 5, 9, 14]
+        kwargs = dict(replicas=400, event_cap=60, seed=24, workers=workers)
+        swept = estimate_survival_levels(cayley(4), 0.9, levels, **kwargs)
+        separate = [
+            estimate_survival_ctmc(cayley(4), 0.9, target_level=level, **kwargs) for level in levels
+        ]
+        assert swept == separate
+        assert 0 < swept[-1].cap_hits < 400
+        assert swept[0].cap_hits < swept[-1].cap_hits
+
+    def test_levels_rejects_bad_levels(self):
+        with pytest.raises(ValueError):
+            estimate_survival_levels(cayley(3), 0.5, [], replicas=10)
+        with pytest.raises(ValueError):
+            estimate_survival_levels(cayley(3), 0.5, [3, 0], replicas=10)
 
     def test_nonincreasing_in_level(self):
         lo = estimate_survival_ctmc(cayley(3), 1.0, target_level=5, replicas=3000, seed=17)

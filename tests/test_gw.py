@@ -124,6 +124,18 @@ class TestSurvivalMc:
         se = math.sqrt(2 * short.estimate * (1 - short.estimate) / short.replicas)
         assert short.estimate - long.estimate <= 3 * se + 1e-9
 
+    def test_cap_hits_reported(self):
+        # a cap of one stops every trajectory that starts with a spreader
+        est = survival_mc(4, 0.9, replicas=500, cap=1, seed=3)
+        assert est.cap_hits == round(est.estimate * est.replicas) > 0
+        # five generations cannot grow past the default cap
+        assert survival_mc(4, 0.9, replicas=500, horizon=5, seed=3).cap_hits == 0
+        # capping changes the record, not the estimate
+        capped = survival_mc(4, 0.9, replicas=500, cap=1000, seed=3, workers=2)
+        uncapped = survival_mc(4, 0.9, replicas=500, seed=3)
+        assert capped.estimate == uncapped.estimate
+        assert capped.cap_hits > uncapped.cap_hits
+
     def test_estimate_ci_shape(self):
         est = survival_mc(3, 1.0, replicas=500, seed=2)
         assert isinstance(est, EstimateCI)
