@@ -47,12 +47,9 @@ from .thresholds import (
 from .gw import (
     CappedEstimate,
     EstimateCI,
-    GwOutcome,
-    GwSpec,
     coupled_monotonicity_trial,
     extinction_by_iteration,
     sample_offspring,
-    simulate_gw,
     survival_mc,
     wilson_interval,
 )
@@ -75,8 +72,6 @@ __all__ = [
     "EstimateCI",
     "ExactScalar",
     "GammaArgs",
-    "GwOutcome",
-    "GwSpec",
     "NumericFault",
     "PgfSpec",
     "Pmf",
@@ -119,7 +114,6 @@ __all__ = [
     "psi_root",
     "sample_offspring",
     "scaled_incomplete_gamma",
-    "simulate_gw",
     "simulate_mt",
     "survival_mc",
     "theta",

@@ -1,11 +1,13 @@
-"""Galton-Watson engine: trajectory simulation, survival Monte Carlo, and
-the shared-uniform monotone coupling.
+"""Galton-Watson engine: survival Monte Carlo, the pmf-based extinction
+oracle, and the shared-uniform monotone coupling.
 
 The embedded branching process has initial count distributed as N' and
-offspring distributed as X'.  One generation step draws the offspring of all
-current individuals at once as a multinomial split of the population over
-the offspring support, which is exact and O(support) per generation no
-matter how large the population grows.
+offspring distributed as X'.  ``survival_mc`` runs replicas in fixed-size
+blocks.  One generation step draws the offspring of every live replica of a
+block at once, each as a multinomial split of its population over the
+offspring support, which is exact and O(support) per replica and generation
+however large the population grows.  The laws come from the float log-space
+builders in ``laws``, so the engine runs in seconds for d in the hundreds.
 """
 
 from __future__ import annotations
@@ -17,14 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import substream
-from .errors import NumericFault
-from .laws import Pmf, law_N, law_N_prime, law_X, law_X_prime
+from .laws import Pmf, law_N, law_N_prime_float, law_X, law_X_prime, law_X_prime_float
+from .thresholds import survival_fixed_point
 
 #: two-sided 95% normal quantile used by the Wilson score interval
 Z95 = 1.959963984540054
 
 DEFAULT_HORIZON = 60
 DEFAULT_POPULATION_CAP = 10_000_000
+
+#: replicas per block; block b draws from substream(seed, "gw", b), so the
+#: blocks, not the workers, fix every draw
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -50,37 +56,6 @@ class CappedEstimate(EstimateCI):
     cap_hits: int = 0
 
 
-@dataclass(frozen=True)
-class GwSpec:
-    """Branching process specification: initial law, offspring law, limits."""
-
-    initial_law: Pmf
-    offspring_law: Pmf
-    max_generations: int = DEFAULT_HORIZON
-    population_cap: int = DEFAULT_POPULATION_CAP
-
-    def __post_init__(self) -> None:
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be at least 1")
-        if self.population_cap < 1:
-            raise ValueError("population_cap must be at least 1")
-
-
-@dataclass(frozen=True)
-class GwOutcome:
-    """One trajectory summary.
-
-    ``capped`` trajectories are counted as survival: the chance that a
-    population above the cap later dies is negligible, and the bias this
-    introduces is upward by construction.
-    """
-
-    survived_to_horizon: bool
-    extinction_generation: int | None
-    peak_population: int
-    capped: bool
-
-
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n <= 0:
@@ -102,58 +77,23 @@ def _draw_initial(rng: np.random.Generator, values: np.ndarray, cdf: np.ndarray)
     return int(values[np.searchsorted(cdf, rng.random(), side="right")])
 
 
-def _run_trajectory(
-    rng: np.random.Generator,
-    init_values: np.ndarray,
-    init_cdf: np.ndarray,
-    off_values: np.ndarray,
-    off_pvals: np.ndarray,
-    max_generations: int,
-    population_cap: int,
-) -> GwOutcome:
-    z = _draw_initial(rng, init_values, init_cdf)
-    peak = z
-    if z == 0:
-        return GwOutcome(False, 0, 0, False)
-    for gen in range(1, max_generations + 1):
-        if z >= population_cap:
-            return GwOutcome(True, None, peak, True)
-        counts = rng.multinomial(z, off_pvals)
-        z = int(counts @ off_values)
-        peak = max(peak, z)
-        if z == 0:
-            return GwOutcome(False, gen, peak, False)
-    return GwOutcome(True, None, peak, False)
-
-
-def simulate_gw(spec: GwSpec, rng_seed: int) -> GwOutcome:
-    """Simulate one trajectory of Z_{n+1} = sum of Z_n iid offspring draws."""
-    rng = np.random.default_rng(rng_seed)
-    init_values, init_pvals = _support_and_pvals(spec.initial_law)
-    off_values, off_pvals = _support_and_pvals(spec.offspring_law)
-    return _run_trajectory(
-        rng,
-        init_values,
-        np.cumsum(init_pvals),
-        off_values,
-        off_pvals,
-        spec.max_generations,
-        spec.population_cap,
-    )
-
-
-def _survival_chunk(args) -> tuple[int, int]:
-    (seed, lo, hi, init_values, init_cdf, off_values, off_pvals, horizon, cap) = args
-    survived = 0
-    capped = 0
-    for r in range(lo, hi):
-        rng = np.random.default_rng([seed, r])
-        out = _run_trajectory(
-            rng, init_values, init_cdf, off_values, off_pvals, horizon, cap
-        )
-        survived += out.survived_to_horizon
-        capped += out.capped
-    return survived, capped
+def _survival_block(args) -> tuple[int, int]:
+    """(survivors, cap hits) among the ``n`` replicas of block ``b``."""
+    seed, b, n, init_pvals, off_values, off_pvals, horizon, cap = args
+    rng = np.random.default_rng(substream(seed, "gw", b))
+    z = rng.choice(init_pvals.size, size=n, p=init_pvals)
+    z = z[z > 0]
+    cap_hits = 0
+    for _ in range(horizon):
+        at_cap = z >= cap
+        if at_cap.any():
+            cap_hits += int(np.count_nonzero(at_cap))
+            z = z[~at_cap]
+        if z.size == 0:
+            break
+        z = rng.multinomial(z, off_pvals) @ off_values
+        z = z[z > 0]
+    return z.size + cap_hits, cap_hits
 
 
 def survival_mc(
@@ -167,68 +107,60 @@ def survival_mc(
 ) -> CappedEstimate:
     """Wilson 95% CI on P(Z_horizon >= 1) for the rumor branching process.
 
-    Trajectories that reach the population ``cap`` count as surviving and
-    are reported in ``cap_hits``.  Replica r draws its generator from the
-    substream [seed, r], so results are independent of scheduling and of
-    the worker count.
+    The cap is checked before each generation: a replica whose population
+    has reached ``cap`` stops there, counts as surviving and is reported in
+    ``cap_hits``.  Replicas run in blocks of ``_BLOCK``; block b draws from
+    the substream (seed, "gw", b) and workers take whole blocks, so results
+    are independent of scheduling and of the worker count.
     """
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
-    init_values, init_pvals = _support_and_pvals(law_N_prime(d, p))
-    off_values, off_pvals = _support_and_pvals(law_X_prime(d, p))
-    init_cdf = np.cumsum(init_pvals)
-
-    if workers <= 1:
-        survived, cap_hits = _survival_chunk(
-            (seed, 0, replicas, init_values, init_cdf, off_values, off_pvals, horizon, cap)
-        )
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    init_pvals = law_N_prime_float(d, p)
+    off_pvals = law_X_prime_float(d, p)
+    off_values = np.arange(off_pvals.size)
+    # a population below the cap has fewer than cap * d children, which must
+    # fit the int64 counts of the multinomial step
+    if cap > np.iinfo(np.int64).max // d:
+        raise ValueError(f"cap must be at most {np.iinfo(np.int64).max // d} for d={d}, got {cap}")
+    init_pvals /= init_pvals.sum()
+    off_pvals /= off_pvals.sum()
+    jobs = [
+        (seed, b, min(_BLOCK, replicas - lo), init_pvals, off_values, off_pvals, horizon, cap)
+        for b, lo in enumerate(range(0, replicas, _BLOCK))
+    ]
+    if workers <= 1 or len(jobs) == 1:
+        parts = [_survival_block(job) for job in jobs]
     else:
-        bounds = np.linspace(0, replicas, workers + 1, dtype=int)
-        jobs = [
-            (seed, int(lo), int(hi), init_values, init_cdf, off_values, off_pvals, horizon, cap)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_survival_chunk, jobs))
-        survived = sum(s for s, _ in parts)
-        cap_hits = sum(c for _, c in parts)
-
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            parts = list(pool.map(_survival_block, jobs))
+    survived = sum(s for s, _ in parts)
+    cap_hits = sum(c for _, c in parts)
     low, high = wilson_interval(survived, replicas)
     return CappedEstimate(survived / replicas, low, high, replicas, seed, cap_hits=cap_hits)
 
 
 def extinction_by_iteration(offspring_law: Pmf, tol: float = 1e-12) -> float:
-    """Extinction probability by iterating s <- G(s) from 0 on the raw pmf.
+    """Extinction probability, the smallest fixed point of s = G(s), from the raw pmf.
 
-    This is the classical smallest-fixed-point construction and serves as an
-    oracle independent of any closed-form pgf evaluation.
+    The survival complement 1 - G(1 - u) = sum_k P(k) (1 - (1 - u)^k) is
+    summed term by term from the masses and solved by
+    ``thresholds.survival_fixed_point``.  No closed-form pgf enters, so this
+    is an oracle independent of ``psi_root``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    probs = list(offspring_law.to_floats())[::-1]
-    smin = offspring_law.support_min
-    s = 0.0
-    prev_delta = 0.0
-    for _ in range(1_000_000):
-        acc = 0.0
-        for q in probs:
-            acc = acc * s + q
-        if smin:
-            acc *= s ** smin
-        delta = abs(acc - s)
-        s = acc
-        if delta == 0.0:
-            return s
-        # Convergence is linear with rate G'(psi); near criticality that rate
-        # approaches 1, so bound the remaining distance by the geometric tail
-        # delta * r / (1 - r) instead of stopping on the raw step size.
-        if prev_delta > 0.0:
-            rate = delta / prev_delta
-            if rate < 1.0 and delta * rate / (1.0 - rate) < tol:
-                return s
-        prev_delta = delta
-    raise NumericFault("pgf iteration exceeded its cap without converging")
+    values = np.arange(offspring_law.support_min, offspring_law.support_max + 1)
+    probs = offspring_law.to_floats()
+    values, probs = values[values > 0], probs[values > 0]
+
+    def H(u: float) -> float:
+        log_base = math.log1p(-u) if u < 1.0 else -math.inf
+        return float(-(probs @ np.expm1(values * log_base)))
+
+    u, _ = survival_fixed_point(H, tol)
+    return 1.0 - u
 
 
 def sample_offspring(

@@ -123,15 +123,15 @@ class ExactScalar:
             return ExactScalar.from_fraction(self.fraction ** exponent)
         return ExactScalar.from_log(self._require_positive() * exponent)
 
-    def _cmp_key(self, other) -> tuple[float, float]:
-        """Comparable pair (self, other) in a common scale."""
+    def _cmp_key(self, other) -> tuple[Fraction, Fraction] | tuple[float, float]:
+        """Comparable pair (self, other): both exact, or both logs."""
         if isinstance(other, ExactScalar):
             if self.fraction is not None and other.fraction is not None:
-                return float(self.fraction - other.fraction), 0.0
+                return self.fraction, other.fraction
             return self._require_positive(), other._require_positive()
         other = Fraction(other)
         if self.fraction is not None:
-            return float(self.fraction - other), 0.0
+            return self.fraction, other
         if other <= 0:
             return 1.0, 0.0  # log-mode values are positive
         return self._require_positive(), log_fraction(other)

@@ -13,21 +13,25 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NumericFault
 from .laws import (
     _as_fraction,
     beta_value,
+    cpgf_X_prime,
     mean_X,
     pgf_N_prime,
-    pgf_X_prime,
 )
 from .specfun import ExactScalar
 
-_BISECT_HI = 1.0 - 1e-9
+#: smallest survival root 1 - psi the bracket scan looks for; below it psi
+#: rounds to 1 in double precision
+_BISECT_U_MIN = 2.0 ** -53
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 _RESIDUAL_BOUND = 1e-10
+_FIXED_POINT_MAX_EVALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -86,58 +90,79 @@ def p_critical(d: int, exact: bool | None = None) -> ThresholdReport:
     )
 
 
+def survival_fixed_point(H: Callable[[float], float], tol: float = 1e-12) -> tuple[float, int]:
+    """Largest fixed point u of H(u) = 1 - G(1 - u) on [0, 1], for a pgf G.
+
+    1 - u is the smallest fixed point of G, the extinction probability.
+    f(u) = H(u) - u is concave, negative above the root and zero at it, so
+    secant steps on f from u = 1 and its image H(1) stay above the root and
+    approach it superlinearly, where plain iteration u <- H(u) slows to the
+    rate G'(1 - u), which tends to 1 near criticality.  The steps stop once
+    their geometric tail step * r / (1 - r), with r the ratio of the last
+    two steps, is below ``tol``.  Returns u and the number of H calls.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    u0, f0 = 1.0, H(1.0) - 1.0
+    u1 = 1.0 + f0
+    prev_step = 0.0  # no ratio before the first secant step
+    for evals in range(2, _FIXED_POINT_MAX_EVALS + 1):
+        f1 = H(u1) - u1
+        if f1 >= 0.0 or f1 == f0:  # at the root to rounding
+            return u1, evals
+        u2 = max(u1 - f1 * (u1 - u0) / (f1 - f0), 0.0)
+        step = u1 - u2
+        if step < prev_step:
+            rate = step / prev_step
+            if step * rate / (1.0 - rate) < tol:
+                return u2, evals
+        u0, f0, u1, prev_step = u1, f1, u2, step
+    raise NumericFault(f"fixed-point iteration did not converge in {_FIXED_POINT_MAX_EVALS} steps")
+
+
 def psi_root(d: int, p: float) -> RootResult:
     """Smallest non-negative root of G_{X'}(s) = s.
 
     Subcritical/critical inputs (decided exactly) return psi = 1.  Otherwise
-    the root in [0, 1) is bracketed by bisection and cross-checked against
-    fixed-point iteration from 0; disagreement beyond 1e-10 raises
-    NumericFault.
+    the survival root u = 1 - psi of u = 1 - G_{X'}(1 - u) is found by
+    bisection, which keeps full relative precision however close psi is to
+    1, and cross-checked against ``survival_fixed_point``; disagreement
+    beyond 1e-10 raises NumericFault.
     """
     _check_d(d)
     _check_p(p)
     if is_subcritical(d, p):
         return RootResult(psi=1.0, iterations=0, residual=0.0)
 
-    def f(s: float) -> float:
-        return pgf_X_prime(d, p, s) - s
+    def f(u: float) -> float:
+        return cpgf_X_prime(d, p, u) - u
 
-    lo, hi = 0.0, _BISECT_HI
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if f_lo <= 0.0 or f_hi >= 0.0:
-        raise NumericFault(
-            f"pgf fixed-point bracket failed for d={d}, p={p}: f(0)={f_lo}, f(hi)={f_hi}"
-        )
+    # f < 0 at u = 1 and f > 0 below the root: halve lo until f(lo) > 0, so
+    # the root is bracketed in [lo, 2 lo] however small it is
+    lo, hi = 0.5, 1.0
+    while f(lo) <= 0.0:
+        lo, hi = 0.5 * lo, lo
+        if lo < _BISECT_U_MIN:
+            raise NumericFault(f"no survival root above {_BISECT_U_MIN:.1e} for d={d}, p={p}")
     iterations = 0
-    while hi - lo > _BISECT_TOL and iterations < _BISECT_MAX_ITER:
+    while hi - lo > _BISECT_TOL * hi and iterations < _BISECT_MAX_ITER:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
         iterations += 1
-    psi = 0.5 * (lo + hi)
-    residual = abs(f(psi))
+    u = 0.5 * (lo + hi)
+    residual = abs(f(u))
     if residual > _RESIDUAL_BOUND:
         raise NumericFault(f"bisection residual {residual} exceeds bound")
 
-    # independent fixed-point pass from below; converges monotonically to the
-    # smallest root because the pgf is increasing and convex
-    s = 0.0
-    for _ in range(1_000_000):
-        s_next = pgf_X_prime(d, p, s)
-        if abs(s_next - s) < 1e-13:
-            s = s_next
-            break
-        s = s_next
-    else:
-        raise NumericFault(f"fixed-point iteration did not converge for d={d}, p={p}")
-    if abs(s - psi) > _RESIDUAL_BOUND:
+    u_iter, _ = survival_fixed_point(lambda v: cpgf_X_prime(d, p, v))
+    if abs(u_iter - u) > _RESIDUAL_BOUND:
         raise NumericFault(
-            f"bisection ({psi}) and fixed-point ({s}) roots disagree for d={d}, p={p}"
+            f"bisection ({1.0 - u}) and fixed-point ({1.0 - u_iter}) roots disagree for d={d}, p={p}"
         )
-    return RootResult(psi=psi, iterations=iterations, residual=residual)
+    return RootResult(psi=1.0 - u, iterations=iterations, residual=residual)
 
 
 def theta(d: int, p: float) -> float:
@@ -155,26 +180,30 @@ def theta_double_sum(d: int, p: float, psi: float | None = None) -> float:
 
     Combining (p psi/(1-p))^i with (1-p)^k gives (p psi)^i (1-p)^(k-i), which
     is finite for all p in (0, 1]; the published expression is recovered
-    verbatim for p < 1.
+    verbatim for p < 1.  Its terms k k! C(k,i) C(d+1,k) / (d+1)^k overflow a
+    float near d = 170, so each is carried as k a_k C(k,i) with
+    a_k = (d+1)! / ((d+1-k)! (d+1)^k), a product of factors <= 1 as in
+    ``pgf_N_prime``, and the inner sum walks k upward by term ratios.
     """
     _check_d(d)
     _check_p(p)
     if psi is None:
         psi = psi_root(d, p).psi
     q = 1.0 - p
+    x = p * psi
+    a = [1.0]
+    for k in range(1, d + 2):
+        a.append(a[-1] * (d + 2 - k) / (d + 1))
     total = 0.0
     for i in range(d + 2):
-        inner = 0.0
-        for k in range(max(i, 1), d + 2):
-            inner += (
-                k
-                * math.factorial(k)
-                * math.comb(k, i)
-                * math.comb(d + 1, k)
-                * q ** (k - i)
-                / (d + 1) ** k
-            )
-        total += (p * psi) ** i * inner
+        k0 = max(i, 1)
+        # term = x^i a_k C(k, i) q^(k-i) <= a_k (x + q)^k <= 1, so it cannot overflow
+        term = x ** i * a[k0] * (q if i == 0 else 1.0)
+        inner = k0 * term
+        for k in range(k0 + 1, d + 2):
+            term *= (d + 2 - k) / (d + 1) * k / (k - i) * q
+            inner += k * term
+        total += inner
     return 1.0 - total / (d + 1)
 
 

@@ -262,6 +262,12 @@ class TestGwCommand:
         assert doc["method"] == "wilson"
         assert 0 <= doc["cap_hits"] <= doc["estimate"] * doc["replicas"]
 
+    @pytest.mark.parametrize("flag", ["--horizon", "--cap"])
+    def test_nonpositive_limit_is_usage_error(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["gw", "4", "0.9", flag, "0", "--replicas", "10", "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_theta_gw_mc_reports_cap_hits(self, capsys):
         tail = ["--replicas", "500", "--seed", "9", "--format", "json"]
         _, out = run_cli(["gw", "4", "0.9"] + tail, capsys)

@@ -1,31 +1,42 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rumorlab.gw import (
+    _BLOCK,
     EstimateCI,
-    GwOutcome,
-    GwSpec,
+    _survival_block,
     coupled_monotonicity_trial,
     extinction_by_iteration,
     sample_offspring,
-    simulate_gw,
     survival_mc,
     wilson_interval,
 )
-from rumorlab.laws import Pmf, law_N_prime, law_X, law_X_prime, tv_distance
+from rumorlab.laws import Pmf, law_X, law_X_prime, tv_distance
 from rumorlab.thresholds import psi_root, theta
 
 F = Fraction
 
 DELTA_0 = Pmf(0, (F(1),))
-DELTA_1 = Pmf(1, (F(1),))
 
 
-def spec_for(d, p, horizon=60, cap=10**7):
-    return GwSpec(law_N_prime(d, p), law_X_prime(d, p), horizon, cap)
+def run_block(init, off, seed, horizon=60, cap=10**7, n=100):
+    """(survivors, cap hits) of one block of the survival_mc kernel.
+
+    ``init`` and ``off`` are the masses of the initial and offspring laws
+    on {0, 1, ...}.
+    """
+    init_pvals = np.asarray(init, dtype=float)
+    off_pvals = np.asarray(off, dtype=float)
+    off_values = np.arange(off_pvals.size)
+    return _survival_block((seed, 0, n, init_pvals, off_values, off_pvals, horizon, cap))
+
+
+def se_of(est):
+    return math.sqrt(max(est.estimate * (1 - est.estimate), 1e-12) / est.replicas)
 
 
 class TestWilson:
@@ -52,42 +63,38 @@ class TestWilson:
 
 
 class TestSimulateGw:
+    """Degenerate laws run through the block kernel of survival_mc."""
+
     @pytest.mark.parametrize("seed", range(10))
     def test_delta0_offspring_dies_immediately(self, seed):
-        out = simulate_gw(GwSpec(DELTA_1, DELTA_0), seed)
-        assert not out.survived_to_horizon
-        assert out.extinction_generation == 1
+        assert run_block([0, 1], [1], seed, horizon=1) == (0, 0)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_deterministic_line_survives(self, seed):
-        out = simulate_gw(GwSpec(DELTA_1, DELTA_1, max_generations=500), seed)
-        assert out.survived_to_horizon
-        assert out.extinction_generation is None
-        assert out.peak_population == 1
+        assert run_block([0, 1], [0, 1], seed, horizon=500) == (100, 0)
 
     def test_zero_initial_is_extinct_at_generation_zero(self):
-        two = Pmf(2, (F(1),))
-        out = simulate_gw(GwSpec(Pmf(0, (F(1),)), two), 3)
-        assert out == GwOutcome(False, 0, 0, False)
+        # a cap of one would stop any replica that started with a spreader
+        assert run_block([1], [0, 0, 1], 3, cap=1) == (0, 0)
 
     def test_cap_counts_as_survival(self):
-        two = Pmf(2, (F(1),))  # deterministic doubling
-        out = simulate_gw(GwSpec(DELTA_1, two, max_generations=200, population_cap=1000), 5)
-        assert out.survived_to_horizon
-        assert out.capped
-        assert out.extinction_generation is None
+        # deterministic doubling passes a cap of 1000 after ten generations
+        assert run_block([0, 1], [0, 0, 1], 5, horizon=200, cap=1000) == (100, 100)
+        # ... and survives uncapped when the horizon ends first
+        assert run_block([0, 1], [0, 0, 1], 5, horizon=9, cap=1000) == (100, 0)
 
     def test_bitwise_determinism(self):
-        spec = spec_for(4, 0.9)
-        a = simulate_gw(spec, 123)
-        b = simulate_gw(spec, 123)
+        a = survival_mc(4, 0.9, replicas=300, seed=123)
+        b = survival_mc(4, 0.9, replicas=300, seed=123)
         assert a == b
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            GwSpec(DELTA_1, DELTA_0, max_generations=0)
+            survival_mc(4, 0.9, replicas=10, horizon=0)
         with pytest.raises(ValueError):
-            GwSpec(DELTA_1, DELTA_0, population_cap=0)
+            survival_mc(4, 0.9, replicas=10, cap=0)
+        with pytest.raises(ValueError):
+            survival_mc(4, 0.9, replicas=10, cap=2**62)
 
 
 class TestSurvivalMc:
@@ -112,9 +119,26 @@ class TestSurvivalMc:
         assert est.estimate in (0.0, 1.0)
 
     def test_deterministic_and_schedule_independent(self):
+        # 2,000 replicas fill one block and part of a second
+        assert 2_000 % _BLOCK
         a = survival_mc(3, 0.9, replicas=2_000, seed=9, workers=1)
         b = survival_mc(3, 0.9, replicas=2_000, seed=9, workers=2)
-        assert a == b
+        c = survival_mc(3, 0.9, replicas=2_000, seed=9, workers=3)
+        assert a == b == c
+
+    def test_unbiased_across_seeds(self):
+        target = theta(4, 0.9)
+        z = [
+            (est.estimate - target) / se_of(est)
+            for est in (survival_mc(4, 0.9, replicas=20_000, seed=s) for s in range(20))
+        ]
+        assert abs(sum(z) / len(z)) < 0.5
+
+    def test_large_d_runs_in_seconds(self):
+        start = time.perf_counter()
+        est = survival_mc(500, 0.5, replicas=10_000, seed=31)
+        assert time.perf_counter() - start < 10.0
+        assert abs(est.estimate - theta(500, 0.5)) <= 5 * se_of(est)
 
     def test_horizon_monotone(self):
         short = survival_mc(4, 0.9, replicas=10_000, horizon=20, seed=5)
@@ -130,10 +154,15 @@ class TestSurvivalMc:
         assert est.cap_hits == round(est.estimate * est.replicas) > 0
         # five generations cannot grow past the default cap
         assert survival_mc(4, 0.9, replicas=500, horizon=5, seed=3).cap_hits == 0
-        # capping changes the record, not the estimate
+        # where no replica can reach the cap (4^5 * 5 < 10^4), it changes nothing
+        assert survival_mc(4, 0.9, replicas=500, horizon=5, cap=10_000, seed=3) == (
+            survival_mc(4, 0.9, replicas=500, horizon=5, seed=3)
+        )
+        # a low cap stops replicas early, so their later draws differ, but the
+        # estimate moves by no more than the Monte Carlo noise
         capped = survival_mc(4, 0.9, replicas=500, cap=1000, seed=3, workers=2)
         uncapped = survival_mc(4, 0.9, replicas=500, seed=3)
-        assert capped.estimate == uncapped.estimate
+        assert abs(capped.estimate - uncapped.estimate) <= 3 * math.hypot(se_of(capped), se_of(uncapped))
         assert capped.cap_hits > uncapped.cap_hits
 
     def test_estimate_ci_shape(self):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rumorlab.laws import (
@@ -10,12 +11,15 @@ from rumorlab.laws import (
     beta_paper,
     beta_series,
     beta_value,
+    cpgf_X_prime,
     enumerate_traversal_probability,
     law_N,
     law_N_prime,
+    law_N_prime_float,
     law_N_prime_printed,
     law_X,
     law_X_prime,
+    law_X_prime_float,
     mean_N,
     mean_X,
     pgf_N_prime,
@@ -144,6 +148,39 @@ class TestPgfXPrime:
             pgf_X_prime(3, 1.0, 1.5)
         with pytest.raises(ValueError):
             pgf_X_prime(3, 0.0, 0.5)
+
+
+class TestCpgfXPrime:
+    @pytest.mark.parametrize("d,p", [(3, 1.0), (4, 0.9), (10, 0.25), (150, 0.8)])
+    def test_is_complement_of_pgf(self, d, p):
+        for j in range(20):
+            u = j / 19
+            assert cpgf_X_prime(d, p, u) == pytest.approx(1.0 - pgf_X_prime(d, p, 1.0 - u), abs=1e-14)
+
+    def test_relative_precision_at_small_u(self):
+        # 1 - G(1 - u) = E(X') u + O(u^2), with E(X') = p E(X) = 0.9 * 1.5104 at d = 4
+        u = 1e-12
+        assert cpgf_X_prime(4, 0.9, u) / u == pytest.approx(0.9 * 1.5104, rel=1e-10)
+
+
+class TestFloatLaws:
+    @pytest.mark.parametrize("d", [2, 3, 4, 10, 50, 100, 150])
+    # short rationals keep the exact reference fast; the float law rounds p
+    @pytest.mark.parametrize("p", [F(1, 1000), F(3, 10), F(9, 10), 1], ids=["1e-3", "0.3", "0.9", "1"])
+    def test_match_exact_laws(self, d, p):
+        assert tv_distance(law_X_prime(d, p).to_floats(), law_X_prime_float(d, p)) <= 1e-12
+        assert tv_distance(law_N_prime(d, p).to_floats(), law_N_prime_float(d, p)) <= 1e-12
+
+    def test_large_d_is_a_law(self):
+        for law in (law_X_prime_float(1000, 0.05), law_N_prime_float(1000, 0.05)):
+            assert np.all(law >= 0)
+            assert abs(law.sum() - 1.0) < 1e-12
+
+    def test_domain_checks(self):
+        with pytest.raises(ValueError):
+            law_X_prime_float(1, 0.5)
+        with pytest.raises(ValueError):
+            law_N_prime_float(3, 0.0)
 
 
 class TestLawN:

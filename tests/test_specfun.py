@@ -140,6 +140,13 @@ class TestExactScalar:
         assert small < big
         assert ExactScalar.from_log(-0.1) < 1
 
+    def test_comparisons_below_float_range(self):
+        # the difference, 1e-400, underflows a float
+        a = ExactScalar.from_fraction(Fraction(1, 10**400))
+        b = ExactScalar.from_fraction(Fraction(2, 10**400))
+        assert a < b and a <= b and b > a and not a >= b
+        assert a < Fraction(2, 10**400)
+
     def test_as_float_overflow_falls_back_to_log(self):
         huge = scaled_incomplete_gamma(400, 401)
         assert huge.as_float() == math.inf or huge.as_float() > 1e300

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rumorlab.laws import law_X_prime
+from rumorlab.laws import Pmf, law_X_prime, law_X_prime_float, pgf_N_prime
 from rumorlab.gw import extinction_by_iteration
 from rumorlab.thresholds import (
     alpha_critical,
@@ -90,6 +90,22 @@ class TestPsiRoot:
             oracle = extinction_by_iteration(law_X_prime(d, p), tol=1e-12)
             assert abs(psi - oracle) <= 1e-10
 
+    @pytest.mark.parametrize("d", [10, 100, 1000])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_just_above_critical(self, d, k):
+        p = p_critical(d).float_value * (1 + 10.0 ** -k)
+        assert theta(d, p) > 0.0
+        law = Pmf(0, tuple(law_X_prime_float(d, p)))
+        assert abs(psi_root(d, p).psi - extinction_by_iteration(law)) <= 1e-10
+
+    def test_root_closer_to_one_than_old_bracket(self):
+        # 1 - psi is about 2e-10 here, inside the former bracket end 1 - 1e-9
+        p = p_critical(10).float_value * (1 + 1e-10)
+        assert 0.0 < 1.0 - psi_root(10, p).psi < 1e-9
+
+    def test_cli_example_just_above_critical(self):
+        assert psi_root(10, 0.3509).psi == pytest.approx(0.99830229189, abs=1e-10)
+
 
 class TestTheta:
     def test_subcritical_is_exactly_zero(self):
@@ -103,6 +119,12 @@ class TestTheta:
     def test_double_sum_agrees(self, d):
         for p in (0.5, 0.7, 0.9, 0.99, 0.999):
             assert theta_double_sum(d, p) == pytest.approx(theta(d, p), abs=1e-10)
+
+    @pytest.mark.parametrize("d", [180, 500])
+    def test_double_sum_large_d(self, d):
+        for p in (0.3, 0.9):
+            psi = psi_root(d, p).psi
+            assert theta_double_sum(d, p, psi=psi) == pytest.approx(1.0 - pgf_N_prime(d, p, psi), abs=1e-10)
 
     def test_positive_iff_supercritical(self):
         for d in (3, 5, 8):
