@@ -9,20 +9,12 @@ critical density is alpha_c = p_c(d) * beta(k-1)^(1-h), and feasibility
 import math
 
 from rumorlab import (
-    ROOT,
     alpha_critical,
     asymptotic_h_bound,
-    children,
     estimate_survival_ctmc,
     hub_path,
     max_h,
 )
-
-print("One realized neighborhood (d=5, k=4, alpha=0.6, h=4, seed=7):")
-topo = hub_path(5, 4, 0.6, 4)
-for child, role in children(topo, ROOT, master_seed=7):
-    print(f"  root slot {child[-1]}: {role.kind}")
-print()
 
 print("Feasible hub spacing h for k near log d:")
 print("d       k   h_max   log d/log k")

@@ -17,7 +17,6 @@ from .specfun import (
     scaled_incomplete_gamma,
 )
 from .laws import (
-    PgfSpec,
     Pmf,
     beta_gap,
     beta_paper,
@@ -49,11 +48,10 @@ from .gw import (
     EstimateCI,
     coupled_monotonicity_trial,
     extinction_by_iteration,
-    sample_offspring,
     survival_mc,
     wilson_interval,
 )
-from .treegen import ROOT, TreeTopology, VertexId, VertexRole, cayley, children, hub_path
+from .treegen import TreeTopology, cayley, hub_path
 from .ctmc import (
     SimOutcome,
     SurvivalEstimate,
@@ -73,16 +71,12 @@ __all__ = [
     "ExactScalar",
     "GammaArgs",
     "NumericFault",
-    "PgfSpec",
     "Pmf",
-    "ROOT",
     "RootResult",
     "SimOutcome",
     "SurvivalEstimate",
     "ThresholdReport",
     "TreeTopology",
-    "VertexId",
-    "VertexRole",
     "alpha_critical",
     "asymptotic_h_bound",
     "beta_gap",
@@ -90,7 +84,6 @@ __all__ = [
     "beta_series",
     "beta_value",
     "cayley",
-    "children",
     "coupled_monotonicity_trial",
     "estimate_survival_ctmc",
     "estimate_survival_levels",
@@ -112,7 +105,6 @@ __all__ = [
     "pgf_N_prime",
     "pgf_X_prime",
     "psi_root",
-    "sample_offspring",
     "scaled_incomplete_gamma",
     "simulate_mt",
     "survival_mc",

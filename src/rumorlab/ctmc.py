@@ -1,4 +1,4 @@
-"""Simulation of the Maki-Thompson dynamics on lazy trees.
+"""Simulation of the Maki-Thompson dynamics on the two tree families.
 
 Each spreader of degree g contacts a uniformly chosen neighbor, again and
 again.  Contacting an ignorant flips it to spreader with probability p
@@ -18,15 +18,12 @@ a child spreader (hub, path or leaf) is drawn when it is made.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from ._seeds import substream, substream_random
+from ._seeds import run_jobs, substream, substream_random
 from .gw import CappedEstimate, EstimateCI, wilson_interval
-from .laws import Pmf, pmf_from_counts
+from .laws import Pmf, _check_d, _check_p, pmf_from_counts
 from .treegen import TreeTopology
-
-IGNORANT, SPREADER, STIFLER = 0, 1, 2
 
 #: role codes carried inside stack entries
 _HUB, _PATH, _LEAF = 0, 1, 2
@@ -84,8 +81,7 @@ def simulate_mt(
     not depend on ``target_level``: a run to a higher level passes through
     exactly the states of a run to a lower one until that one stops.
     """
-    if not 0 < p <= 1:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    _check_p(p)
     if target_level < 1:
         raise ValueError(f"target_level must be at least 1, got {target_level}")
     unit = _resolve_level_unit(topology, level_unit)
@@ -162,10 +158,8 @@ def offspring_empirical(d: int, p: float, replicas: int, seed: int = 0) -> Pmf:
     and d ignorant neighbors, run until it stifles.  Only contact order
     matters for the count, so no clocks are drawn.
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    if not 0 < p <= 1:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    _check_d(d)
+    _check_p(p)
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
     counts = [0] * (d + 1)
@@ -253,6 +247,9 @@ def estimate_survival_levels(
     reaching.  Replica r runs from the substream (seed, 'survival', r), so
     the estimates are independent of worker scheduling.
     """
+    _check_p(p)
+    if event_cap < 1:
+        raise ValueError(f"event_cap must be at least 1, got {event_cap}")
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
     if not levels or min(levels) < 1:
@@ -264,21 +261,16 @@ def estimate_survival_levels(
             f"got alpha={topology.alpha}, d={topology.d}"
         )
     top = max(levels)
-    if workers <= 1:
-        ended, capped = _survival_chunk(
-            (topology, p, top, event_cap, seed, 0, replicas, unit)
-        )
-    else:
-        bounds = [replicas * i // workers for i in range(workers + 1)]
-        jobs = [
-            (topology, p, top, event_cap, seed, lo, hi, unit)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_survival_chunk, jobs))
-        ended = [sum(col) for col in zip(*(e for e, _ in parts))]
-        capped = [sum(col) for col in zip(*(c for _, c in parts))]
+    n_jobs = max(workers, 1)
+    bounds = [replicas * i // n_jobs for i in range(n_jobs + 1)]
+    jobs = [
+        (topology, p, top, event_cap, seed, lo, hi, unit)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+        if hi > lo
+    ]
+    parts = run_jobs(_survival_chunk, jobs, workers)
+    ended = [sum(col) for col in zip(*(e for e, _ in parts))]
+    capped = [sum(col) for col in zip(*(c for _, c in parts))]
 
     estimates = []
     for level in levels:

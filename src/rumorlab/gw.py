@@ -13,13 +13,12 @@ builders in ``laws``, so the engine runs in seconds for d in the hundreds.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import substream
-from .laws import Pmf, law_N, law_N_prime_float, law_X, law_X_prime, law_X_prime_float
+from ._seeds import run_jobs, substream
+from .laws import Pmf, law_N, law_N_prime_float, law_X, law_X_prime_float
 from .thresholds import survival_fixed_point
 
 #: two-sided 95% normal quantile used by the Wilson score interval
@@ -71,10 +70,6 @@ def _support_and_pvals(law: Pmf) -> tuple[np.ndarray, np.ndarray]:
     values = np.arange(law.support_min, law.support_max + 1)
     pvals = law.to_floats()
     return values, pvals / pvals.sum()
-
-
-def _draw_initial(rng: np.random.Generator, values: np.ndarray, cdf: np.ndarray) -> int:
-    return int(values[np.searchsorted(cdf, rng.random(), side="right")])
 
 
 def _survival_block(args) -> tuple[int, int]:
@@ -132,11 +127,7 @@ def survival_mc(
         (seed, b, min(_BLOCK, replicas - lo), init_pvals, off_values, off_pvals, horizon, cap)
         for b, lo in enumerate(range(0, replicas, _BLOCK))
     ]
-    if workers <= 1 or len(jobs) == 1:
-        parts = [_survival_block(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            parts = list(pool.map(_survival_block, jobs))
+    parts = run_jobs(_survival_block, jobs, workers)
     survived = sum(s for s, _ in parts)
     cap_hits = sum(c for _, c in parts)
     low, high = wilson_interval(survived, replicas)
@@ -161,27 +152,6 @@ def extinction_by_iteration(offspring_law: Pmf, tol: float = 1e-12) -> float:
 
     u, _ = survival_fixed_point(H, tol)
     return 1.0 - u
-
-
-def sample_offspring(
-    d: int, p: float, size: int, seed: int, mode: str = "cdf"
-) -> np.ndarray:
-    """Draw X' samples either by inverse CDF or by binomial thinning of X.
-
-    The two modes must agree in distribution; 'thin' mirrors the coupling
-    construction X' = sum of X Bernoulli(p) indicators.
-    """
-    rng = np.random.default_rng([seed])
-    if mode == "cdf":
-        values, pvals = _support_and_pvals(law_X_prime(d, p))
-        cdf = np.cumsum(pvals)
-        return values[np.searchsorted(cdf, rng.random(size), side="right")]
-    if mode == "thin":
-        values, pvals = _support_and_pvals(law_X(d))
-        cdf = np.cumsum(pvals)
-        x = values[np.searchsorted(cdf, rng.random(size), side="right")]
-        return rng.binomial(x, p)
-    raise ValueError(f"unknown sampling mode {mode!r}")
 
 
 def coupled_monotonicity_trial(
@@ -209,7 +179,7 @@ def coupled_monotonicity_trial(
     n_cdf = np.cumsum(n_pvals)
     x_cdf = np.cumsum(x_pvals)
 
-    n = _draw_initial(rng, n_values, n_cdf)
+    n = int(n_values[np.searchsorted(n_cdf, rng.random(), side="right")])
     u = rng.random(n)
     z1 = int(np.count_nonzero(u <= p1))
     z2 = int(np.count_nonzero(u <= p2))

@@ -11,6 +11,7 @@ are singular).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,9 +34,9 @@ def _as_fraction(p) -> Fraction:
     return p if isinstance(p, Fraction) else Fraction(p)
 
 
-def _check_d(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+def _check_d(d: int, minimum: int = 2) -> None:
+    if d < minimum:
+        raise ValueError(f"d must be at least {minimum}, got {d}")
 
 
 def _check_p(p) -> None:
@@ -231,33 +232,6 @@ def law_N_prime_float(d: int, p: float) -> np.ndarray:
     return _thinned_floats(np.concatenate(([-np.inf], log_n)), float(p), log_fact)
 
 
-def law_N_prime_printed(d: int, p) -> Pmf:
-    """Literal evaluation of the published N' formula (requires p < 1).
-
-    P(N'=i) = (p/(1-p))^i (d+1)^{-1} sum_{k>=i} k k! C(k,i) C(d+1,k) ((1-p)/(d+1))^k.
-    Kept as an independent cross-check of the regrouped form.
-    """
-    _check_d(d)
-    _check_p(p)
-    if p == 1:
-        raise ValueError("printed form is undefined at p = 1; use law_N_prime")
-    pf = _as_fraction(p)
-    ratio = pf / (1 - pf)
-    probs = []
-    for i in range(d + 2):
-        inner = Fraction(0)
-        for k in range(max(i, 1), d + 2):
-            inner += (
-                k
-                * math.factorial(k)
-                * math.comb(k, i)
-                * math.comb(d + 1, k)
-                * ((1 - pf) / (d + 1)) ** k
-            )
-        probs.append(ratio ** i * inner / (d + 1))
-    return Pmf(0, tuple(probs))
-
-
 def beta_paper(d: int, exact: bool | None = None) -> ExactScalar:
     """Published traversal probability (e^{d+1} Gamma(d, d+1) - Gamma(d)) / (d+1)^d.
 
@@ -344,25 +318,52 @@ def pgf_X_prime(d: int, p: float, s: float) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=32)
+def _masses(d: int, root: bool) -> tuple[float, ...]:
+    """P(V = n) for n = 1, 2, ... as floats, with V = N if ``root`` else X.
+
+    Both come from g_n = d! / ((d-n)! (d+1)^(n+1)), a product of factors
+    <= 1 as in ``pgf_X_prime``: P(X = n) = (n+1) g_n, P(N = n) = n g_(n-1).
+    """
+    g = [1.0 / (d + 1)]
+    for n in range(1, d + 1):
+        g.append(g[-1] * ((d - n + 1) / (d + 1)))
+    if root:
+        return tuple(n * g[n - 1] for n in range(1, d + 2))
+    return tuple((n + 1) * g[n] for n in range(1, d + 1))
+
+
+def _complement_sum(masses: tuple[float, ...], p: float, u: float) -> float:
+    """sum_n P(V=n) (1 - (1 - p u)^n) over n = 1, 2, ..., i.e. 1 - G_{V'}(1 - u).
+
+    Every term is positive and keeps full relative precision (log1p/expm1).
+    """
+    log_base = math.log1p(-p * u) if p * u < 1 else -math.inf
+    total = 0.0
+    for n, mass in enumerate(masses, start=1):
+        total -= mass * math.expm1(n * log_base)
+    return total
+
+
 def cpgf_X_prime(d: int, p: float, u: float) -> float:
     """1 - G_{X'}(1 - u) = sum_{n=1}^{d} P(X=n) (1 - (1 - p u)^n).
 
     Near criticality the extinction probability lies within O(p - p_c) of 1,
-    where G_{X'}(s) - s keeps only a few correct digits.  In the survival
-    variable u = 1 - s every term is positive and keeps full relative
-    precision (log1p/expm1); the masses P(X=n) = (n+1) g_n come from the
-    product scheme of ``pgf_X_prime``.
+    where G_{X'}(s) - s keeps only a few correct digits; in the survival
+    variable u = 1 - s it keeps its relative precision.
     """
     _check_d(d)
     _check_p(p)
     _check_s(u)
-    log_base = math.log1p(-p * u) if p * u < 1 else -math.inf
-    g = 1.0 / (d + 1)
-    total = 0.0
-    for n in range(1, d + 1):
-        g *= (d - n + 1) / (d + 1)
-        total -= (n + 1) * g * math.expm1(n * log_base)
-    return total
+    return _complement_sum(_masses(d, root=False), p, u)
+
+
+def cpgf_N_prime(d: int, p: float, u: float) -> float:
+    """1 - G_{N'}(1 - u), the survival probability given survival root u."""
+    _check_d(d)
+    _check_p(p)
+    _check_s(u)
+    return _complement_sum(_masses(d, root=True), p, u)
 
 
 def pgf_N_prime(d: int, p: float, s: float) -> float:
@@ -380,51 +381,6 @@ def pgf_N_prime(d: int, p: float, s: float) -> float:
     for n in range(2, d + 2):
         g *= (d + 2 - n) * zeta
         total += n * g
-    return total
-
-
-@dataclass(frozen=True)
-class PgfSpec:
-    """Parameter bundle selecting one of the two generating functions."""
-
-    d: int
-    p: float
-    kind: str = "offspring"  # 'offspring' (X') or 'root' (N')
-
-    def __post_init__(self) -> None:
-        _check_d(self.d)
-        _check_p(self.p)
-        if self.kind not in ("offspring", "root"):
-            raise ValueError(f"kind must be 'offspring' or 'root', got {self.kind!r}")
-
-    def __call__(self, s: float) -> float:
-        if self.kind == "offspring":
-            return pgf_X_prime(self.d, self.p, s)
-        return pgf_N_prime(self.d, self.p, s)
-
-
-def enumerate_traversal_probability(d: int) -> Fraction:
-    """Brute-force oracle for beta(d): exhaust all contact sequences.
-
-    A spreader has d+1 neighbors (one informer, d ignorants, one of them the
-    designated target).  Contacts pick uniformly among the d+1 neighbors;
-    the race ends at the first repeat/informer contact.  Sums the exact
-    probability of every sequence that touches the target.  Linear recursion
-    depth in d; intended for small d.
-    """
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
-    total = Fraction(0)
-    # state: number of fresh non-target ignorants remaining, target fresh
-    def recurse(fresh_others: int, prob: Fraction) -> None:
-        nonlocal total
-        # contact the target now
-        total += prob / (d + 1)
-        # or contact one of the fresh others, then continue
-        if fresh_others > 0:
-            recurse(fresh_others - 1, prob * Fraction(fresh_others, d + 1))
-
-    recurse(d - 1, Fraction(1))
     return total
 
 

@@ -13,15 +13,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 from .errors import NumericFault
 from .laws import (
     _as_fraction,
+    _check_d,
+    _check_p,
+    _complement_sum,
+    _masses,
     beta_value,
+    cpgf_N_prime,
     cpgf_X_prime,
     mean_X,
-    pgf_N_prime,
 )
 from .specfun import ExactScalar
 
@@ -32,6 +37,7 @@ _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 _RESIDUAL_BOUND = 1e-10
 _FIXED_POINT_MAX_EVALS = 10_000
+_NEWTON_MAX_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -46,21 +52,14 @@ class ThresholdReport:
 
 @dataclass(frozen=True)
 class RootResult:
-    """Smallest non-negative fixed point of the offspring pgf."""
+    """Smallest non-negative fixed point psi of the offspring pgf, and the
+    survival root u = 1 - psi that the bisection solves for (to full
+    relative precision however close psi is to 1)."""
 
     psi: float
+    u: float
     iterations: int
     residual: float
-
-
-def _check_d(d: int, minimum: int = 2) -> None:
-    if d < minimum:
-        raise ValueError(f"d must be at least {minimum}, got {d}")
-
-
-def _check_p(p) -> None:
-    if not 0 < p <= 1:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
 
 
 def is_subcritical(d: int, p) -> bool:
@@ -132,7 +131,7 @@ def psi_root(d: int, p: float) -> RootResult:
     _check_d(d)
     _check_p(p)
     if is_subcritical(d, p):
-        return RootResult(psi=1.0, iterations=0, residual=0.0)
+        return RootResult(psi=1.0, u=0.0, iterations=0, residual=0.0)
 
     def f(u: float) -> float:
         return cpgf_X_prime(d, p, u) - u
@@ -162,17 +161,45 @@ def psi_root(d: int, p: float) -> RootResult:
         raise NumericFault(
             f"bisection ({1.0 - u}) and fixed-point ({1.0 - u_iter}) roots disagree for d={d}, p={p}"
         )
-    return RootResult(psi=1.0 - u, iterations=iterations, residual=residual)
+    return RootResult(psi=1.0 - u, u=u, iterations=iterations, residual=residual)
+
+
+def _polish_survival_root(d: int, p: float, u: float) -> float:
+    """Newton steps from u on g(u) = eps - p C(u), the survival equation
+    H(u) = u divided by u, with its linear part split off.
+
+    With y = p u, 1 - (1 - y)^n = n y - y sum_{j<n} (1 - (1 - y)^j), so
+    H(u) = 1 - G_{X'}(1 - u) = (1 + eps) u - p u C(u), where eps = p E(X) - 1
+    and C(u) = sum_j P(X > j) (1 - (1 - y)^j).  Near p_c, H(u) - u is about
+    eps u, and rounding the float masses moves their mean, and so eps, by
+    about 1e-16, which moves a root of the float H by about 1e-16 / eps
+    relative.  Here eps comes from the exact E(X), rounded once, and C is a
+    sum of positive terms, so the root keeps full relative precision.
+    """
+    eps = float(_as_fraction(p) * mean_X(d, exact=True).fraction - 1)
+    tails = list(accumulate(reversed(_masses(d, root=False)[1:])))[::-1]
+    for _ in range(_NEWTON_MAX_STEPS):
+        log_base = math.log1p(-p * u)
+        slope = sum(j * tail * math.exp((j - 1) * log_base) for j, tail in enumerate(tails, start=1))
+        step = (eps - p * _complement_sum(tails, p, u)) / (p * p * slope)
+        u += step
+        if abs(step) <= 1e-15 * u:
+            break
+    return u
 
 
 def theta(d: int, p: float) -> float:
-    """Survival probability theta(d, p) = 1 - G_{N'}(psi); 0 when subcritical."""
+    """Survival probability theta(d, p) = 1 - G_{N'}(psi); 0 when subcritical.
+
+    Evaluated as 1 - G_{N'}(1 - u) in the survival root u = 1 - psi, which
+    keeps its relative precision just above p_c, where theta is O(p - p_c).
+    """
     _check_d(d)
     _check_p(p)
     if is_subcritical(d, p):
         return 0.0
-    root = psi_root(d, p)
-    return 1.0 - pgf_N_prime(d, p, root.psi)
+    u = _polish_survival_root(d, p, psi_root(d, p).u)
+    return cpgf_N_prime(d, p, u)
 
 
 def theta_double_sum(d: int, p: float, psi: float | None = None) -> float:

@@ -1,4 +1,4 @@
-"""Lazy, reproducible generation of the two tree families.
+"""The two tree families.
 
 ``cayley``: the infinite homogeneous tree where every vertex has degree d+1.
 ``hub_path``: hubs of degree d+1; each free hub neighbor independently starts
@@ -6,10 +6,8 @@ an h-edge path of degree-k vertices leading to the next hub (probability
 alpha) or is a leaf (probability 1 - alpha).  With alpha = 1 and h = 1 the
 construction collapses to the Cayley tree.
 
-A vertex is addressed by its child-index path from the root, and all of its
-randomness comes from a substream hashed from (master_seed, path).  Two
-traversals with the same seed therefore realize the same infinite tree
-without any shared state.
+A topology is only a parameter set: the simulator in ``ctmc`` draws the role
+of each vertex it informs (hub, path or leaf) from its replica stream.
 """
 
 from __future__ import annotations
@@ -17,27 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from ._seeds import substream_random
-
-VertexId = tuple[int, ...]
-
-ROOT: VertexId = ()
-
-HUB = "hub"
-PATH = "path_regular"
-LEAF = "leaf"
-
-
-@dataclass(frozen=True)
-class VertexRole:
-    """Role of a vertex: hub, leaf, or path vertex at 1-based position < h."""
-
-    kind: str
-    position: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (HUB, PATH, LEAF):
-            raise ValueError(f"unknown role kind {self.kind!r}")
+from .laws import _check_d
 
 
 @dataclass(frozen=True)
@@ -53,8 +31,7 @@ class TreeTopology:
     def __post_init__(self) -> None:
         if self.kind not in ("cayley", "hub_path"):
             raise ValueError(f"kind must be 'cayley' or 'hub_path', got {self.kind!r}")
-        if self.d < 2:
-            raise ValueError(f"d must be at least 2, got {self.d}")
+        _check_d(self.d)
         if self.kind == "hub_path":
             if self.k is None or self.alpha is None or self.h is None:
                 raise ValueError("hub_path trees require k, alpha, and h")
@@ -72,10 +49,6 @@ class TreeTopology:
         elif self.k is not None or self.alpha is not None or self.h is not None:
             raise ValueError("cayley trees take no k/alpha/h parameters")
 
-    @property
-    def is_cayley_equivalent(self) -> bool:
-        return self.kind == "cayley" or (self.alpha == 1.0 and self.h == 1)
-
 
 def cayley(d: int) -> TreeTopology:
     return TreeTopology("cayley", d)
@@ -83,92 +56,3 @@ def cayley(d: int) -> TreeTopology:
 
 def hub_path(d: int, k: int, alpha: float, h: int) -> TreeTopology:
     return TreeTopology("hub_path", d, k=k, alpha=alpha, h=h)
-
-
-def _free_child_count(topology: TreeTopology, vertex: VertexId, role: VertexRole) -> int:
-    """Number of away-from-root slots: d+1 at the root hub, d at other hubs."""
-    if role.kind == HUB:
-        return topology.d + 1 if vertex == ROOT else topology.d
-    if role.kind == PATH:
-        return (topology.k or 0) - 1
-    return 0
-
-
-def _hub_child_roles(topology: TreeTopology, vertex: VertexId, master_seed: int, n_slots: int):
-    """Roles of a hub's free neighbors, drawn from the vertex's own substream."""
-    if topology.kind == "cayley":
-        return [VertexRole(HUB)] * n_slots
-    rng = substream_random(master_seed, "tree", *vertex)
-    first = VertexRole(HUB) if topology.h == 1 else VertexRole(PATH, 1)
-    return [
-        first if rng.random() < topology.alpha else VertexRole(LEAF)
-        for _ in range(n_slots)
-    ]
-
-
-def _path_child_roles(topology: TreeTopology, role: VertexRole):
-    """A path vertex has one onward slot followed by k-2 leaf slots."""
-    onward = (
-        VertexRole(HUB) if role.position == topology.h - 1 else VertexRole(PATH, role.position + 1)
-    )
-    return [onward] + [VertexRole(LEAF)] * (topology.k - 2)
-
-
-def resolve_role(topology: TreeTopology, vertex: VertexId, master_seed: int) -> VertexRole:
-    """Role of ``vertex``, reconstructed by walking down from the root."""
-    role = VertexRole(HUB)
-    for depth, slot in enumerate(vertex):
-        prefix = vertex[:depth]
-        n_slots = _free_child_count(topology, prefix, role)
-        if not 0 <= slot < n_slots:
-            raise ValueError(
-                f"vertex {vertex!r} is not realized: slot {slot} out of range "
-                f"for a {role.kind} with {n_slots} children"
-            )
-        if role.kind == HUB:
-            role = _hub_child_roles(topology, prefix, master_seed, n_slots)[slot]
-        else:
-            role = _path_child_roles(topology, role)[slot]
-    return role
-
-
-def children(
-    topology: TreeTopology, vertex: VertexId, master_seed: int = 0
-) -> list[tuple[VertexId, VertexRole]]:
-    """Children of ``vertex`` with their roles, lazily and reproducibly.
-
-    The same (topology, vertex, master_seed) triple always returns the same
-    list; the random tree is a deterministic function of the seed.
-    """
-    role = resolve_role(topology, vertex, master_seed)
-    n_slots = _free_child_count(topology, vertex, role)
-    if n_slots == 0:
-        return []
-    if role.kind == HUB:
-        roles = _hub_child_roles(topology, vertex, master_seed, n_slots)
-    else:
-        roles = _path_child_roles(topology, role)
-    return [(vertex + (i,), r) for i, r in enumerate(roles)]
-
-
-def hub_distance(topology: TreeTopology, master_seed: int, start: VertexId = ROOT) -> int | None:
-    """Edges from hub ``start`` to the first hub reached through its slot 0.
-
-    Returns None when slot 0 is a leaf.  Used to verify the h-edge spacing
-    between adjacent hubs.
-    """
-    if topology.kind != "hub_path":
-        raise ValueError("hub distance is defined for hub_path trees")
-    vertex = start
-    steps = 0
-    while True:
-        kids = children(topology, vertex, master_seed)
-        if not kids:
-            return None
-        child, role = kids[0]
-        steps += 1
-        if role.kind == LEAF:
-            return None
-        if role.kind == HUB:
-            return steps
-        vertex = child

@@ -1,0 +1,88 @@
+"""Independent cross-check oracles used only by the tests.
+
+Each one reaches a quantity of the library by a different route: the
+printed form of the N' law, brute-force enumeration of contact sequences
+for the traversal probability, and two samplers of the X' law.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from rumorlab.gw import _support_and_pvals
+from rumorlab.laws import _as_fraction, _check_d, _check_p, Pmf, law_X, law_X_prime
+
+
+def law_N_prime_printed(d: int, p) -> Pmf:
+    """Literal evaluation of the published N' formula (requires p < 1).
+
+    P(N'=i) = (p/(1-p))^i (d+1)^{-1} sum_{k>=i} k k! C(k,i) C(d+1,k) ((1-p)/(d+1))^k.
+    An independent cross-check of the regrouped form ``law_N_prime``.
+    """
+    _check_d(d)
+    _check_p(p)
+    if p == 1:
+        raise ValueError("printed form is undefined at p = 1; use law_N_prime")
+    pf = _as_fraction(p)
+    ratio = pf / (1 - pf)
+    probs = []
+    for i in range(d + 2):
+        inner = Fraction(0)
+        for k in range(max(i, 1), d + 2):
+            inner += (
+                k
+                * math.factorial(k)
+                * math.comb(k, i)
+                * math.comb(d + 1, k)
+                * ((1 - pf) / (d + 1)) ** k
+            )
+        probs.append(ratio ** i * inner / (d + 1))
+    return Pmf(0, tuple(probs))
+
+
+def enumerate_traversal_probability(d: int) -> Fraction:
+    """Brute-force oracle for beta(d): exhaust all contact sequences.
+
+    A spreader has d+1 neighbors (one informer, d ignorants, one of them the
+    designated target).  Contacts pick uniformly among the d+1 neighbors;
+    the race ends at the first repeat/informer contact.  Sums the exact
+    probability of every sequence that touches the target.  Linear recursion
+    depth in d; intended for small d.
+    """
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
+    total = Fraction(0)
+
+    # state: number of fresh non-target ignorants remaining, target fresh
+    def recurse(fresh_others: int, prob: Fraction) -> None:
+        nonlocal total
+        # contact the target now
+        total += prob / (d + 1)
+        # or contact one of the fresh others, then continue
+        if fresh_others > 0:
+            recurse(fresh_others - 1, prob * Fraction(fresh_others, d + 1))
+
+    recurse(d - 1, Fraction(1))
+    return total
+
+
+def sample_offspring(d: int, p: float, size: int, seed: int, mode: str = "cdf") -> np.ndarray:
+    """Draw X' samples either by inverse CDF or by binomial thinning of X.
+
+    The two modes must agree in distribution; 'thin' mirrors the coupling
+    construction X' = sum of X Bernoulli(p) indicators.
+    """
+    rng = np.random.default_rng([seed])
+    if mode == "cdf":
+        values, pvals = _support_and_pvals(law_X_prime(d, p))
+        cdf = np.cumsum(pvals)
+        return values[np.searchsorted(cdf, rng.random(size), side="right")]
+    if mode == "thin":
+        values, pvals = _support_and_pvals(law_X(d))
+        cdf = np.cumsum(pvals)
+        x = values[np.searchsorted(cdf, rng.random(size), side="right")]
+        return rng.binomial(x, p)
+    raise ValueError(f"unknown sampling mode {mode!r}")

@@ -7,6 +7,7 @@ import pytest
 
 from rumorlab.cli import main
 from rumorlab.errors import NumericFault
+from rumorlab.laws import law_X_prime
 
 
 def run_cli(argv, capsys):
@@ -169,6 +170,14 @@ class TestOffspring:
         assert doc["analytic_mean"] == pytest.approx(1.21875)
         assert len(doc["rows"]) == 4
 
+    def test_analytic_column_matches_exact_law(self, capsys):
+        _, out = run_cli(["offspring", "5", "0.7", "--replicas", "100", "--seed", "4", "--format", "json"], capsys)
+        exact = law_X_prime(5, 0.7)
+        rows = json.loads(out)["rows"]
+        assert [row["i"] for row in rows] == list(exact.support())
+        for row in rows:
+            assert row["analytic"] == pytest.approx(float(exact.p(row["i"])), rel=1e-12)
+
 
 class TestSimulate:
     def test_json_report_and_determinism(self, capsys, tmp_path):
@@ -262,10 +271,11 @@ class TestGwCommand:
         assert doc["method"] == "wilson"
         assert 0 <= doc["cap_hits"] <= doc["estimate"] * doc["replicas"]
 
-    @pytest.mark.parametrize("flag", ["--horizon", "--cap"])
+    @pytest.mark.parametrize("flag", ["--horizon", "--cap", "--event-cap"])
     def test_nonpositive_limit_is_usage_error(self, flag):
+        command = ["simulate", "--d", "4", "--p", "0.9"] if flag == "--event-cap" else ["gw", "4", "0.9"]
         with pytest.raises(SystemExit) as exc:
-            main(["gw", "4", "0.9", flag, "0", "--replicas", "10", "--seed", "1"])
+            main(command + [flag, "0", "--replicas", "10", "--seed", "1"])
         assert exc.value.code == 2
 
     def test_theta_gw_mc_reports_cap_hits(self, capsys):
@@ -276,6 +286,25 @@ class TestGwCommand:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "4", "P"],
+            ["theta", "4", "P", "--method", "ctmc_mc", "--replicas", "10", "--threads", "2"],
+            ["psi", "4", "P"],
+            ["offspring", "4", "P", "--replicas", "10"],
+            ["simulate", "--d", "4", "--p", "P", "--replicas", "10", "--threads", "2"],
+            ["gw", "4", "P", "--replicas", "10", "--threads", "2"],
+        ],
+        ids=["theta", "theta-ctmc_mc", "psi", "offspring", "simulate", "gw"],
+    )
+    @pytest.mark.parametrize("p", ["0", "1.5"])
+    def test_p_outside_unit_interval_is_usage_error(self, capsys, argv, p):
+        with pytest.raises(SystemExit) as exc:
+            main([p if a == "P" else a for a in argv] + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "p must lie in (0, 1]" in capsys.readouterr().err
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("RUMORLAB_SEED", "4242")
         _, out = run_cli(["pc-table", "--d-min", "3", "--d-max", "3", "--format", "json"], capsys)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rumorlab import ctmc
 from rumorlab._seeds import substream
 from rumorlab.ctmc import (
     SurvivalEstimate,
@@ -204,6 +205,15 @@ class TestEstimateSurvival:
             estimate_survival_levels(cayley(3), 0.5, [], replicas=10)
         with pytest.raises(ValueError):
             estimate_survival_levels(cayley(3), 0.5, [3, 0], replicas=10)
+
+    @pytest.mark.parametrize("p,event_cap", [(1.5, 100), (0.0, 100), (0.5, 0), (0.5, -5)])
+    def test_levels_rejects_bad_p_and_cap_before_any_run(self, monkeypatch, p, event_cap):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("replicas started")
+
+        monkeypatch.setattr(ctmc, "run_jobs", no_runs)
+        with pytest.raises(ValueError):
+            estimate_survival_levels(cayley(3), p, [5], replicas=10, event_cap=event_cap, workers=2)
 
     def test_nonincreasing_in_level(self):
         lo = estimate_survival_ctmc(cayley(3), 1.0, target_level=5, replicas=3000, seed=17)

@@ -11,12 +11,13 @@ from rumorlab.gw import (
     _survival_block,
     coupled_monotonicity_trial,
     extinction_by_iteration,
-    sample_offspring,
     survival_mc,
     wilson_interval,
 )
 from rumorlab.laws import Pmf, law_X, law_X_prime, tv_distance
 from rumorlab.thresholds import psi_root, theta
+
+from oracles import sample_offspring
 
 F = Fraction
 

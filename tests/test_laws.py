@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 
 from rumorlab.laws import (
-    PgfSpec,
     Pmf,
     beta_gap,
     beta_paper,
     beta_series,
     beta_value,
+    cpgf_N_prime,
     cpgf_X_prime,
-    enumerate_traversal_probability,
     law_N,
     law_N_prime,
     law_N_prime_float,
-    law_N_prime_printed,
     law_X,
     law_X_prime,
     law_X_prime_float,
@@ -27,6 +25,8 @@ from rumorlab.laws import (
     pmf_from_counts,
     tv_distance,
 )
+
+from oracles import enumerate_traversal_probability, law_N_prime_printed
 
 F = Fraction
 
@@ -163,6 +163,27 @@ class TestCpgfXPrime:
         assert cpgf_X_prime(4, 0.9, u) / u == pytest.approx(0.9 * 1.5104, rel=1e-10)
 
 
+class TestCpgfNPrime:
+    @pytest.mark.parametrize("d,p", [(2, 0.5), (3, 1.0), (10, 0.25), (150, 0.8)])
+    def test_is_complement_of_pgf(self, d, p):
+        for j in range(20):
+            u = j / 19
+            assert cpgf_N_prime(d, p, u) == pytest.approx(1.0 - pgf_N_prime(d, p, 1.0 - u), abs=1e-14)
+
+    def test_relative_precision_at_small_u(self):
+        # 1 - G_{N'}(1 - u) = p E(N) u + O(u^2)
+        u = 1e-12
+        assert cpgf_N_prime(4, 0.9, u) / u == pytest.approx(0.9 * float(mean_N(4)), rel=1e-10)
+
+    def test_domain_checks(self):
+        with pytest.raises(ValueError):
+            cpgf_N_prime(1, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            cpgf_N_prime(3, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            cpgf_N_prime(3, 0.5, 1.5)
+
+
 class TestFloatLaws:
     @pytest.mark.parametrize("d", [2, 3, 4, 10, 50, 100, 150])
     # short rationals keep the exact reference fast; the float law rounds p
@@ -254,20 +275,6 @@ class TestPgfNPrime:
         for j in range(20):
             s = j / 19
             assert pgf_N_prime(d, p, s) == pytest.approx(pmf.pgf(s), abs=1e-12)
-
-
-class TestPgfSpec:
-    def test_dispatch(self):
-        off = PgfSpec(3, 1.0, "offspring")
-        root = PgfSpec(3, 1.0, "root")
-        assert off(0.0) == pytest.approx(0.25)
-        assert root(0.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PgfSpec(1, 0.5)
-        with pytest.raises(ValueError):
-            PgfSpec(3, 0.5, "initial")
 
 
 class TestPmf:

@@ -2,7 +2,9 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rumorlab.laws import Pmf, law_X_prime, law_X_prime_float, pgf_N_prime
 from rumorlab.gw import extinction_by_iteration
@@ -79,6 +81,12 @@ class TestPsiRoot:
         assert root.residual <= 1e-10
         assert root.iterations > 0
 
+    def test_carries_survival_root(self):
+        for d, p in [(3, 1.0), (10, 0.3509), (4, 0.5)]:
+            root = psi_root(d, p)
+            assert root.psi == 1.0 - root.u
+        assert psi_root(4, 0.5).u == 0.0
+
     def test_exactly_critical_p(self):
         # p = p_c as an exact rational: the process is critical, psi = 1
         pc = p_critical(3).value.fraction
@@ -144,6 +152,48 @@ class TestTheta:
     def test_nondecreasing_in_p(self, d):
         values = [theta(d, ip / 100) for ip in range(1, 101)]
         assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
+    def test_relative_precision_just_above_critical(self, eps):
+        # theta is O(p - p_c) here; compare with 60-digit arithmetic at the
+        # same binary p, solving u = 1 - G_X'(1 - u) by Newton from psi_root
+        d = 1000
+        p = p_critical(d).float_value * (1 + eps)
+        with mpmath.workdps(60):
+            pm = mpmath.mpf(p)
+            g = [mpmath.mpf(1) / (d + 1)]  # g_n = d! / ((d-n)! (d+1)^(n+1))
+            for n in range(1, d + 1):
+                g.append(g[-1] * (d - n + 1) / (d + 1))
+
+            def survival(u, masses):
+                return mpmath.fsum(m * (1 - (1 - pm * u) ** n) for n, m in masses)
+
+            x_masses = [(n, (n + 1) * g[n]) for n in range(1, d + 1)]
+            n_masses = [(n, n * g[n - 1]) for n in range(1, d + 2)]
+            u = mpmath.findroot(lambda v: survival(v, x_masses) - v, mpmath.mpf(psi_root(d, p).u))
+            reference = survival(u, n_masses)
+            assert abs(theta(d, p) - reference) <= 1e-9 * reference
+
+
+def just_above_critical(d, k):
+    return p_critical(d).float_value * (1 + 10.0 ** -k)
+
+
+class TestNearCriticalProperties:
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(d=st.integers(3, 10_000), k1=st.integers(1, 8), k2=st.integers(1, 8))
+    @example(d=10_000, k1=8, k2=7)
+    def test_theta_nondecreasing_in_p(self, d, k1, k2):
+        p_lo, p_hi = sorted((just_above_critical(d, k1), just_above_critical(d, k2)))
+        assert 0.0 < theta(d, p_lo) <= theta(d, p_hi)
+
+    # law_X_prime_float builds a (d+1)^2 grid, so d stays at or below 1000
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(d=st.integers(3, 1000), k=st.integers(1, 8))
+    def test_psi_root_agrees_with_iteration(self, d, k):
+        p = just_above_critical(d, k)
+        law = Pmf(0, tuple(law_X_prime_float(d, p)))
+        assert abs(psi_root(d, p).psi - extinction_by_iteration(law)) <= 1e-10
 
 
 class TestAlphaCritical:

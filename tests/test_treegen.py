@@ -1,31 +1,29 @@
+"""The tree families: parameter checks, and the child-role law that the
+simulator draws as it goes, checked through ``simulate_mt`` itself."""
+
 import pytest
-from scipy import stats
 
-from rumorlab.treegen import (
-    HUB,
-    LEAF,
-    PATH,
-    ROOT,
-    TreeTopology,
-    VertexRole,
-    cayley,
-    children,
-    hub_distance,
-    hub_path,
-    resolve_role,
-)
+from rumorlab.ctmc import estimate_survival_ctmc, simulate_mt
+from rumorlab.laws import beta_series, law_N, pgf_N_prime, pgf_X_prime, tv_distance
+from rumorlab.treegen import TreeTopology, cayley, hub_path
 
 
-def bfs(topology, seed, max_vertices=200):
-    """Realize the tree breadth-first up to a vertex budget."""
-    out = []
-    frontier = [ROOT]
-    while frontier and len(out) < max_vertices:
-        v = frontier.pop(0)
-        kids = children(topology, v, seed)
-        out.append((v, tuple(kids)))
-        frontier.extend(c for c, _ in kids)
-    return out
+def covers(est, value):
+    return est.ci_low <= value <= est.ci_high
+
+
+def outcome(out):
+    return out.events_processed, out.informed_total, out.stop_reason
+
+
+def reach_probability(d, p, level):
+    """P(a spreader at graph level ``level``) on cayley(d): every non-root
+    spreader has d free neighbors, so a subtree dies out within m
+    generations with probability G_{X'} iterated m times from 0."""
+    extinct = 0.0
+    for _ in range(level - 1):
+        extinct = pgf_X_prime(d, p, extinct)
+    return 1.0 - pgf_N_prime(d, p, extinct)
 
 
 class TestTopology:
@@ -53,132 +51,98 @@ class TestTopology:
         with pytest.warns(UserWarning):
             hub_path(4, 4, 0.5, 2)
 
-    def test_cayley_equivalence_flag(self):
-        assert cayley(5).is_cayley_equivalent
-        assert hub_path(5, 4, 1.0, 1).is_cayley_equivalent
-        assert not hub_path(5, 4, 1.0, 2).is_cayley_equivalent
-
 
 class TestCayleyChildren:
     def test_root_has_d_plus_one_children(self):
-        kids = children(cayley(4), ROOT)
-        assert len(kids) == 5
-        assert all(r.kind == HUB for _, r in kids)
+        # with p tiny no informed neighbor spreads, so a run is the root's
+        # race alone: it informs N neighbors, then one more contact stifles it
+        d, n = 4, 4000
+        counts = [0] * (d + 2)
+        for seed in range(n):
+            out = simulate_mt(cayley(d), 1e-12, 2, seed=seed)
+            assert out.stop_reason == "absorbed"
+            assert out.events_processed == out.informed_total
+            counts[out.informed_total - 1] += 1
+        assert counts[0] == 0 and counts[d + 1] > 0
+        assert tv_distance([c / n for c in counts], law_N(d)) < 0.02
 
-    @pytest.mark.parametrize("vertex", [(0,), (3, 1), (0, 0, 2)])
-    def test_nonroot_has_d_children(self, vertex):
-        kids = children(cayley(4), vertex)
-        assert len(kids) == 4
-
-    def test_invalid_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            children(cayley(3), (7,))  # root only has slots 0..3
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_nonroot_has_d_children(self, level):
+        est = estimate_survival_ctmc(cayley(4), 0.7, target_level=level, replicas=20_000, seed=level)
+        assert covers(est, reach_probability(4, 0.7, level))
 
 
 class TestHubPathStructure:
     def test_alpha_one_h_one_is_cayley(self):
+        # every hub child is a hub, so hub generations are graph levels
         topo = hub_path(4, 3, 1.0, 1)
-        for vertex in (ROOT, (0,), (2, 1)):
-            kids = children(topo, vertex, master_seed=11)
-            ref = children(cayley(4), vertex)
-            assert [c for c, _ in kids] == [c for c, _ in ref]
-            assert all(r.kind == HUB for _, r in kids)
+        for level in (1, 3, 6):
+            for seed in range(100):
+                graph = simulate_mt(topo, 0.8, level, seed=seed, level_unit="graph")
+                hub = simulate_mt(topo, 0.8, level, seed=seed, level_unit="hub")
+                assert (outcome(graph), graph.reached_level) == (outcome(hub), hub.reached_level)
 
     def test_path_vertices_have_degree_k(self):
-        # d=5, k=4, h=4: a hub-to-hub path has 3 interior vertices, each with
-        # one onward slot and k-2 = 2 leaf slots (degree 4 with the parent)
-        topo = hub_path(5, 4, 0.9, 4)
-        seed = 3
-        start = None
-        for child, role in children(topo, ROOT, seed):
-            if role.kind == PATH:
-                start = child
-                break
-        assert start is not None, "alpha=0.9 root should have a path child"
-        vertex, position = start, 1
-        while True:
-            kids = children(topo, vertex, seed)
-            role = resolve_role(topo, vertex, seed)
-            assert role == VertexRole(PATH, position)
-            assert len(kids) == 3  # k - 1 away-from-parent slots
-            onward_roles = [r for _, r in kids]
-            assert sum(1 for r in onward_roles if r.kind == LEAF) == 2
-            nxt, nxt_role = kids[0]
-            if nxt_role.kind == HUB:
-                assert position == 3
-                break
-            vertex, position = nxt, position + 1
+        # alpha = 1, h = 2, p = 1: a root child is a degree-k path vertex that
+        # reaches the next hub iff it contacts its onward neighbor before
+        # stifling, which has probability beta_series(k - 1)
+        for k in (3, 4):
+            est = estimate_survival_ctmc(hub_path(6, k, 1.0, 2), 1.0, target_level=1, replicas=20_000, seed=k)
+            beta = beta_series(k - 1).as_float()
+            assert covers(est, 1.0 - pgf_N_prime(6, 1.0, 1.0 - beta))
 
     def test_nonroot_hub_has_d_free_slots(self):
-        topo = hub_path(5, 4, 1.0, 1)
-        kids = children(topo, (0,), master_seed=0)
-        assert len(kids) == 5  # d slots; total degree d+1 with the parent
+        est = estimate_survival_ctmc(hub_path(5, 4, 1.0, 1), 0.7, target_level=2, replicas=20_000, seed=5)
+        assert covers(est, reach_probability(5, 0.7, 2))
 
     def test_leaves_have_no_children(self):
-        topo = hub_path(5, 4, 0.5, 2)
-        for seed in range(5):
-            for child, role in children(topo, ROOT, seed):
-                if role.kind == LEAF:
-                    assert children(topo, child, seed) == []
-                    break
+        # alpha tiny: every child of the root is a leaf, which has only its
+        # informer to contact, so each costs one event and informs no one
+        topo = hub_path(5, 4, 1e-12, 1)
+        for seed in range(200):
+            out = simulate_mt(topo, 1.0, 2, seed=seed, level_unit="graph")
+            assert out.stop_reason == "absorbed"
+            assert out.reached_level == 1
+            assert out.events_processed == 2 * out.informed_total - 1
 
-    @pytest.mark.parametrize("h", [1, 2, 4])
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_hub_spacing_is_exactly_h(self, h):
-        topo = hub_path(5, 4, 1.0, h)  # alpha=1 so slot 0 always starts a path
-        for seed in range(20):
-            assert hub_distance(topo, seed) == h
+        # k = 2 leaves no leaf slots, so with alpha = 1 every vertex at graph
+        # level h*L is a hub of generation L and the two runs stop together
+        topo = hub_path(6, 2, 1.0, h)
+        for level in (1, 3, 6):
+            for seed in range(200):
+                graph = simulate_mt(topo, 1.0, h * level, seed=seed, level_unit="graph")
+                hub = simulate_mt(topo, 1.0, level, seed=seed, level_unit="hub")
+                assert outcome(graph) == outcome(hub)
 
     def test_hub_spacing_under_random_roles(self):
-        topo = hub_path(6, 4, 0.5, 3)
-        distances = {hub_distance(topo, seed) for seed in range(60)}
-        assert distances <= {None, 3}
-        assert 3 in distances  # some seed realizes a path through slot 0
-
-    def test_hub_distance_requires_hub_path(self):
-        with pytest.raises(ValueError):
-            hub_distance(cayley(3), 0)
+        # with k = 2, hub leaves sit one edge below a hub, so graph levels
+        # that are multiples of h still hold hubs only
+        topo = hub_path(6, 2, 0.5, 3)
+        reasons = set()
+        for level in (1, 2, 4):
+            for seed in range(200):
+                graph = simulate_mt(topo, 0.9, 3 * level, seed=seed, level_unit="graph")
+                hub = simulate_mt(topo, 0.9, level, seed=seed, level_unit="hub")
+                assert outcome(graph) == outcome(hub)
+                reasons.add(hub.stop_reason)
+        assert reasons == {"absorbed", "level_reached"}
 
 
 class TestDeterminism:
     def test_same_seed_same_tree(self):
         topo = hub_path(6, 4, 0.55, 3)
-        assert bfs(topo, seed=42) == bfs(topo, seed=42)
+        assert simulate_mt(topo, 0.9, 5, seed=42) == simulate_mt(topo, 0.9, 5, seed=42)
 
     def test_different_seeds_differ(self):
         topo = hub_path(6, 4, 0.55, 3)
-        realizations = {tuple(bfs(topo, seed=s)) for s in range(8)}
-        assert len(realizations) > 1
-
-    def test_role_resolution_matches_children(self):
-        topo = hub_path(5, 4, 0.6, 2)
-        seed = 13
-        for v, kids in bfs(topo, seed, max_vertices=60):
-            for child, role in kids:
-                assert resolve_role(topo, child, seed) == role
+        assert len({simulate_mt(topo, 0.9, 5, seed=s) for s in range(8)}) > 1
 
 
 class TestDegreeLaw:
     def test_root_path_starts_are_binomial(self):
-        # count path-start children of the root across many seeds and test
-        # against Binomial(d+1, alpha) with a chi-square goodness of fit
-        d, alpha, n = 6, 0.4, 100_000
-        topo = hub_path(d, 4, alpha, 2)
-        counts = [0] * (d + 2)
-        for seed in range(n):
-            k = sum(1 for _, r in children(topo, ROOT, seed) if r.kind != LEAF)
-            counts[k] += 1
-        expected = [n * stats.binom.pmf(i, d + 1, alpha) for i in range(d + 2)]
-        # merge sparse tail bins so every expected count is >= 5
-        obs, exp = [], []
-        acc_o = acc_e = 0.0
-        for o, e in zip(counts, expected):
-            acc_o += o
-            acc_e += e
-            if acc_e >= 5:
-                obs.append(acc_o)
-                exp.append(acc_e)
-                acc_o = acc_e = 0.0
-        obs[-1] += acc_o
-        exp[-1] += acc_e
-        chi = stats.chisquare(obs, [e * sum(obs) / sum(exp) for e in exp])
-        assert chi.pvalue > 0.001
+        # h = 1, p = 1: each of the root's N children is a hub with
+        # probability alpha, so hub level 1 is reached w.p. 1 - G_N(1 - alpha)
+        est = estimate_survival_ctmc(hub_path(6, 4, 0.3, 1), 1.0, target_level=1, replicas=40_000)
+        assert covers(est, 1.0 - pgf_N_prime(6, 1.0, 0.7))
