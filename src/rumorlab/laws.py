@@ -22,11 +22,15 @@ import numpy as np
 from .specfun import (
     EXACT_LIMIT,
     ExactScalar,
+    log_ints,
     log_partial_exp_sum,
+    log_sum_exp_walk,
     partial_exp_sum,
 )
 
 _SUM_TOL = 1e-9
+#: columns of the (k, j) grid that one step of ``_thinned_floats`` holds
+_THIN_BLOCK = 128
 
 
 def _as_fraction(p) -> Fraction:
@@ -128,7 +132,7 @@ def mean_X(d: int, exact: bool | None = None) -> ExactScalar:
     s = partial_exp_sum(d, d + 1, exact=exact)
     if s.is_exact:
         return ExactScalar.from_fraction(
-            Fraction(math.factorial(d)) * s.fraction / (d + 1) ** d
+            Fraction(math.factorial(d) * s.numerator, s.denominator * (d + 1) ** d)
         )
     return ExactScalar.from_log(math.lgamma(d + 1) + s.log_value - d * math.log(d + 1))
 
@@ -190,29 +194,37 @@ def _thinned_floats(log_base: np.ndarray, p: float, log_fact: np.ndarray) -> np.
     """Binomial thinning of a law on {0, ..., n-1} given by its log masses.
 
     P(j) = sum_{k >= j} C(k, j) p^j (1-p)^(k-j) P_base(k), one log-sum-exp
-    over the (k, j) grid, so no term overflows or needs big rationals.
+    per column j of the (k, j) grid, so no term overflows or needs big
+    rationals.  The grid is built ``_THIN_BLOCK`` columns at a time, from row
+    k = j0 of the block's first column j0 (the rows above hold only zero
+    terms), so memory is O(n) and each column sums its terms row after row,
+    in the same order as over the whole grid.  numpy would sum a lone column
+    pairwise, but a last block of one column holds one term.
     """
     if p == 1:
         return np.exp(log_base)
     n = log_base.size
-    k = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    terms = np.where(
-        j <= k,
-        log_fact[k] - log_fact[j] - log_fact[np.abs(k - j)]
-        + j * math.log(p) + (k - j) * math.log1p(-p) + log_base[:, None],
-        -np.inf,
-    )
-    peak = terms.max(axis=0)
-    return np.exp(peak + np.log(np.exp(terms - peak).sum(axis=0)))
+    out = np.empty(n)
+    for j0 in range(0, n, _THIN_BLOCK):
+        k = np.arange(j0, n)[:, None]
+        j = np.arange(j0, min(j0 + _THIN_BLOCK, n))[None, :]
+        terms = np.where(
+            j <= k,
+            log_fact[k] - log_fact[j] - log_fact[np.abs(k - j)]
+            + j * math.log(p) + (k - j) * math.log1p(-p) + log_base[j0:, None],
+            -np.inf,
+        )
+        peak = terms.max(axis=0)
+        out[j0:j0 + _THIN_BLOCK] = np.exp(peak + np.log(np.exp(terms - peak).sum(axis=0)))
+    return out
 
 
 def law_X_prime_float(d: int, p: float) -> np.ndarray:
     """Masses of X' on {0, ..., d} as floats, built in log space.
 
     The Monte Carlo engines use this form: it costs O(d^2) float operations
-    where ``law_X_prime`` costs O(d^2) big-rational ones, and it agrees with
-    the exact law to about 1e-13 in total variation.
+    and O(d) memory where ``law_X_prime`` costs O(d^2) big-rational ones,
+    and it agrees with the exact law to about 1e-13 in total variation.
     """
     _check_d(d)
     _check_p(p)
@@ -274,14 +286,10 @@ def beta_series(d: int, exact: bool | None = None) -> ExactScalar:
             total += term / (d + 1)
             term *= Fraction(d - i, d + 1)
         return ExactScalar.from_fraction(total)
-    # same series accumulated in log space
-    log_term = -math.log(d + 1)
-    log_sum = log_term
-    for i in range(2, d + 1):
-        log_term += math.log(d - i + 1) - math.log(d + 1)
-        hi = max(log_sum, log_term)
-        log_sum = hi + math.log1p(math.exp(-abs(log_sum - log_term)))
-    return ExactScalar.from_log(log_sum)
+    # same series in log space: the log term walks from -log(d+1) by
+    # log(d-i+1) - log(d+1) for i = 2..d
+    log_d1 = math.log(d + 1)
+    return ExactScalar.from_log(log_sum_exp_walk(-log_d1, log_ints(d - 1)[::-1] - log_d1))
 
 
 def beta_value(d: int, form: str = "paper", exact: bool | None = None) -> ExactScalar:
@@ -319,30 +327,30 @@ def pgf_X_prime(d: int, p: float, s: float) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _masses(d: int, root: bool) -> tuple[float, ...]:
-    """P(V = n) for n = 1, 2, ... as floats, with V = N if ``root`` else X.
+def _masses(d: int, root: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(n, P(V = n)) for n = 1, 2, ... as float arrays, with V = N if
+    ``root`` else X.
 
     Both come from g_n = d! / ((d-n)! (d+1)^(n+1)), a product of factors
     <= 1 as in ``pgf_X_prime``: P(X = n) = (n+1) g_n, P(N = n) = n g_(n-1).
+    The arrays are cached, so they are read-only.
     """
-    g = [1.0 / (d + 1)]
-    for n in range(1, d + 1):
-        g.append(g[-1] * ((d - n + 1) / (d + 1)))
-    if root:
-        return tuple(n * g[n - 1] for n in range(1, d + 2))
-    return tuple((n + 1) * g[n] for n in range(1, d + 1))
+    g = np.cumprod(np.concatenate(([1.0 / (d + 1)], np.arange(d, 0, -1) / (d + 1))))
+    n = np.arange(1.0, d + 2.0) if root else np.arange(1.0, d + 1.0)
+    mass = n * g if root else (n + 1) * g[1:]
+    n.flags.writeable = mass.flags.writeable = False
+    return n, mass
 
 
-def _complement_sum(masses: tuple[float, ...], p: float, u: float) -> float:
-    """sum_n P(V=n) (1 - (1 - p u)^n) over n = 1, 2, ..., i.e. 1 - G_{V'}(1 - u).
+def _complement_sum(law: tuple[np.ndarray, np.ndarray], p: float, u: float) -> float:
+    """sum_n P(V=n) (1 - (1 - p u)^n) for the (n, P(V=n)) arrays ``law``,
+    i.e. 1 - G_{V'}(1 - u).
 
     Every term is positive and keeps full relative precision (log1p/expm1).
     """
+    n, mass = law
     log_base = math.log1p(-p * u) if p * u < 1 else -math.inf
-    total = 0.0
-    for n, mass in enumerate(masses, start=1):
-        total -= mass * math.expm1(n * log_base)
-    return total
+    return -float(mass.dot(np.expm1(n * log_base)))
 
 
 def cpgf_X_prime(d: int, p: float, u: float) -> float:

@@ -10,9 +10,12 @@ falls back to log-space floats for large arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 #: largest first argument for which operations default to exact rationals
 EXACT_LIMIT = 500
@@ -191,18 +194,44 @@ def _partial_exp_sum_scaled_int(m: int, n: int) -> int:
     return acc
 
 
+@functools.lru_cache(maxsize=None)
+def _log_ints(size: int) -> np.ndarray:
+    logs = np.fromiter(map(math.log, range(1, size + 1)), dtype=float, count=size)
+    logs.flags.writeable = False
+    return logs
+
+
+def log_ints(n: int) -> np.ndarray:
+    """``log i`` for i = 1, ..., n as a read-only array, each bit-equal to
+    ``math.log(i)``.
+
+    numpy's vectorised ``log`` can differ from the C library's by one ulp
+    (on AVX-512 hosts it does at i = 9170), which would move log-mode values
+    off the scalar recurrences they reproduce.  Tables are cached at powers
+    of two.
+    """
+    return _log_ints(1 << max(n - 1, 0).bit_length())[:n]
+
+
+def log_sum_exp_walk(start: float, steps: np.ndarray) -> float:
+    """``log sum_k exp(t_k)`` for the walk t_0 = start, t_k = t_(k-1) + steps[k-1].
+
+    The walk is one running sum and the fold one ``logaddexp`` per term,
+    s <- max(s, t) + log1p(exp(-|s - t|)) with the C library's ``exp`` and
+    ``log1p``: bit for bit the scalar recurrence, term after term.
+    """
+    walk = np.cumsum(np.concatenate(([start], steps)))
+    return float(np.logaddexp.accumulate(walk)[-1])
+
+
 def log_partial_exp_sum(m: int, n: int) -> float:
-    """``log S(m, n)`` by stable log-space accumulation (n >= 1)."""
+    """``log S(m, n)`` by stable log-space accumulation (n >= 1).
+
+    The terms are t_i = sum_{j<=i} (log n - log j), folded in log space.
+    """
     if n == 0:
         return 0.0
-    log_n = math.log(n)
-    log_term = 0.0
-    log_sum = 0.0
-    for i in range(1, m):
-        log_term += log_n - math.log(i)
-        hi = max(log_sum, log_term)
-        log_sum = hi + math.log1p(math.exp(-abs(log_sum - log_term)))
-    return log_sum
+    return log_sum_exp_walk(0.0, math.log(n) - log_ints(m - 1))
 
 
 def partial_exp_sum(m: int, n: int, exact: bool | None = None) -> ExactScalar:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable
+
+import numpy as np
 
 from .errors import NumericFault
 from .laws import (
@@ -177,11 +178,13 @@ def _polish_survival_root(d: int, p: float, u: float) -> float:
     sum of positive terms, so the root keeps full relative precision.
     """
     eps = float(_as_fraction(p) * mean_X(d, exact=True).fraction - 1)
-    tails = list(accumulate(reversed(_masses(d, root=False)[1:])))[::-1]
+    n, mass = _masses(d, root=False)
+    j, tails = n[:-1], np.cumsum(mass[:0:-1])[::-1]  # P(X > j), j = 1..d-1
+    j_tails, powers = j * tails, j - 1.0
     for _ in range(_NEWTON_MAX_STEPS):
         log_base = math.log1p(-p * u)
-        slope = sum(j * tail * math.exp((j - 1) * log_base) for j, tail in enumerate(tails, start=1))
-        step = (eps - p * _complement_sum(tails, p, u)) / (p * p * slope)
+        slope = float(j_tails.dot(np.exp(powers * log_base)))
+        step = (eps - p * _complement_sum((j, tails), p, u)) / (p * p * slope)
         u += step
         if abs(step) <= 1e-15 * u:
             break

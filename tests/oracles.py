@@ -2,7 +2,10 @@
 
 Each one reaches a quantity of the library by a different route: the
 printed form of the N' law, brute-force enumeration of contact sequences
-for the traversal probability, and two samplers of the X' law.
+for the traversal probability, and two samplers of the X' law.  The scalar
+log-space loops and the whole-grid thinning at the end are the plain forms
+that the library's array kernels must reproduce bit for bit; the scalar
+complement sum is the one they reproduce to summation order.
 """
 
 from __future__ import annotations
@@ -86,3 +89,59 @@ def sample_offspring(d: int, p: float, size: int, seed: int, mode: str = "cdf") 
         x = values[np.searchsorted(cdf, rng.random(size), side="right")]
         return rng.binomial(x, p)
     raise ValueError(f"unknown sampling mode {mode!r}")
+
+
+def _log_add(log_sum: float, log_term: float) -> float:
+    hi = max(log_sum, log_term)
+    return hi + math.log1p(math.exp(-abs(log_sum - log_term)))
+
+
+def log_partial_exp_sum_loop(m: int, n: int) -> float:
+    """log S(m, n), one term at a time: t_i = t_(i-1) + log n - log i."""
+    if n == 0:
+        return 0.0
+    log_n = math.log(n)
+    log_term = 0.0
+    log_sum = 0.0
+    for i in range(1, m):
+        log_term += log_n - math.log(i)
+        log_sum = _log_add(log_sum, log_term)
+    return log_sum
+
+
+def beta_series_log_loop(d: int) -> float:
+    """log beta_series(d), one contact attempt at a time."""
+    log_term = -math.log(d + 1)
+    log_sum = log_term
+    for i in range(2, d + 1):
+        log_term += math.log(d - i + 1) - math.log(d + 1)
+        log_sum = _log_add(log_sum, log_term)
+    return log_sum
+
+
+def thinned_floats_full_grid(log_base: np.ndarray, p: float, log_fact: np.ndarray) -> np.ndarray:
+    """Binomial thinning by one log-sum-exp over the whole (k, j) grid."""
+    n = log_base.size
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    terms = np.where(
+        j <= k,
+        log_fact[k] - log_fact[j] - log_fact[np.abs(k - j)]
+        + j * math.log(p) + (k - j) * math.log1p(-p) + log_base[:, None],
+        -np.inf,
+    )
+    peak = terms.max(axis=0)
+    return np.exp(peak + np.log(np.exp(terms - peak).sum(axis=0)))
+
+
+def complement_sum_loop(d: int, p: float, u: float, root: bool) -> float:
+    """1 - G_{V'}(1 - u) with V = N if ``root`` else X, one term at a time."""
+    g = [1.0 / (d + 1)]
+    for n in range(1, d + 1):
+        g.append(g[-1] * ((d - n + 1) / (d + 1)))
+    if root:
+        masses = [n * g[n - 1] for n in range(1, d + 2)]
+    else:
+        masses = [(n + 1) * g[n] for n in range(1, d + 1)]
+    log_base = math.log1p(-p * u) if p * u < 1 else -math.inf
+    return -sum(mass * math.expm1(n * log_base) for n, mass in enumerate(masses, start=1))

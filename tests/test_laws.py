@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rumorlab import laws
 from rumorlab.laws import (
     Pmf,
     beta_gap,
@@ -26,7 +28,13 @@ from rumorlab.laws import (
     tv_distance,
 )
 
-from oracles import enumerate_traversal_probability, law_N_prime_printed
+from oracles import (
+    beta_series_log_loop,
+    complement_sum_loop,
+    enumerate_traversal_probability,
+    law_N_prime_printed,
+    thinned_floats_full_grid,
+)
 
 F = Fraction
 
@@ -102,6 +110,10 @@ class TestBeta:
                 logged = fn(d, exact=False)
                 assert logged.log_value == pytest.approx(exact.log_value, rel=1e-10)
 
+    def test_log_mode_series_is_bit_identical_to_scalar_loop(self):
+        got = [beta_series(d, exact=False).log_value for d in range(1, 3001)]
+        assert got == [beta_series_log_loop(d) for d in range(1, 3001)]
+
     def test_form_selector(self):
         assert beta_value(3, "paper").fraction == F(24, 64)
         assert beta_value(3, "series").fraction == F(26, 64)
@@ -163,6 +175,18 @@ class TestCpgfXPrime:
         assert cpgf_X_prime(4, 0.9, u) / u == pytest.approx(0.9 * 1.5104, rel=1e-10)
 
 
+class TestComplementSumOrder:
+    # every term is positive, so summing in another order moves the result by
+    # at most about d roundings
+    @pytest.mark.parametrize("d", [2, 3, 10, 150, 1000, 3000])
+    def test_matches_scalar_loop(self, d):
+        for p in (0.05, 0.5, 1.0):
+            for u in (0.0, 1e-12, 1e-6, 0.3, 1.0):
+                for root, cpgf in ((False, cpgf_X_prime), (True, cpgf_N_prime)):
+                    expected = complement_sum_loop(d, p, u, root)
+                    assert cpgf(d, p, u) == pytest.approx(expected, rel=2 * d * 2.0**-52, abs=0.0)
+
+
 class TestCpgfNPrime:
     @pytest.mark.parametrize("d,p", [(2, 0.5), (3, 1.0), (10, 0.25), (150, 0.8)])
     def test_is_complement_of_pgf(self, d, p):
@@ -202,6 +226,40 @@ class TestFloatLaws:
             law_X_prime_float(1, 0.5)
         with pytest.raises(ValueError):
             law_N_prime_float(3, 0.0)
+
+
+class TestThinnedFloatBlocks:
+    @staticmethod
+    def log_x(d):
+        log_fact = laws._log_factorials(d + 1)
+        k = np.arange(d + 1)
+        return log_fact[d] - log_fact[d - k] + np.log(k + 1) - (k + 1) * math.log(d + 1), log_fact
+
+    @pytest.mark.parametrize("block", [2, 3, 128])
+    def test_blocks_match_full_grid_bit_for_bit(self, block, monkeypatch):
+        monkeypatch.setattr(laws, "_THIN_BLOCK", block)
+        for d in list(range(2, 60)) + [127, 128, 150, 151, 300]:
+            log_x, log_fact = self.log_x(d)
+            for p in (0.001, 0.3, 0.9):
+                got = laws._thinned_floats(log_x, p, log_fact)
+                assert got.tobytes() == thinned_floats_full_grid(log_x, p, log_fact).tobytes()
+
+    def test_large_d_matches_full_grid_bit_for_bit(self):
+        log_x, log_fact = self.log_x(1000)
+        for p in (0.001, 0.3, 0.9):
+            got = laws._thinned_floats(log_x, p, log_fact)
+            assert got.tobytes() == thinned_floats_full_grid(log_x, p, log_fact).tobytes()
+
+    def test_peak_memory_is_linear_in_d(self):
+        # the whole (d+1)^2 grid and its temporaries peaked at about 100 MB
+        law_X_prime_float(10, 0.5)
+        tracemalloc.start()
+        try:
+            law_X_prime_float(2000, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestLawN:

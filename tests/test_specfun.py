@@ -10,11 +10,14 @@ from rumorlab.specfun import (
     gamma_asymptotic_log,
     gamma_recurrence_residual,
     log_fraction,
+    log_ints,
     log_partial_exp_sum,
     log_scaled_incomplete_gamma,
     partial_exp_sum,
     scaled_incomplete_gamma,
 )
+
+from oracles import log_partial_exp_sum_loop
 
 
 def brute_partial_exp_sum(m: int, n: int) -> Fraction:
@@ -55,6 +58,27 @@ class TestPartialExpSum:
     def test_auto_mode_switches_at_limit(self):
         assert partial_exp_sum(EXACT_LIMIT, 10).is_exact
         assert not partial_exp_sum(EXACT_LIMIT + 1, 10).is_exact
+
+
+class TestLogModeBitIdentity:
+    # the array kernel must return the scalar loop's bits: the benchmark pins
+    # log-mode p_c(1000) to the loop's rounding (see test_thresholds.py)
+    def test_m_m_plus_1(self):
+        got = [log_partial_exp_sum(m, m + 1) for m in range(1, 3001)]
+        assert got == [log_partial_exp_sum_loop(m, m + 1) for m in range(1, 3001)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 60, 499, 500, 501, 1000, 2999])
+    def test_general_arguments(self, m):
+        for n in (0, 1, 2, 3, m // 2, m - 1, m, m + 1, 3 * m, 10**4):
+            assert log_partial_exp_sum(m, n) == log_partial_exp_sum_loop(m, n)
+
+    def test_log_ints_are_math_log(self):
+        # numpy's vectorised log differs from math.log at i = 9170 on some hosts
+        logs = log_ints(20_000)
+        assert logs.tolist() == [math.log(i) for i in range(1, 20_001)]
+        assert log_ints(0).size == 0 and log_ints(5).tolist() == logs[:5].tolist()
+        with pytest.raises(ValueError):
+            logs[0] = 0.0
 
 
 class TestScaledIncompleteGamma:

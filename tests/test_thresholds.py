@@ -63,6 +63,13 @@ class TestPCritical:
         with pytest.raises(ValueError):
             p_critical(1)
 
+    def test_log_mode_p_critical_1000_is_pinned(self):
+        # perfbench/run.py checks pc-table's p_c(1000) against this constant at
+        # rel_tol 1e-12.  It carries the log-mode rounding: the 50-digit value
+        # 0.0260939749000265767 lies 1.02e-12 relative above it, so a more
+        # accurate log-mode formula would fail that check.
+        assert p_critical(1000).float_value == 0.026093974900000025
+
     def test_log_mode_large_d(self):
         report = p_critical(10**4, exact=False)
         assert report.value.fraction is None
@@ -187,7 +194,7 @@ class TestNearCriticalProperties:
         p_lo, p_hi = sorted((just_above_critical(d, k1), just_above_critical(d, k2)))
         assert 0.0 < theta(d, p_lo) <= theta(d, p_hi)
 
-    # law_X_prime_float builds a (d+1)^2 grid, so d stays at or below 1000
+    # law_X_prime_float takes O(d^2) time, so d stays at or below 1000
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(d=st.integers(3, 1000), k=st.integers(1, 8))
     def test_psi_root_agrees_with_iteration(self, d, k):
