@@ -23,7 +23,7 @@ print(f"GW Monte Carlo (40k replicas) = {mc.estimate:.4f}  CI ({mc.ci_low:.4f}, 
 print()
 
 print("Extinction probability, two independent routes (d = 3, p = 1):")
-print(f"  bisection on the closed form: {psi_root(3, 1.0).psi:.12f}")
+print(f"  Newton on the closed form   : {psi_root(3, 1.0).psi:.12f}")
 print(f"  fixed point from the pmf    : {extinction_by_iteration(law_X_prime(3, 1.0)):.12f}")
 print()
 

@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .specfun import (
-    EXACT_LIMIT,
     ExactScalar,
+    _use_exact,
     log_ints,
     log_partial_exp_sum,
     log_sum_exp_walk,
@@ -29,6 +29,9 @@ from .specfun import (
 )
 
 _SUM_TOL = 1e-9
+#: first and last fixed-point widths of ``_mean_excess``'s series
+_EPS_BITS = 128
+_EPS_MAX_BITS = 4096
 #: columns of the (k, j) grid that one step of ``_thinned_floats`` holds
 _THIN_BLOCK = 128
 
@@ -135,6 +138,39 @@ def mean_X(d: int, exact: bool | None = None) -> ExactScalar:
             Fraction(math.factorial(d) * s.numerator, s.denominator * (d + 1) ** d)
         )
     return ExactScalar.from_log(math.lgamma(d + 1) + s.log_value - d * math.log(d + 1))
+
+
+def _mean_excess(d: int, p) -> float:
+    """eps = p E(X) - 1, correctly rounded, its sign exact.
+
+    E(X) = sum_{i<d} a_i with a_(d-1) = d/(d+1) and a_(i-1) = a_i i/(d+1),
+    summed in B-bit fixed point until a term floors to 0.  Each floor loses
+    under one unit and the earlier losses carry forward scaled by ratios
+    below 1, so after n terms the sum is low by under n(n+1)/2 units; the
+    dropped tail is below (n+1) times a geometric factor (d+1)/(n+2).  So
+    2^B E(X) lies in [total, total + n^2 + d + 1).  B doubles until both
+    ends of the eps interval round to the same double, on the same side of
+    0.  Only p E(X) = 1 exactly never settles; past ``_EPS_MAX_BITS`` the
+    exact rational decides.
+    """
+    pf = _as_fraction(p)
+    num, den = pf.numerator, pf.denominator
+    bits = _EPS_BITS
+    while bits <= _EPS_MAX_BITS:
+        term = (d << bits) // (d + 1)
+        total, n, i = 0, 0, d - 1
+        while term:
+            total += term
+            n += 1
+            term = term * i // (d + 1)
+            i -= 1
+        one = den << bits
+        lo = num * total - one
+        hi = num * (total + n * n + d + 1) - one
+        if (lo > 0 or hi < 0) and lo / one == hi / one:
+            return lo / one
+        bits *= 2
+    return float(pf * mean_X(d, exact=True).fraction - 1)
 
 
 def law_N(d: int) -> Pmf:
@@ -244,6 +280,12 @@ def law_N_prime_float(d: int, p: float) -> np.ndarray:
     return _thinned_floats(np.concatenate(([-np.inf], log_n)), float(p), log_fact)
 
 
+def _beta_series_exact(d: int) -> Fraction:
+    """beta_series(d) = (d-1)! S(d, d+1) / (d+1)^d as an exact rational."""
+    s = partial_exp_sum(d, d + 1, exact=True)
+    return math.factorial(d - 1) * s.fraction / Fraction((d + 1) ** d)
+
+
 def beta_paper(d: int, exact: bool | None = None) -> ExactScalar:
     """Published traversal probability (e^{d+1} Gamma(d, d+1) - Gamma(d)) / (d+1)^d.
 
@@ -252,18 +294,13 @@ def beta_paper(d: int, exact: bool | None = None) -> ExactScalar:
     (d-1)!/(d+1)^d, and downstream thresholds default to this published form.
 
     d = 1 (a path vertex of degree 2) is admitted for the hub-tree k = 2
-    degenerate case; the closed form gives exactly 0 there.
+    degenerate case; the closed form gives exactly 0 there, so d = 1 is
+    always exact (its log form would take the log of 0).
     """
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
-    if d == 1:
-        return ExactScalar.from_fraction(0)
-    use_exact = exact if exact is not None else d <= EXACT_LIMIT
-    if use_exact:
-        s = partial_exp_sum(d, d + 1, exact=True)
-        return ExactScalar.from_fraction(
-            math.factorial(d - 1) * (s.fraction - 1) / Fraction((d + 1) ** d)
-        )
+    if d == 1 or _use_exact(d, exact):
+        return ExactScalar.from_fraction(_beta_series_exact(d) - beta_gap(d))
     log_s = log_partial_exp_sum(d, d + 1)
     log_s_minus_1 = log_s + math.log1p(-math.exp(-log_s))
     return ExactScalar.from_log(math.lgamma(d) + log_s_minus_1 - d * math.log(d + 1))
@@ -277,15 +314,8 @@ def beta_series(d: int, exact: bool | None = None) -> ExactScalar:
     """
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
-    use_exact = exact if exact is not None else d <= EXACT_LIMIT
-    if use_exact:
-        total = Fraction(0)
-        term = Fraction(1)
-        for i in range(1, d + 1):
-            # term enters as (d-1)(d-2)...(d-i+1) / (d+1)^(i-1)
-            total += term / (d + 1)
-            term *= Fraction(d - i, d + 1)
-        return ExactScalar.from_fraction(total)
+    if _use_exact(d, exact):
+        return ExactScalar.from_fraction(_beta_series_exact(d))
     # same series in log space: the log term walks from -log(d+1) by
     # log(d-i+1) - log(d+1) for i = 2..d
     log_d1 = math.log(d + 1)

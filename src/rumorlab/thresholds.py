@@ -3,9 +3,10 @@
 The homogeneous-tree threshold is ``p_c(d) = 1 / E(X)``; the hub-tree
 threshold multiplies it by a power of the path-traversal probability.  The
 survival probability comes from the smallest fixed point of the offspring
-generating function.  Criticality decisions are made in exact rational
-arithmetic before any floating-point root finding, so "theta equals zero at
-or below threshold" is an identity rather than a tolerance.
+generating function, found by Newton steps in the survival variable
+u = 1 - s.  Criticality is decided by the exact sign of p E(X) - 1 at every
+d before any floating-point root finding, so "theta equals zero at or below
+threshold" is an identity rather than a tolerance.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import numpy as np
 
 from .errors import NumericFault
 from .laws import (
-    _as_fraction,
     _check_d,
     _check_p,
     _complement_sum,
     _masses,
+    _mean_excess,
     beta_value,
     cpgf_N_prime,
     cpgf_X_prime,
@@ -31,14 +32,10 @@ from .laws import (
 )
 from .specfun import ExactScalar
 
-#: smallest survival root 1 - psi the bracket scan looks for; below it psi
-#: rounds to 1 in double precision
-_BISECT_U_MIN = 2.0 ** -53
-_BISECT_TOL = 1e-12
-_BISECT_MAX_ITER = 200
 _RESIDUAL_BOUND = 1e-10
 _FIXED_POINT_MAX_EVALS = 10_000
-_NEWTON_MAX_STEPS = 20
+#: Newton steps from u = 0 take 3-16 for d up to 10^6; more means a fault
+_NEWTON_MAX_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,7 @@ class ThresholdReport:
 @dataclass(frozen=True)
 class RootResult:
     """Smallest non-negative fixed point psi of the offspring pgf, and the
-    survival root u = 1 - psi that the bisection solves for (to full
+    survival root u = 1 - psi that the Newton steps solve for (to full
     relative precision however close psi is to 1)."""
 
     psi: float
@@ -64,13 +61,11 @@ class RootResult:
 
 
 def is_subcritical(d: int, p) -> bool:
-    """Exact test of p * E(X) <= 1 (extinction is almost sure)."""
+    """Exact test of p * E(X) <= 1 (extinction is almost sure), at every d:
+    the sign of the correctly rounded eps = p E(X) - 1 is certified."""
     _check_d(d)
     _check_p(p)
-    m = mean_X(d)
-    if m.is_exact:
-        return _as_fraction(p) * m.fraction <= 1
-    return math.log(float(p)) + m.log_value <= 0.0
+    return _mean_excess(d, p) <= 0.0
 
 
 def p_critical(d: int, exact: bool | None = None) -> ThresholdReport:
@@ -123,86 +118,58 @@ def survival_fixed_point(H: Callable[[float], float], tol: float = 1e-12) -> tup
 def psi_root(d: int, p: float) -> RootResult:
     """Smallest non-negative root of G_{X'}(s) = s.
 
-    Subcritical/critical inputs (decided exactly) return psi = 1.  Otherwise
-    the survival root u = 1 - psi of u = 1 - G_{X'}(1 - u) is found by
-    bisection, which keeps full relative precision however close psi is to
-    1, and cross-checked against ``survival_fixed_point``; disagreement
-    beyond 1e-10 raises NumericFault.
+    Subcritical and critical inputs (eps = p E(X) - 1 <= 0, sign exact)
+    return psi = 1.  Otherwise the survival root u = 1 - psi solves
+    g(u) = eps - p C(u) = 0, that is H(u) = 1 - G_{X'}(1 - u) = u divided by
+    u: with y = p u, 1 - (1 - y)^n = n y - y sum_{j<n} (1 - (1 - y)^j), so
+    H(u) = (1 + eps) u - p u C(u) with C(u) = sum_j P(X > j) (1 - (1 - y)^j).
+    eps is correctly rounded and C a sum of positive terms, so u keeps full
+    relative precision however close p is to p_c (the float masses alone
+    would move it by about 1e-16 / eps).  g is convex and decreasing, so
+    Newton steps from u = 0 rise monotonically to the root; they stop at the
+    first step <= 1e-15 u (a non-positive one comes only from rounding) and
+    are counted in ``iterations``.  More than ``_NEWTON_MAX_STEPS`` steps, or
+    a residual or a gap to ``survival_fixed_point`` beyond 1e-10, raise
+    NumericFault.
     """
     _check_d(d)
     _check_p(p)
-    if is_subcritical(d, p):
+    eps = _mean_excess(d, p)
+    if eps <= 0.0:
         return RootResult(psi=1.0, u=0.0, iterations=0, residual=0.0)
-
-    def f(u: float) -> float:
-        return cpgf_X_prime(d, p, u) - u
-
-    # f < 0 at u = 1 and f > 0 below the root: halve lo until f(lo) > 0, so
-    # the root is bracketed in [lo, 2 lo] however small it is
-    lo, hi = 0.5, 1.0
-    while f(lo) <= 0.0:
-        lo, hi = 0.5 * lo, lo
-        if lo < _BISECT_U_MIN:
-            raise NumericFault(f"no survival root above {_BISECT_U_MIN:.1e} for d={d}, p={p}")
-    iterations = 0
-    while hi - lo > _BISECT_TOL * hi and iterations < _BISECT_MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    u = 0.5 * (lo + hi)
-    residual = abs(f(u))
+    n, mass = _masses(d, root=False)
+    j, tails = n[:-1], np.cumsum(mass[:0:-1])[::-1]  # P(X > j), j = 1..d-1
+    j_tails, powers = j * tails, j - 1.0
+    u = 0.0
+    for steps in range(1, _NEWTON_MAX_STEPS + 1):
+        slope = float(j_tails.dot(np.exp(powers * math.log1p(-p * u))))
+        step = (eps - p * _complement_sum((j, tails), p, u)) / (p * p * slope)
+        u += max(step, 0.0)
+        if step <= 1e-15 * u:
+            break
+    else:
+        raise NumericFault(f"Newton steps did not settle in {_NEWTON_MAX_STEPS} for d={d}, p={p}")
+    residual = abs(cpgf_X_prime(d, p, u) - u)
     if residual > _RESIDUAL_BOUND:
-        raise NumericFault(f"bisection residual {residual} exceeds bound")
+        raise NumericFault(f"survival root residual {residual} exceeds bound")
 
     u_iter, _ = survival_fixed_point(lambda v: cpgf_X_prime(d, p, v))
     if abs(u_iter - u) > _RESIDUAL_BOUND:
         raise NumericFault(
-            f"bisection ({1.0 - u}) and fixed-point ({1.0 - u_iter}) roots disagree for d={d}, p={p}"
+            f"Newton ({1.0 - u}) and fixed-point ({1.0 - u_iter}) roots disagree for d={d}, p={p}"
         )
-    return RootResult(psi=1.0 - u, u=u, iterations=iterations, residual=residual)
-
-
-def _polish_survival_root(d: int, p: float, u: float) -> float:
-    """Newton steps from u on g(u) = eps - p C(u), the survival equation
-    H(u) = u divided by u, with its linear part split off.
-
-    With y = p u, 1 - (1 - y)^n = n y - y sum_{j<n} (1 - (1 - y)^j), so
-    H(u) = 1 - G_{X'}(1 - u) = (1 + eps) u - p u C(u), where eps = p E(X) - 1
-    and C(u) = sum_j P(X > j) (1 - (1 - y)^j).  Near p_c, H(u) - u is about
-    eps u, and rounding the float masses moves their mean, and so eps, by
-    about 1e-16, which moves a root of the float H by about 1e-16 / eps
-    relative.  Here eps comes from the exact E(X), rounded once, and C is a
-    sum of positive terms, so the root keeps full relative precision.
-    """
-    eps = float(_as_fraction(p) * mean_X(d, exact=True).fraction - 1)
-    n, mass = _masses(d, root=False)
-    j, tails = n[:-1], np.cumsum(mass[:0:-1])[::-1]  # P(X > j), j = 1..d-1
-    j_tails, powers = j * tails, j - 1.0
-    for _ in range(_NEWTON_MAX_STEPS):
-        log_base = math.log1p(-p * u)
-        slope = float(j_tails.dot(np.exp(powers * log_base)))
-        step = (eps - p * _complement_sum((j, tails), p, u)) / (p * p * slope)
-        u += step
-        if abs(step) <= 1e-15 * u:
-            break
-    return u
+    return RootResult(psi=1.0 - u, u=u, iterations=steps, residual=residual)
 
 
 def theta(d: int, p: float) -> float:
     """Survival probability theta(d, p) = 1 - G_{N'}(psi); 0 when subcritical.
 
-    Evaluated as 1 - G_{N'}(1 - u) in the survival root u = 1 - psi, which
-    keeps its relative precision just above p_c, where theta is O(p - p_c).
+    Evaluated as 1 - G_{N'}(1 - u) in the survival root u = 1 - psi of
+    ``psi_root``, which keeps its relative precision just above p_c, where
+    theta is O(p - p_c).  At and below p_c, u = 0 and theta is exactly 0.
     """
-    _check_d(d)
-    _check_p(p)
-    if is_subcritical(d, p):
-        return 0.0
-    u = _polish_survival_root(d, p, psi_root(d, p).u)
-    return cpgf_N_prime(d, p, u)
+    u = psi_root(d, p).u
+    return cpgf_N_prime(d, p, u) if u > 0.0 else 0.0
 
 
 def theta_double_sum(d: int, p: float, psi: float | None = None) -> float:

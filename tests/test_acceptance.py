@@ -147,7 +147,7 @@ def test_criterion_6_psi_theta_consistency():
     assert worst_theta <= 1e-10
     budget.done(
         6,
-        f"bisection vs fixed-point worst gap {worst_psi:.2e}; "
+        f"Newton root vs pmf fixed point worst gap {worst_psi:.2e}; "
         f"double-sum vs pgf worst gap {worst_theta:.2e}; theta = 0 exactly below threshold",
     )
 

@@ -95,6 +95,16 @@ class TestTheta:
             main(["theta", "4", "1.5", "--seed", "1"])
         assert exc.value.code == 2
 
+    def test_just_below_critical_at_large_d(self, capsys):
+        # p lies 1e-12 relative below the exact p_c(1000) = 0.0260939749000265767...
+        p = "0.0260939749000133"
+        code, out = run_cli(["theta", "1000", p, "--seed", "1", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["analytic"] == 0.0
+        code, out = run_cli(["psi", "1000", p, "--seed", "1"], capsys)
+        assert code == 0
+        assert parse_csv(out)[0]["psi"] == "1.0"
+
 
 class TestPsiAlphaMaxH:
     def test_psi_report(self, capsys):

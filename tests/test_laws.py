@@ -74,11 +74,43 @@ class TestMeanX:
             assert (mean_X(d).fraction > 1) == (d >= 3)
 
 
+class TestMeanExcess:
+    @pytest.mark.parametrize("d", list(range(2, 61)) + [100, 500, 1000, 3000])
+    def test_correctly_rounded(self, d):
+        mean = mean_X(d, exact=True).fraction
+        pc = float(1 / mean)
+        points = [pc * (1 + e) for e in (1e-10, -1e-10, 1e-3, -1e-3)]
+        for p in points + [0.3, 0.9, 1.0, F(1, 3)]:
+            if p <= 1:
+                assert laws._mean_excess(d, p) == float(F(p) * mean - 1), p
+
+    @pytest.mark.parametrize("d", [3, 10, 500, 501])
+    def test_exactly_critical_is_zero(self, d):
+        assert laws._mean_excess(d, 1 / mean_X(d, exact=True).fraction) == 0.0
+
+    def test_within_one_ulp_of_mpmath_at_large_d(self):
+        import mpmath
+
+        d = 10**5
+        with mpmath.workdps(60):
+            term, total = mpmath.mpf(d) / (d + 1), mpmath.mpf(0)
+            for i in range(d - 1, -1, -1):
+                total += term
+                term = term * i / (d + 1)
+                if term < mpmath.mpf(10) ** -70:
+                    break
+            pc = 0.00253163462228  # p_c(10^5) to 12 digits
+            for p in (0.9, pc * (1 + 1e-6), pc * (1 - 1e-6), pc * (1 + 1e-10)):
+                reference = float(mpmath.mpf(p) * total - 1)
+                assert abs(laws._mean_excess(d, p) - reference) <= math.ulp(reference)
+
+
 class TestBeta:
     def test_paper_values(self):
         assert beta_paper(3).fraction == F(24, 64)
         assert beta_paper(2).fraction == F(1, 3)
         assert beta_paper(1).fraction == 0
+        assert beta_paper(1, exact=False).fraction == 0  # the log form would take log 0
 
     def test_series_values(self):
         assert beta_series(2).fraction == F(4, 9)

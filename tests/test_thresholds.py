@@ -1,12 +1,15 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rumorlab.laws import Pmf, law_X_prime, law_X_prime_float, pgf_N_prime
+from rumorlab import thresholds
+from rumorlab.errors import NumericFault
+from rumorlab.laws import Pmf, cpgf_N_prime, law_X_prime, law_X_prime_float, mean_X, pgf_N_prime
 from rumorlab.gw import extinction_by_iteration
 from rumorlab.thresholds import (
     alpha_critical,
@@ -121,6 +124,11 @@ class TestPsiRoot:
     def test_cli_example_just_above_critical(self):
         assert psi_root(10, 0.3509).psi == pytest.approx(0.99830229189, abs=1e-10)
 
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(thresholds, "_NEWTON_MAX_STEPS", 2)
+        with pytest.raises(NumericFault):
+            psi_root(3, 1.0)
+
 
 class TestTheta:
     def test_subcritical_is_exactly_zero(self):
@@ -193,6 +201,32 @@ class TestNearCriticalProperties:
     def test_theta_nondecreasing_in_p(self, d, k1, k2):
         p_lo, p_hi = sorted((just_above_critical(d, k1), just_above_critical(d, k2)))
         assert 0.0 < theta(d, p_lo) <= theta(d, p_hi)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(d=st.integers(3, 10_000), k=st.integers(1, 10), far=st.floats(0.0, 1.0))
+    @example(d=10_000, k=10, far=0.0)
+    @example(d=10_000, k=1, far=1.0)
+    def test_newton_iterates_rise(self, d, k, far):
+        # each Newton step evaluates C at the current iterate, starting at 0
+        iterates = []
+
+        def recording(law, p, u):
+            iterates.append(u)
+            return complement_sum(law, p, u)
+
+        complement_sum = thresholds._complement_sum
+        p_near = just_above_critical(d, k)
+        with mock.patch.object(thresholds, "_complement_sum", recording):
+            root = psi_root(d, p_near + far * (1.0 - p_near))
+        assert iterates[0] == 0.0 and len(iterates) == root.iterations <= 20
+        assert all(a <= b for a, b in zip(iterates, iterates[1:]))
+        assert iterates[-1] <= root.u
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(d=st.integers(3, 10_000), k=st.integers(1, 10))
+    def test_theta_is_complement_at_the_root(self, d, k):
+        p = just_above_critical(d, k)
+        assert theta(d, p) == cpgf_N_prime(d, p, psi_root(d, p).u)
 
     # law_X_prime_float takes O(d^2) time, so d stays at or below 1000
     @settings(derandomize=True, max_examples=20, deadline=None)
@@ -291,3 +325,17 @@ class TestSubcriticalPredicate:
     def test_log_mode(self):
         assert is_subcritical(10**3, 0.001)
         assert not is_subcritical(10**3, 0.9)
+
+    @pytest.mark.parametrize("d", list(range(3, 61)) + [500, 501, 1000, 3000])
+    def test_matches_exact_comparison_around_p_c(self, d):
+        mean = mean_X(d, exact=True).fraction
+        pc = 1 / mean
+        below = math.nextafter(float(pc), 0.0)
+        above = math.nextafter(below, 1.0)
+        if above <= pc:
+            below, above = above, math.nextafter(above, 1.0)
+        for p in (below, above, pc):
+            assert is_subcritical(d, p) == (F(p) * mean <= 1)
+        assert is_subcritical(d, below) and not is_subcritical(d, above)
+        assert theta(d, pc) == 0.0 and psi_root(d, pc).psi == 1.0
+        assert theta(d, above) > 0.0
