@@ -5,14 +5,31 @@ plus a structured path (replica or block index, purpose tag).  The
 derivation hashes the path with BLAKE2b, so substreams are independent of
 scheduling order and stable across platforms and Python versions (unlike
 ``hash()``, which is salted per process).
+
+``run_jobs`` runs a list of such jobs inline, in order, and hands the jobs
+still left after ``_INLINE_S`` seconds to a process pool of at most the core
+count.  The engines split their replicas into fixed-size jobs that do not
+depend on the worker count, so where a job runs changes no draw.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+import time
 from typing import Callable
+
+#: seconds of inline work before the remaining jobs go to a process pool.
+#: On a 2-core x86-64 host, starting and joining a 2-process pool costs
+#: 10-12 ms warm and, in a fresh interpreter, about 14 ms plus 23 ms to
+#: import the pool stack.  Two workers win back that ~40 ms only on runs
+#: longer than about 0.08 s, and a long run loses at most this budget times
+#: (1 - 1/workers) to running inline first.
+_INLINE_S = 0.1
+
+#: pool chunks per worker: few round trips, still some load balancing
+_CHUNKS_PER_WORKER = 4
 
 
 def substream(master_seed: int, *path: int | str) -> int:
@@ -33,12 +50,27 @@ def substream_random(master_seed: int, *path: int | str) -> random.Random:
 
 
 def run_jobs(fn: Callable, jobs: list, workers: int) -> list:
-    """``[fn(job) for job in jobs]``, over a process pool when ``workers > 1``.
+    """``[fn(job) for job in jobs]``, finishing over a process pool.
 
-    Each job carries its own seed, so the results do not depend on which
-    worker runs which job.  One job, or ``workers <= 1``, runs inline.
+    Jobs run inline, in order.  When ``workers > 1`` and jobs are still left
+    after ``_INLINE_S`` seconds, the rest go to a pool of
+    ``min(workers, jobs left, os.cpu_count())`` processes.  Each job carries
+    its own seed, so the results do not depend on where a job runs.
     """
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(fn, jobs))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    deadline = time.perf_counter() + _INLINE_S
+    results = []
+    for job in jobs:
+        if workers > 1 and time.perf_counter() >= deadline:
+            break
+        results.append(fn(job))
+    rest = jobs[len(results):]
+    n = min(workers, len(rest), os.cpu_count() or 1)
+    if n <= 1:
+        return results + [fn(job) for job in rest]
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = -(-len(rest) // (n * _CHUNKS_PER_WORKER))
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        return results + list(pool.map(fn, rest, chunksize=chunksize))

@@ -33,12 +33,26 @@ def _default_seed() -> int:
     return secrets.randbits(63)
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="64-bit master seed (default: RUMORLAB_SEED env or OS entropy)")
     common.add_argument("--format", choices=("csv", "json"), default="csv", dest="out_format")
     common.add_argument("--out", default="-", help="output path (default stdout)")
-    common.add_argument("--threads", type=int, default=1, help="worker processes for replica-parallel commands")
+    common.add_argument(
+        "--threads", type=_thread_count, default=1,
+        help="at most this many worker processes (capped at the core count) for replica jobs "
+        "still left after a short inline start",
+    )
     mode = common.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="exact", action="store_true", default=None, help="force exact rational arithmetic")
     mode.add_argument("--float", dest="exact", action="store_false", help="force log-space float arithmetic")

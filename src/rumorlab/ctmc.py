@@ -36,6 +36,10 @@ DEFAULT_LEVEL_HUB = 20
 
 _CHUNK = 1 << 16
 
+#: replicas per ``run_jobs`` job; fixed, so the split does not depend on the
+#: worker count and a short run can finish inline
+_JOB = 64
+
 
 @dataclass(frozen=True)
 class SimOutcome:
@@ -244,8 +248,9 @@ def estimate_survival_levels(
     does not depend on the target, so a separate run to L would reach L
     exactly when this run's ``reached_level`` is at least L, and would hit
     the cap exactly when this run capped below L.  Cap hits are counted as
-    reaching.  Replica r runs from the substream (seed, 'survival', r), so
-    the estimates are independent of worker scheduling.
+    reaching.  Replica r runs from the substream (seed, 'survival', r), and
+    jobs of ``_JOB`` replicas go to ``run_jobs``, so the estimates are
+    independent of the worker count and of scheduling.
     """
     _check_p(p)
     if event_cap < 1:
@@ -261,12 +266,9 @@ def estimate_survival_levels(
             f"got alpha={topology.alpha}, d={topology.d}"
         )
     top = max(levels)
-    n_jobs = max(workers, 1)
-    bounds = [replicas * i // n_jobs for i in range(n_jobs + 1)]
     jobs = [
-        (topology, p, top, event_cap, seed, lo, hi, unit)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
+        (topology, p, top, event_cap, seed, lo, min(lo + _JOB, replicas), unit)
+        for lo in range(0, replicas, _JOB)
     ]
     parts = run_jobs(_survival_chunk, jobs, workers)
     ended = [sum(col) for col in zip(*(e for e, _ in parts))]

@@ -259,6 +259,19 @@ class TestSimulate:
             for key in ("estimate", "ci_low", "ci_high", "cap_hits"):
                 assert single[key] == row[key]
 
+    def test_level_sweep_on_the_pool_matches_inline(self, capsys, pool_only):
+        common = ["simulate", "--tree", "cayley", "--d", "4", "--p", "0.9",
+                  "--replicas", "300", "--seed", "10", "--level-sweep", "5:40:5"]
+        _, inline = run_cli(common + ["--threads", "1"], capsys)
+        _, pooled = run_cli(common + ["--threads", "2"], capsys)
+        assert parse_csv(pooled) == parse_csv(inline)
+
+    def test_threads_capped_at_core_count(self, capsys, pool_only, recording_pool):
+        # pool_only reports two cores; 200 replicas make four jobs
+        run_cli(["simulate", "--tree", "cayley", "--d", "4", "--p", "0.9", "--level", "5",
+                 "--replicas", "200", "--seed", "3", "--threads", "10000"], capsys)
+        assert [pool.max_workers for pool in recording_pool] == [2]
+
     def test_level_zero_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--tree", "cayley", "--d", "3", "--level", "0", "--seed", "1"])
@@ -314,6 +327,15 @@ class TestPlumbing:
             main([p if a == "P" else a for a in argv] + ["--seed", "1"])
         assert exc.value.code == 2
         assert "p must lie in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "threads,message", [("0", "must be at least 1"), ("-1", "must be at least 1"), ("two", "invalid int value")]
+    )
+    def test_bad_thread_count_is_usage_error(self, capsys, threads, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["gw", "4", "0.9", "--replicas", "10", "--seed", "1", "--threads", threads])
+        assert exc.value.code == 2
+        assert f"--threads: {message}" in capsys.readouterr().err
 
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("RUMORLAB_SEED", "4242")

@@ -187,6 +187,22 @@ class TestEstimateSurvival:
         b = estimate_survival_ctmc(topology, 1.0, target_level=6, replicas=300, seed=23, workers=2)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "topology,p,level,replicas,seed",
+        [(cayley(3), 0.9, 10, 400, 16), (hub_path(20, 4, 0.6, 2), 1.0, 6, 300, 23)],
+        ids=["cayley", "hub_path"],
+    )
+    def test_pool_matches_inline(self, pool_only, topology, p, level, replicas, seed):
+        kwargs = dict(target_level=level, replicas=replicas, seed=seed)
+        inline = estimate_survival_ctmc(topology, p, workers=1, **kwargs)
+        assert estimate_survival_ctmc(topology, p, workers=2, **kwargs) == inline
+
+    def test_levels_on_the_pool_match_inline(self, pool_only):
+        kwargs = dict(replicas=400, event_cap=60, seed=24)
+        inline = estimate_survival_levels(cayley(4), 0.9, [2, 5, 9, 14], workers=1, **kwargs)
+        assert estimate_survival_levels(cayley(4), 0.9, [2, 5, 9, 14], workers=2, **kwargs) == inline
+        assert 0 < inline[-1].cap_hits < 400
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_levels_in_one_pass_match_separate_runs(self, workers):
         # a small event cap makes some replicas cap below some of the levels

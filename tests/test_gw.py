@@ -127,6 +127,11 @@ class TestSurvivalMc:
         c = survival_mc(3, 0.9, replicas=2_000, seed=9, workers=3)
         assert a == b == c
 
+    def test_pool_matches_inline(self, pool_only):
+        inline = survival_mc(3, 0.9, replicas=2_000, seed=9, workers=1)
+        assert survival_mc(3, 0.9, replicas=2_000, seed=9, workers=2) == inline
+        assert survival_mc(3, 0.9, replicas=2_000, seed=9, workers=3) == inline
+
     def test_unbiased_across_seeds(self):
         target = theta(4, 0.9)
         z = [
