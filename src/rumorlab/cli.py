@@ -26,11 +26,15 @@ from .errors import NumericFault
 _EXIT_NUMERIC_FAULT = 3
 
 
-def _default_seed() -> int:
-    env = os.environ.get("RUMORLAB_SEED")
-    if env is not None:
-        return int(env)
-    return secrets.randbits(63)
+def _seed(text: str) -> int:
+    """--seed's type, also applied to its default RUMORLAB_SEED; substreams take 16 signed bytes."""
+    try:
+        seed = int(text)
+        if -(1 << 127) <= seed < 1 << 127:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"a seed (--seed or RUMORLAB_SEED) must be an integer in [-2**127, 2**127), got {text!r}")
 
 
 def _thread_count(text: str) -> int:
@@ -45,7 +49,7 @@ def _thread_count(text: str) -> int:
 
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="64-bit master seed (default: RUMORLAB_SEED env or OS entropy)")
+    common.add_argument("--seed", type=_seed, default=os.environ.get("RUMORLAB_SEED"), help="master seed in [-2**127, 2**127) (default: RUMORLAB_SEED env or OS entropy)")
     common.add_argument("--format", choices=("csv", "json"), default="csv", dest="out_format")
     common.add_argument("--out", default="-", help="output path (default stdout)")
     common.add_argument(
@@ -96,9 +100,12 @@ def _emit(args: argparse.Namespace, manifest: dict, rows: list[dict], payload: d
         text = buf.getvalue()
     if args.out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
 def _finish(args, command, rows, payload=None, started=None) -> int:
@@ -384,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed is None:
-        args.seed = _default_seed()
+        args.seed = secrets.randbits(63)
     try:
         return args.func(args, parser)
     except NumericFault as exc:

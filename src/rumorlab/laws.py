@@ -21,6 +21,7 @@ import numpy as np
 
 from .specfun import (
     ExactScalar,
+    _partial_exp_sum_scaled_int,
     _use_exact,
     log_ints,
     log_partial_exp_sum,
@@ -129,15 +130,19 @@ def law_X(d: int) -> Pmf:
     return Pmf(0, probs)
 
 
+def _over_power(num: int, d: int) -> ExactScalar:
+    """num / (d+1)^d as an ExactScalar, normalised by one gcd."""
+    return ExactScalar.from_fraction(Fraction(num, (d + 1) ** d))
+
+
 def mean_X(d: int, exact: bool | None = None) -> ExactScalar:
-    """E(X) = d! S(d, d+1) / (d+1)^d, exact for moderate d, log-space beyond."""
+    """E(X) = d Sigma_d / (d+1)^d, exact for moderate d, log-space beyond; the
+    integer Sigma_d = (d-1)! S(d, d+1) also gives both beta forms exactly."""
     _check_d(d)
-    s = partial_exp_sum(d, d + 1, exact=exact)
-    if s.is_exact:
-        return ExactScalar.from_fraction(
-            Fraction(math.factorial(d) * s.numerator, s.denominator * (d + 1) ** d)
-        )
-    return ExactScalar.from_log(math.lgamma(d + 1) + s.log_value - d * math.log(d + 1))
+    if _use_exact(d, exact):
+        return _over_power(d * _partial_exp_sum_scaled_int(d, d + 1), d)
+    log_s = partial_exp_sum(d, d + 1, exact=False).log_value
+    return ExactScalar.from_log(math.lgamma(d + 1) + log_s - d * math.log(d + 1))
 
 
 def _mean_excess(d: int, p) -> float:
@@ -280,12 +285,6 @@ def law_N_prime_float(d: int, p: float) -> np.ndarray:
     return _thinned_floats(np.concatenate(([-np.inf], log_n)), float(p), log_fact)
 
 
-def _beta_series_exact(d: int) -> Fraction:
-    """beta_series(d) = (d-1)! S(d, d+1) / (d+1)^d as an exact rational."""
-    s = partial_exp_sum(d, d + 1, exact=True)
-    return math.factorial(d - 1) * s.fraction / Fraction((d + 1) ** d)
-
-
 def beta_paper(d: int, exact: bool | None = None) -> ExactScalar:
     """Published traversal probability (e^{d+1} Gamma(d, d+1) - Gamma(d)) / (d+1)^d.
 
@@ -300,7 +299,7 @@ def beta_paper(d: int, exact: bool | None = None) -> ExactScalar:
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
     if d == 1 or _use_exact(d, exact):
-        return ExactScalar.from_fraction(_beta_series_exact(d) - beta_gap(d))
+        return _over_power(_partial_exp_sum_scaled_int(d, d + 1) - math.factorial(d - 1), d)
     log_s = log_partial_exp_sum(d, d + 1)
     log_s_minus_1 = log_s + math.log1p(-math.exp(-log_s))
     return ExactScalar.from_log(math.lgamma(d) + log_s_minus_1 - d * math.log(d + 1))
@@ -315,7 +314,7 @@ def beta_series(d: int, exact: bool | None = None) -> ExactScalar:
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
     if _use_exact(d, exact):
-        return ExactScalar.from_fraction(_beta_series_exact(d))
+        return _over_power(_partial_exp_sum_scaled_int(d, d + 1), d)
     # same series in log space: the log term walks from -log(d+1) by
     # log(d-i+1) - log(d+1) for i = 2..d
     log_d1 = math.log(d + 1)

@@ -281,9 +281,3 @@ def gamma_asymptotic_log(m: int) -> float:
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     return m * (math.log(m) - 1.0) + 0.5 * math.log(math.pi / (2.0 * m))
-
-
-def log_scaled_incomplete_gamma(m: int, n: int) -> float:
-    """``log(exp(n) * Gamma(m, n))`` without constructing big integers."""
-    GammaArgs(m, n)
-    return math.lgamma(m) + log_partial_exp_sum(m, n)

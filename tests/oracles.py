@@ -1,8 +1,9 @@
 """Independent cross-check oracles used only by the tests.
 
-Each one reaches a quantity of the library by a different route: the
-printed form of the N' law, brute-force enumeration of contact sequences
-for the traversal probability, and two samplers of the X' law.  The scalar
+Each one reaches a quantity of the library by a different route: E(X) as
+a sum of term ratios, the printed form of the N' law, brute-force
+enumeration of contact sequences for the traversal probability, and two
+samplers of the X' law.  The scalar
 log-space loops and the whole-grid thinning at the end are the plain forms
 that the library's array kernels must reproduce bit for bit; the scalar
 complement sum is the one they reproduce to summation order.
@@ -17,6 +18,21 @@ import numpy as np
 
 from rumorlab.gw import _support_and_pvals
 from rumorlab.laws import _as_fraction, _check_d, _check_p, Pmf, law_X, law_X_prime
+
+
+def mean_X_term_sum(d: int) -> Fraction:
+    """E(X) = sum_{i<d} a_i, with a_(d-1) = d/(d+1) and a_(i-1) = a_i i/(d+1).
+
+    Plain ``Fraction`` arithmetic term by term: no factorial, no power of
+    d+1 and no shared integer with the library's Horner sum.
+    """
+    _check_d(d)
+    term = Fraction(d, d + 1)
+    total = term
+    for i in range(d - 1, 0, -1):
+        term = term * i / (d + 1)
+        total += term
+    return total
 
 
 def law_N_prime_printed(d: int, p) -> Pmf:

@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from rumorlab.cli import main
 from rumorlab.errors import NumericFault
 from rumorlab.laws import law_X_prime
+
+from oracles import mean_X_term_sum
 
 
 def run_cli(argv, capsys):
@@ -61,6 +64,20 @@ class TestPcTable:
         with pytest.raises(SystemExit) as exc:
             main(["pc-table", "--d-min", "2", "--seed", "1"])
         assert exc.value.code == 2
+
+    def test_exact_rows_stop_at_exact_limit(self, capsys):
+        code, out = run_cli(["pc-table", "--d-min", "495", "--d-max", "505", "--seed", "1", "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["d"] for row in rows] == list(range(495, 506))
+        for row in rows:
+            num, den = row["pc_numerator"], row["pc_denominator"]
+            if row["d"] > 500:
+                assert (num, den) == ("", "")
+                continue
+            assert math.gcd(int(num), int(den)) == 1
+            assert Fraction(int(num), int(den)) == 1 / mean_X_term_sum(row["d"])
+            assert float(Fraction(int(num), int(den))) == row["pc_float"]
 
     def test_float_mode_omits_fractions(self, capsys):
         code, out = run_cli(["pc-table", "--d-min", "3", "--d-max", "3", "--float", "--seed", "1"], capsys)
@@ -336,6 +353,50 @@ class TestPlumbing:
             main(["gw", "4", "0.9", "--replicas", "10", "--seed", "1", "--threads", threads])
         assert exc.value.code == 2
         assert f"--threads: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [2**127, -2**127 - 1, 1361129467683753853853498429727072845824])
+    @pytest.mark.parametrize("command", [["gw", "4", "0.9"], ["simulate", "--d", "4", "--p", "0.9"]])
+    def test_out_of_range_seed_is_usage_error(self, capsys, command, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--replicas", "10", "--seed", str(seed)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "[-2**127, 2**127)" in err and f"got '{seed}'" in err
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", str(2**127)])
+    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("RUMORLAB_SEED", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["gw", "4", "0.9", "--replicas", "10"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "RUMORLAB_SEED" in err and repr(value) in err
+
+    def test_flag_seed_overrides_bad_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("RUMORLAB_SEED", "abc")
+        code, out = run_cli(["pc-table", "--d-min", "3", "--d-max", "3", "--seed", "5", "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["manifest"]["seed"] == 5
+
+    @pytest.mark.parametrize("seed", [2**127 - 1, -2**127])
+    def test_seed_range_ends_run_by_flag_and_env(self, capsys, monkeypatch, seed):
+        argv = ["gw", "4", "0.9", "--replicas", "50", "--format", "json"]
+        _, by_flag = run_cli(argv + ["--seed", str(seed)], capsys)
+        monkeypatch.setenv("RUMORLAB_SEED", str(seed))
+        _, by_env = run_cli(argv, capsys)
+        docs = [json.loads(out) for out in (by_flag, by_env)]
+        for doc in docs:
+            doc["manifest"].pop("duration_s")
+        assert docs[0] == docs[1]
+        assert docs[0]["manifest"]["seed"] == seed
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        with pytest.raises(SystemExit) as exc:
+            main(["pc-table", "--seed", "1", "--out", str(path)])
+        assert exc.value.code == 2
+        assert f"cannot write --out {path}" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("RUMORLAB_SEED", "4242")

@@ -33,6 +33,7 @@ from oracles import (
     complement_sum_loop,
     enumerate_traversal_probability,
     law_N_prime_printed,
+    mean_X_term_sum,
     thinned_floats_full_grid,
 )
 
@@ -72,6 +73,29 @@ class TestMeanX:
     def test_supercritical_iff_d_at_least_3(self):
         for d in range(2, 101):
             assert (mean_X(d).fraction > 1) == (d >= 3)
+
+
+#: spread over the exact range d <= EXACT_LIMIT = 500, up to its last value
+EXACT_RANGE_DS = [41, 100, 257, 499, 500]
+
+
+class TestExactRange:
+    @pytest.mark.parametrize("d", EXACT_RANGE_DS)
+    def test_mean_matches_term_sum(self, d):
+        mean = mean_X_term_sum(d)
+        for got in (mean_X(d), mean_X(d, exact=True)):
+            assert got.fraction == mean
+            assert math.gcd(got.numerator, got.denominator) == 1
+            assert got.as_float() == float(mean)
+
+    @pytest.mark.parametrize("d", EXACT_RANGE_DS)
+    def test_both_betas_match_term_sum(self, d):
+        series = mean_X_term_sum(d) / d
+        assert beta_series(d).fraction == series
+        assert beta_paper(d).fraction == series - beta_gap(d)
+        for got in (beta_series(d), beta_paper(d)):
+            assert math.gcd(got.numerator, got.denominator) == 1
+            assert got.as_float() == float(got.fraction)
 
 
 class TestMeanExcess:

@@ -22,6 +22,8 @@ from rumorlab.thresholds import (
     theta_double_sum,
 )
 
+from oracles import mean_X_term_sum
+
 F = Fraction
 
 # 4-decimal reference values for p_c(d), d = 3..11 (truncated, matching the
@@ -61,6 +63,15 @@ class TestPCritical:
         for d in (3, 20, 100):
             report = p_critical(d)
             assert report.float_value == pytest.approx(float(report.value.fraction), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [41, 100, 257, 499, 500])
+    def test_exact_range_matches_term_sum(self, d):
+        pc = 1 / mean_X_term_sum(d)
+        report = p_critical(d)
+        assert report.value.fraction == pc
+        assert math.gcd(report.value.numerator, report.value.denominator) == 1
+        assert report.float_value == float(pc)
+        assert report.feasible
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
