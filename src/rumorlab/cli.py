@@ -369,9 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--h", type=int)
     p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--level", type=int)
+    level = p.add_mutually_exclusive_group()
+    level.add_argument("--level", type=int)
+    level.add_argument("--level-sweep", help="MIN:MAX:STEP emits a CSV series of reach estimates")
     p.add_argument("--level-unit", choices=("graph", "hub"))
-    p.add_argument("--level-sweep", help="MIN:MAX:STEP emits a CSV series of reach estimates")
     p.add_argument("--replicas", type=int, default=10_000)
     p.add_argument("--event-cap", type=int, default=ctmc.DEFAULT_EVENT_CAP)
     p.set_defaults(func=cmd_simulate)

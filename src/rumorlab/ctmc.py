@@ -14,6 +14,12 @@ first from a stack: a popped spreader runs its whole contact race and pushes
 the children it made spreaders.  A run stops at the first spreader created at
 the target level.  Child subtrees on a tree are exchangeable, so the role of
 a child spreader (hub, path or leaf) is drawn when it is made.
+
+No uniform is drawn for an outcome that is already decided.  A leaf's one
+neighbor is its informer, so its whole race is one stifling contact: that
+event is counted when the leaf is made (after the level check that counts
+the leaf in graph units), and the leaf is never stacked.  At p = 1 every
+contacted ignorant spreads, so the thinning uniform is drawn only for p < 1.
 """
 
 from __future__ import annotations
@@ -84,6 +90,13 @@ def simulate_mt(
     and is the default for hub_path topologies.  The exploration order does
     not depend on ``target_level``: a run to a higher level passes through
     exactly the states of a run to a lower one until that one stops.
+
+    Per contact a replica draws the neighbor uniform, then the thinning
+    uniform only if p < 1, then the alpha uniform only for a child spreader
+    of a hub on a hub_path tree.  Leaves take no draw: a leaf's one contact
+    counts in ``events_processed`` as soon as the leaf is made, so a run
+    stopped at a level or at the cap includes the contacts of leaves made
+    before the stop.
     """
     _check_p(p)
     if target_level < 1:
@@ -97,8 +110,9 @@ def simulate_mt(
     alpha = topology.alpha if is_hub_path else 1.0
     h = topology.h if is_hub_path else 1
     hub_unit = unit == "hub"
+    thin = p < 1.0  # at p = 1 every contacted ignorant spreads
 
-    # unexplored spreaders: (depth, hub_gen, role, path_pos)
+    # unexplored hub and path spreaders: (depth, hub_gen, role, path_pos)
     stack = [(0, 0, _HUB, 0)]
     events = 0
     informed = 1
@@ -109,12 +123,9 @@ def simulate_mt(
         if role == _HUB:
             deg = d + 1
             free = d + 1 if depth == 0 else d
-        elif role == _PATH:
+        else:
             deg = k
             free = k - 1
-        else:
-            deg = 1
-            free = 0
         onward_fresh = role == _PATH  # the path slot toward the next hub
 
         while True:
@@ -129,7 +140,7 @@ def simulate_mt(
             onward = onward_fresh and u < 1.0
             if onward:
                 onward_fresh = False
-            if rand() >= p:
+            if thin and rand() >= p:
                 continue  # the contacted ignorant stifles at once
             if role == _PATH:
                 if not onward:
@@ -150,6 +161,13 @@ def simulate_mt(
                     max_level = level
                     if level >= target_level:
                         return SimOutcome(level, events, informed, "level_reached", unit)
+            if c_role == _LEAF:
+                # a leaf's one neighbor is its informer: its whole race is
+                # one stifling contact, counted now and drawn from nothing
+                events += 1
+                if events >= event_cap:
+                    return SimOutcome(max_level, events, informed, "event_cap", unit)
+                continue
             stack.append((depth + 1, c_hgen, c_role, c_pos))
 
     return SimOutcome(max_level, events, informed, "absorbed", unit)

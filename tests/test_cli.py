@@ -206,6 +206,9 @@ class TestOffspring:
             assert row["analytic"] == pytest.approx(float(exact.p(row["i"])), rel=1e-12)
 
 
+_HUB_TREE = ["--tree", "hub_path", "--d", "20", "--k", "4", "--alpha", "0.6", "--h", "2", "--p", "0.9"]
+
+
 class TestSimulate:
     def test_json_report_and_determinism(self, capsys, tmp_path):
         argv = [
@@ -262,26 +265,37 @@ class TestSimulate:
         estimates = [float(r["estimate"]) for r in rows]
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
 
+    # the two hub-tree runs are mostly leaves, and their small event cap
+    # makes some replicas cap below some of the levels
+    SWEEPS = [
+        (["--tree", "cayley", "--d", "4", "--p", "0.9"], "5:40:5"),
+        (_HUB_TREE + ["--level-unit", "hub", "--event-cap", "150"], "1:8:1"),
+        (_HUB_TREE + ["--level-unit", "graph", "--event-cap", "150"], "2:16:2"),
+    ]
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_level_sweep_matches_separate_levels(self, capsys, threads):
-        common = ["simulate", "--tree", "cayley", "--d", "4", "--p", "0.9",
-                  "--replicas", "300", "--seed", "10", "--threads", threads]
-        _, out = run_cli(common + ["--level-sweep", "5:40:5"], capsys)
-        swept = parse_csv(out)
-        assert [r["level"] for r in swept] == [str(level) for level in range(5, 41, 5)]
-        for row in swept:
-            _, out = run_cli(common + ["--level", row["level"]], capsys)
-            (single,) = parse_csv(out)
-            assert single["target_level"] == row["level"]
-            for key in ("estimate", "ci_low", "ci_high", "cap_hits"):
-                assert single[key] == row[key]
+        for tree, sweep in self.SWEEPS:
+            common = ["simulate", *tree, "--replicas", "300", "--seed", "10", "--threads", threads]
+            _, out = run_cli(common + ["--level-sweep", sweep], capsys)
+            swept = parse_csv(out)
+            lo, hi, step = (int(x) for x in sweep.split(":"))
+            assert [r["level"] for r in swept] == [str(level) for level in range(lo, hi + 1, step)]
+            if "--event-cap" in tree:
+                assert 0 < int(swept[-1]["cap_hits"]) < 300
+            for row in swept:
+                _, out = run_cli(common + ["--level", row["level"]], capsys)
+                (single,) = parse_csv(out)
+                assert single["target_level"] == row["level"]
+                for key in ("estimate", "ci_low", "ci_high", "cap_hits"):
+                    assert single[key] == row[key]
 
     def test_level_sweep_on_the_pool_matches_inline(self, capsys, pool_only):
-        common = ["simulate", "--tree", "cayley", "--d", "4", "--p", "0.9",
-                  "--replicas", "300", "--seed", "10", "--level-sweep", "5:40:5"]
-        _, inline = run_cli(common + ["--threads", "1"], capsys)
-        _, pooled = run_cli(common + ["--threads", "2"], capsys)
-        assert parse_csv(pooled) == parse_csv(inline)
+        for tree, sweep in self.SWEEPS:
+            common = ["simulate", *tree, "--replicas", "300", "--seed", "10", "--level-sweep", sweep]
+            _, inline = run_cli(common + ["--threads", "1"], capsys)
+            _, pooled = run_cli(common + ["--threads", "2"], capsys)
+            assert parse_csv(pooled) == parse_csv(inline)
 
     def test_threads_capped_at_core_count(self, capsys, pool_only, recording_pool):
         # pool_only reports two cores; 200 replicas make four jobs
@@ -293,6 +307,13 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--tree", "cayley", "--d", "3", "--level", "0", "--seed", "1"])
         assert exc.value.code == 2
+
+    def test_level_with_level_sweep_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--tree", "cayley", "--d", "3", "--level", "5",
+                  "--level-sweep", "2:6:2", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_bad_sweep_spec(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rumorlab import ctmc
 from rumorlab._seeds import substream
 from rumorlab.ctmc import (
+    SimOutcome,
     SurvivalEstimate,
     estimate_survival_ctmc,
     estimate_survival_levels,
@@ -14,8 +16,10 @@ from rumorlab.ctmc import (
     simulate_mt,
 )
 from rumorlab.gw import EstimateCI
-from rumorlab.laws import law_X, mean_X, tv_distance
+from rumorlab.laws import beta_series, law_X, mean_X, tv_distance
 from rumorlab.treegen import cayley, hub_path
+
+from test_treegen import reach_probability
 
 F = Fraction
 
@@ -56,16 +60,32 @@ class TestSimulateMt:
         assert reasons == {"level_reached", "absorbed"}
 
     def test_exploration_order_ignores_target(self):
-        # a run to a deeper level passes through the states of a shallower run
-        for seed in range(40):
-            deep = simulate_mt(cayley(4), 0.9, target_level=12, event_cap=400, seed=seed)
-            shallow = simulate_mt(cayley(4), 0.9, target_level=6, event_cap=400, seed=seed)
-            if deep.reached_level >= 6:
-                assert shallow.stop_reason == "level_reached"
-                assert shallow.reached_level == 6
-                assert shallow.events_processed <= deep.events_processed
-            else:
-                assert shallow == deep
+        # a run to a deeper level passes through the states of a shallower
+        # run; on the hub trees a leaf's contact is counted when the leaf is
+        # made, and the cap falls on such a contact in a few of these runs
+        cases = [
+            (cayley(4), 0.9, "graph", 400),
+            (hub_path(20, 4, 0.9, 2), 1.0, "hub", 200),
+            (hub_path(20, 3, 1.0, 2), 0.9, "graph", 100),
+        ]
+        for topology, p, unit, cap in cases:
+            reasons = set()
+            for seed in range(40):
+                deep, shallow = (
+                    simulate_mt(topology, p, level, event_cap=cap, seed=seed, level_unit=unit)
+                    for level in (12, 6)
+                )
+                reasons.add(deep.stop_reason)
+                if deep.stop_reason == "event_cap":
+                    assert deep.events_processed == cap
+                if deep.reached_level >= 6:
+                    assert shallow.stop_reason == "level_reached"
+                    assert shallow.reached_level == 6
+                    assert shallow.events_processed <= deep.events_processed
+                else:
+                    assert shallow == deep
+            if topology.kind == "hub_path":
+                assert reasons == {"absorbed", "level_reached", "event_cap"}
 
     def test_work_is_linear_in_level(self):
         level, n = 200, 4000
@@ -108,6 +128,45 @@ class TestSimulateMt:
             simulate_mt(cayley(3), 0.5, target_level=0)
         with pytest.raises(ValueError):
             simulate_mt(cayley(3), 0.5, target_level=5, level_unit="depth")
+
+
+class CountingRandom(random.Random):
+    """A Mersenne Twister that counts its uniforms."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+class TestDraws:
+    def test_leaves_and_unthinned_contacts_take_no_draw(self, monkeypatch):
+        # alpha tiny and p = 1: every child of the root is a leaf, so a run
+        # draws one neighbor uniform per root contact and one role uniform
+        # per child, with no thinning uniform and none for the leaves
+        streams = []
+
+        def counting_substream_random(*key):
+            streams.append(CountingRandom(substream(*key)))
+            return streams[-1]
+
+        monkeypatch.setattr(ctmc, "substream_random", counting_substream_random)
+        topology = hub_path(5, 4, 1e-12, 1)
+        for seed in range(200):
+            out = simulate_mt(topology, 1.0, 2, seed=seed, level_unit="graph")
+            children = out.informed_total - 1
+            assert streams[-1].calls == (children + 1) + children
+        assert len(streams) == 200
+
+    def test_thinned_cayley_run_is_pinned(self):
+        # at p < 1 a cayley tree has no leaves, so a run keeps every draw
+        out = simulate_mt(cayley(4), 0.9, target_level=30, seed=9192)
+        assert out == SimOutcome(30, 100, 64, "level_reached", "graph")
+
+    def test_thinned_cayley_estimate_is_pinned(self):
+        est = estimate_survival_ctmc(cayley(4), 0.9, 30, replicas=500, seed=9190)
+        assert (est.estimate, est.cap_hits) == (377 / 500, 0)
 
 
 class TestOffspringEmpirical:
@@ -188,12 +247,16 @@ class TestEstimateSurvival:
         assert a == b
 
     @pytest.mark.parametrize(
-        "topology,p,level,replicas,seed",
-        [(cayley(3), 0.9, 10, 400, 16), (hub_path(20, 4, 0.6, 2), 1.0, 6, 300, 23)],
-        ids=["cayley", "hub_path"],
+        "topology,p,level,replicas,seed,unit",
+        [
+            (cayley(3), 0.9, 10, 400, 16, None),
+            (hub_path(20, 4, 0.6, 2), 1.0, 6, 300, 23, None),
+            (hub_path(20, 4, 0.6, 2), 0.9, 12, 300, 26, "graph"),
+        ],
+        ids=["cayley", "hub_path", "hub_path_graph"],
     )
-    def test_pool_matches_inline(self, pool_only, topology, p, level, replicas, seed):
-        kwargs = dict(target_level=level, replicas=replicas, seed=seed)
+    def test_pool_matches_inline(self, pool_only, topology, p, level, replicas, seed, unit):
+        kwargs = dict(target_level=level, replicas=replicas, seed=seed, level_unit=unit)
         inline = estimate_survival_ctmc(topology, p, workers=1, **kwargs)
         assert estimate_survival_ctmc(topology, p, workers=2, **kwargs) == inline
 
@@ -215,6 +278,26 @@ class TestEstimateSurvival:
         assert swept == separate
         assert 0 < swept[-1].cap_hits < 400
         assert swept[0].cap_hits < swept[-1].cap_hits
+
+    @pytest.mark.parametrize(
+        "d,k,alpha,h,p,level,closed_form,seed",
+        [
+            (50, 4, 0.5, 2, 1.0, 20, 0.58367, 9201),
+            (20, 3, 1.0, 2, 0.8, 10, 0.42582, 9202),
+            (10, 4, 0.7, 2, 0.9, 8, 0.02297, 9203),
+        ],
+        ids=["hub_leaves_p1", "path_leaves_thinned", "near_critical"],
+    )
+    def test_hub_reach_matches_closed_form(self, d, k, alpha, h, p, level, closed_form, seed):
+        # in hub units the hubs form a Galton-Watson process with the cayley
+        # laws at retention q = p alpha (p beta_series(k-1))^(h-1)
+        q = p * alpha * (p * beta_series(k - 1).as_float()) ** (h - 1)
+        reach = reach_probability(d, q, level)
+        assert reach == pytest.approx(closed_form, abs=1e-5)
+        n = 20_000
+        est = estimate_survival_ctmc(hub_path(d, k, alpha, h), p, level, replicas=n, seed=seed)
+        assert est.level_unit == "hub"
+        assert abs(est.estimate - reach) <= 4 * math.sqrt(reach * (1 - reach) / n)
 
     def test_levels_rejects_bad_levels(self):
         with pytest.raises(ValueError):
