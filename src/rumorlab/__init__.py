@@ -10,7 +10,6 @@ from .errors import NumericFault
 from .specfun import (
     EXACT_LIMIT,
     ExactScalar,
-    GammaArgs,
     gamma_asymptotic_log,
     gamma_recurrence_residual,
     partial_exp_sum,
@@ -69,7 +68,6 @@ __all__ = [
     "EXACT_LIMIT",
     "EstimateCI",
     "ExactScalar",
-    "GammaArgs",
     "NumericFault",
     "Pmf",
     "RootResult",

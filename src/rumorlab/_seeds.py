@@ -20,6 +20,8 @@ import random
 import time
 from typing import Callable
 
+from .errors import check_at_least
+
 #: seconds of inline work before the remaining jobs go to a process pool.
 #: On a 2-core x86-64 host, starting and joining a 2-process pool costs
 #: 10-12 ms warm and, in a fresh interpreter, about 14 ms plus 23 ms to
@@ -57,8 +59,7 @@ def run_jobs(fn: Callable, jobs: list, workers: int) -> list:
     ``min(workers, jobs left, os.cpu_count())`` processes.  Each job carries
     its own seed, so the results do not depend on where a job runs.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_at_least("workers", workers, 1)
     deadline = time.perf_counter() + _INLINE_S
     results = []
     for job in jobs:

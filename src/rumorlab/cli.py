@@ -21,7 +21,7 @@ import sys
 import time
 from . import __version__
 from . import ctmc, gw, laws, thresholds, treegen
-from .errors import NumericFault
+from .errors import NumericFault, check_at_least
 
 _EXIT_NUMERIC_FAULT = 3
 
@@ -47,30 +47,36 @@ def _thread_count(text: str) -> int:
     return count
 
 
-def _common_parser() -> argparse.ArgumentParser:
+def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
+    """The flags every command takes, ``--threads`` for the commands that
+    run replica jobs, and ``--exact/--float`` for those that pick an
+    arithmetic mode."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_seed, default=os.environ.get("RUMORLAB_SEED"), help="master seed in [-2**127, 2**127) (default: RUMORLAB_SEED env or OS entropy)")
     common.add_argument("--format", choices=("csv", "json"), default="csv", dest="out_format")
     common.add_argument("--out", default="-", help="output path (default stdout)")
-    common.add_argument(
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument(
         "--threads", type=_thread_count, default=1,
         help="at most this many worker processes (capped at the core count) for replica jobs "
         "still left after a short inline start",
     )
-    mode = common.add_mutually_exclusive_group()
+    exact = argparse.ArgumentParser(add_help=False)
+    mode = exact.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="exact", action="store_true", default=None, help="force exact rational arithmetic")
     mode.add_argument("--float", dest="exact", action="store_false", help="force log-space float arithmetic")
-    return common
+    return common, threads, exact
 
 
-def _manifest(args: argparse.Namespace, command: str) -> dict:
+def _manifest(args: argparse.Namespace, started: float) -> dict:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "out", "out_format") and v is not None
+        if k not in ("command", "func", "out", "out_format", "seed") and v is not None
     }
     return {
-        "command": command,
+        "command": args.command,
+        "duration_s": round(time.perf_counter() - started, 6),
         "parameters": params,
         "seed": args.seed,
         "version": __version__,
@@ -108,26 +114,16 @@ def _emit(args: argparse.Namespace, manifest: dict, rows: list[dict], payload: d
         raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
-def _finish(args, command, rows, payload=None, started=None) -> int:
-    manifest = _manifest(args, command)
-    if started is not None:
-        manifest["duration_s"] = round(time.perf_counter() - started, 6)
-    _emit(args, manifest, rows, payload)
-    return 0
-
-
 def _fraction_fields(value) -> tuple[str, str]:
     if value is not None and value.is_exact:
         return str(value.numerator), str(value.denominator)
     return "", ""
 
 
-def cmd_pc_table(args, parser) -> int:
-    started = time.perf_counter()
-    if args.d_min < 3:
-        parser.error(f"pc-table requires d >= 3 (the threshold is trivial below); got d-min={args.d_min}")
+def cmd_pc_table(args) -> tuple[list[dict], dict | None]:
+    check_at_least("--d-min", args.d_min, 3)  # p_c(2) = 9/8: no threshold below d = 3
     if args.d_min > args.d_max:
-        parser.error(f"empty range: d-min={args.d_min} > d-max={args.d_max}")
+        raise ValueError(f"empty range: d-min={args.d_min} > d-max={args.d_max}")
     rows = []
     for d in range(args.d_min, args.d_max + 1):
         report = thresholds.p_critical(d, exact=args.exact)
@@ -141,11 +137,10 @@ def cmd_pc_table(args, parser) -> int:
                 "pc_asymptotic": report.asymptotic_value,
             }
         )
-    return _finish(args, "pc-table", rows, started=started)
+    return rows, None
 
 
-def cmd_theta(args, parser) -> int:
-    started = time.perf_counter()
+def cmd_theta(args) -> tuple[list[dict], dict | None]:
     methods = ("analytic", "gw_mc", "ctmc_mc") if args.method == "all" else (args.method,)
     payload: dict = {}
     rows = []
@@ -168,18 +163,16 @@ def cmd_theta(args, parser) -> int:
             )
             payload["ctmc_mc"] = est.__dict__
             rows.append({"method": "ctmc_mc", "estimate": est.estimate, "ci_low": est.ci_low, "ci_high": est.ci_high})
-    return _finish(args, "theta", rows, payload, started)
+    return rows, payload
 
 
-def cmd_psi(args, parser) -> int:
-    started = time.perf_counter()
+def cmd_psi(args) -> tuple[list[dict], dict | None]:
     root = thresholds.psi_root(args.d, args.p)
     rows = [{"psi": root.psi, "iterations": root.iterations, "residual": root.residual}]
-    return _finish(args, "psi", rows, started=started)
+    return rows, None
 
 
-def cmd_alpha_c(args, parser) -> int:
-    started = time.perf_counter()
+def cmd_alpha_c(args) -> tuple[list[dict], dict | None]:
     report = thresholds.alpha_critical(args.d, args.k, args.h, beta_form=args.beta_form, exact=args.exact)
     num, den = _fraction_fields(report.value)
     rows = [
@@ -191,11 +184,10 @@ def cmd_alpha_c(args, parser) -> int:
             "beta_form": args.beta_form,
         }
     ]
-    return _finish(args, "alpha-c", rows, started=started)
+    return rows, None
 
 
-def cmd_max_h(args, parser) -> int:
-    started = time.perf_counter()
+def cmd_max_h(args) -> tuple[list[dict], dict | None]:
     h_max = thresholds.max_h(args.d, args.k, beta_form=args.beta_form, exact=args.exact)
     bound = thresholds.asymptotic_h_bound(args.d, args.k)
     payload = {"h_max": h_max, "asymptotic_bound_logd_logk": bound}
@@ -205,13 +197,11 @@ def cmd_max_h(args, parser) -> int:
         payload["k_theta_logd"] = True
         payload["asymptotic_bound_logd_loglogd"] = log_d / math.log(log_d)
     rows = [{"h_max": h_max, "asymptotic_bound": bound}]
-    return _finish(args, "max-h", rows, payload, started)
+    return rows, payload
 
 
-def cmd_audit_beta(args, parser) -> int:
-    started = time.perf_counter()
-    if args.k < 3:
-        parser.error(f"audit-beta requires k >= 3 (k = 2 has zero paper-form traversal); got {args.k}")
+def cmd_audit_beta(args) -> tuple[list[dict], dict | None]:
+    check_at_least("k", args.k, 3)  # k = 2 has zero paper-form traversal
     m = args.k - 1
     paper = laws.beta_paper(m)
     series = laws.beta_series(m)
@@ -236,11 +226,10 @@ def cmd_audit_beta(args, parser) -> int:
             ("empirical", ("", ""), est.estimate),
         )
     ]
-    return _finish(args, "audit-beta", rows, payload, started)
+    return rows, payload
 
 
-def cmd_offspring(args, parser) -> int:
-    started = time.perf_counter()
+def cmd_offspring(args) -> tuple[list[dict], dict | None]:
     empirical = ctmc.offspring_empirical(args.d, args.p, args.replicas, seed=args.seed)
     analytic = laws.Pmf(0, tuple(laws.law_X_prime_float(args.d, args.p)))
     tv = laws.tv_distance(empirical, analytic)
@@ -249,22 +238,11 @@ def cmd_offspring(args, parser) -> int:
         for i in analytic.support()
     ]
     payload = {"tv_distance": tv, "empirical_mean": float(empirical.mean()), "analytic_mean": float(analytic.mean())}
-    return _finish(args, "offspring", rows, payload, started)
+    return rows, payload
 
 
-def _topology_from_args(args, parser) -> treegen.TreeTopology:
-    if args.tree == "cayley":
-        if args.k is not None or args.alpha is not None or args.h is not None:
-            parser.error("--k/--alpha/--h require --tree hub_path")
-        return treegen.cayley(args.d)
-    if args.k is None or args.alpha is None or args.h is None:
-        parser.error("--tree hub_path requires --k, --alpha, and --h")
-    return treegen.hub_path(args.d, args.k, args.alpha, args.h)
-
-
-def cmd_simulate(args, parser) -> int:
-    started = time.perf_counter()
-    topology = _topology_from_args(args, parser)
+def cmd_simulate(args) -> tuple[list[dict], dict | None]:
+    topology = treegen.TreeTopology(args.tree, args.d, args.k, args.alpha, args.h)
     run = dict(
         replicas=args.replicas,
         event_cap=args.event_cap,
@@ -277,9 +255,9 @@ def cmd_simulate(args, parser) -> int:
         try:
             lo, hi, step = (int(x) for x in args.level_sweep.split(":"))
         except ValueError:
-            parser.error("--level-sweep expects MIN:MAX:STEP")
+            raise ValueError("--level-sweep expects MIN:MAX:STEP") from None
         if lo < 1 or hi < lo or step < 1:
-            parser.error("--level-sweep expects 1 <= MIN <= MAX and STEP >= 1")
+            raise ValueError("--level-sweep expects 1 <= MIN <= MAX and STEP >= 1")
         estimates = ctmc.estimate_survival_levels(
             topology, args.p, list(range(lo, hi + 1, step)), **run
         )
@@ -288,17 +266,16 @@ def cmd_simulate(args, parser) -> int:
              "ci_high": est.ci_high, "cap_hits": est.cap_hits}
             for est in estimates
         ]
-        return _finish(args, "simulate", rows, started=started)
+        return rows, None
 
     est = ctmc.estimate_survival_ctmc(topology, args.p, target_level=args.level, **run)
     fields = ("estimate", "ci_low", "ci_high", "replicas", "cap_hits", "target_level", "level_unit")
     payload = {key: getattr(est, key) for key in fields}
     rows = [dict(payload)]
-    return _finish(args, "simulate", rows, payload, started)
+    return rows, payload
 
 
-def cmd_gw(args, parser) -> int:
-    started = time.perf_counter()
+def cmd_gw(args) -> tuple[list[dict], dict | None]:
     est = gw.survival_mc(
         args.d, args.p, args.replicas, horizon=args.horizon, cap=args.cap,
         seed=args.seed, workers=args.threads,
@@ -308,23 +285,23 @@ def cmd_gw(args, parser) -> int:
         {"estimate": est.estimate, "ci_low": est.ci_low, "ci_high": est.ci_high,
          "replicas": est.replicas}
     ]
-    return _finish(args, "gw", rows, payload, started)
+    return rows, payload
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
+    common, threads, exact = _parent_parsers()
     parser = argparse.ArgumentParser(
         prog="rumorlab",
         description="Thresholds and simulation for rumor spreading on trees",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pc-table", parents=[common], help="critical probability table")
+    p = sub.add_parser("pc-table", parents=[common, exact], help="critical probability table")
     p.add_argument("--d-min", type=int, default=3)
     p.add_argument("--d-max", type=int, default=11)
     p.set_defaults(func=cmd_pc_table)
 
-    p = sub.add_parser("theta", parents=[common], help="survival probability")
+    p = sub.add_parser("theta", parents=[common, threads], help="survival probability")
     p.add_argument("d", type=int)
     p.add_argument("p", type=float)
     p.add_argument("--method", choices=("analytic", "gw_mc", "ctmc_mc", "all"), default="analytic")
@@ -338,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=float)
     p.set_defaults(func=cmd_psi)
 
-    p = sub.add_parser("alpha-c", parents=[common], help="hub-tree critical alpha")
+    p = sub.add_parser("alpha-c", parents=[common, exact], help="hub-tree critical alpha")
     p.add_argument("d", type=int)
     p.add_argument("k", type=int)
     p.add_argument("h", type=int)
     p.add_argument("--beta-form", choices=("paper", "series"), default="paper")
     p.set_defaults(func=cmd_alpha_c)
 
-    p = sub.add_parser("max-h", parents=[common], help="largest feasible hub distance")
+    p = sub.add_parser("max-h", parents=[common, exact], help="largest feasible hub distance")
     p.add_argument("d", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--beta-form", choices=("paper", "series"), default="paper")
@@ -362,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=100_000)
     p.set_defaults(func=cmd_offspring)
 
-    p = sub.add_parser("simulate", parents=[common], help="level-reach survival estimate from the simulated dynamics")
+    p = sub.add_parser("simulate", parents=[common, threads], help="level-reach survival estimate from the simulated dynamics")
     p.add_argument("--tree", choices=("cayley", "hub_path"), default="cayley")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int)
@@ -377,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--event-cap", type=int, default=ctmc.DEFAULT_EVENT_CAP)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("gw", parents=[common], help="branching-process survival estimate")
+    p = sub.add_parser("gw", parents=[common, threads], help="branching-process survival estimate")
     p.add_argument("d", type=int)
     p.add_argument("p", type=float)
     p.add_argument("--replicas", type=int, default=10_000)
@@ -393,14 +370,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.seed is None:
         args.seed = secrets.randbits(63)
+    started = time.perf_counter()
     try:
-        return args.func(args, parser)
+        rows, payload = args.func(args)
+        _emit(args, _manifest(args, started), rows, payload)
     except NumericFault as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC_FAULT
     except ValueError as exc:
         parser.error(str(exc))
-        return 2  # pragma: no cover - parser.error raises SystemExit
+    return 0
 
 
 if __name__ == "__main__":

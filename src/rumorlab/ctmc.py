@@ -24,9 +24,11 @@ contacted ignorant spreads, so the thinning uniform is drawn only for p < 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from ._seeds import run_jobs, substream, substream_random
+from .errors import check_at_least
 from .gw import CappedEstimate, EstimateCI, wilson_interval
 from .laws import Pmf, _check_d, _check_p, pmf_from_counts
 from .treegen import TreeTopology
@@ -99,8 +101,7 @@ def simulate_mt(
     before the stop.
     """
     _check_p(p)
-    if target_level < 1:
-        raise ValueError(f"target_level must be at least 1, got {target_level}")
+    check_at_least("target_level", target_level, 1)
     unit = _resolve_level_unit(topology, level_unit)
     rand = substream_random(seed, "mt").random
 
@@ -182,8 +183,7 @@ def offspring_empirical(d: int, p: float, replicas: int, seed: int = 0) -> Pmf:
     """
     _check_d(d)
     _check_p(p)
-    if replicas < 1:
-        raise ValueError("replicas must be at least 1")
+    check_at_least("replicas", replicas, 1)
     counts = [0] * (d + 1)
     deg = d + 1
     for chunk_start in range(0, replicas, _CHUNK):
@@ -207,10 +207,8 @@ def path_traversal_empirical(k: int, replicas: int, seed: int = 0) -> EstimateCI
     This is the empirical decision procedure for the two closed forms of the
     traversal probability evaluated at k-1.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if replicas < 1:
-        raise ValueError("replicas must be at least 1")
+    check_at_least("k", k, 2)
+    check_at_least("replicas", replicas, 1)
     hits = 0
     for chunk_start in range(0, replicas, _CHUNK):
         rng = substream_random(seed, "traversal", chunk_start)
@@ -229,12 +227,13 @@ def path_traversal_empirical(k: int, replicas: int, seed: int = 0) -> EstimateCI
     return EstimateCI(hits / replicas, low, high, replicas, seed)
 
 
-def _survival_chunk(args) -> tuple[list[int], list[int]]:
-    """Histograms over ``reached_level`` of replicas lo..hi-1: all of them,
-    and those that hit the event cap."""
+def _survival_chunk(args) -> tuple[Counter, Counter]:
+    """Counts by ``reached_level`` of replicas lo..hi-1: all of them, and
+    those that hit the event cap.  Only levels some replica reached appear,
+    so the counts stay small however high ``top`` is."""
     (topology, p, top, event_cap, seed, lo, hi, unit) = args
-    ended = [0] * (top + 1)
-    capped = [0] * (top + 1)
+    ended = Counter()
+    capped = Counter()
     for r in range(lo, hi):
         out = simulate_mt(
             topology,
@@ -271,12 +270,11 @@ def estimate_survival_levels(
     independent of the worker count and of scheduling.
     """
     _check_p(p)
-    if event_cap < 1:
-        raise ValueError(f"event_cap must be at least 1, got {event_cap}")
-    if replicas < 1:
-        raise ValueError("replicas must be at least 1")
-    if not levels or min(levels) < 1:
-        raise ValueError(f"levels must be a nonempty list of levels >= 1, got {levels!r}")
+    check_at_least("event_cap", event_cap, 1)
+    check_at_least("replicas", replicas, 1)
+    if not levels:
+        raise ValueError("levels must be a nonempty list")
+    check_at_least("target_level", min(levels), 1)
     unit = _resolve_level_unit(topology, level_unit)
     if topology.kind == "hub_path" and topology.alpha * (topology.d + 1) <= 1:
         raise ValueError(
@@ -288,14 +286,15 @@ def estimate_survival_levels(
         (topology, p, top, event_cap, seed, lo, min(lo + _JOB, replicas), unit)
         for lo in range(0, replicas, _JOB)
     ]
-    parts = run_jobs(_survival_chunk, jobs, workers)
-    ended = [sum(col) for col in zip(*(e for e, _ in parts))]
-    capped = [sum(col) for col in zip(*(c for _, c in parts))]
+    ended, capped = Counter(), Counter()
+    for job_ended, job_capped in run_jobs(_survival_chunk, jobs, workers):
+        ended += job_ended
+        capped += job_capped
 
     estimates = []
     for level in levels:
-        cap_hits = sum(capped[:level])
-        reached = sum(ended[level:]) + cap_hits
+        cap_hits = sum(n for reached_level, n in capped.items() if reached_level < level)
+        reached = sum(n for reached_level, n in ended.items() if reached_level >= level) + cap_hits
         low, high = wilson_interval(reached, replicas)
         estimates.append(
             SurvivalEstimate(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import run_jobs, substream
+from .errors import check_at_least
 from .laws import Pmf, law_N, law_N_prime_float, law_X, law_X_prime_float
 from .thresholds import survival_fixed_point
 
@@ -57,8 +58,7 @@ class CappedEstimate(EstimateCI):
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if n <= 0:
-        raise ValueError("need at least one trial")
+    check_at_least("n", n, 1)
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -108,12 +108,9 @@ def survival_mc(
     the substream (seed, "gw", b) and workers take whole blocks, so results
     are independent of scheduling and of the worker count.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be at least 1")
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    check_at_least("replicas", replicas, 1)
+    check_at_least("horizon", horizon, 1)
+    check_at_least("cap", cap, 1)
     init_pvals = law_N_prime_float(d, p)
     off_pvals = law_X_prime_float(d, p)
     off_values = np.arange(off_pvals.size)

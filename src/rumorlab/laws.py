@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import check_at_least, check_unit_interval
 from .specfun import (
     ExactScalar,
     _partial_exp_sum_scaled_int,
@@ -43,18 +44,11 @@ def _as_fraction(p) -> Fraction:
 
 
 def _check_d(d: int, minimum: int = 2) -> None:
-    if d < minimum:
-        raise ValueError(f"d must be at least {minimum}, got {d}")
+    check_at_least("d", d, minimum)
 
 
 def _check_p(p) -> None:
-    if not 0 < p <= 1:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-
-
-def _check_s(s: float) -> None:
-    if not 0 <= s <= 1:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
+    check_unit_interval("p", p, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -296,8 +290,7 @@ def beta_paper(d: int, exact: bool | None = None) -> ExactScalar:
     degenerate case; the closed form gives exactly 0 there, so d = 1 is
     always exact (its log form would take the log of 0).
     """
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
+    _check_d(d, 1)
     if d == 1 or _use_exact(d, exact):
         return _over_power(_partial_exp_sum_scaled_int(d, d + 1) - math.factorial(d - 1), d)
     log_s = log_partial_exp_sum(d, d + 1)
@@ -311,8 +304,7 @@ def beta_series(d: int, exact: bool | None = None) -> ExactScalar:
     P(first contact with the target on attempt i) = [(d-1)!/(d-i)!]/(d+1)^i,
     summed for i = 1..d.  Equals (d-1)! S(d, d+1) / (d+1)^d.
     """
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
+    _check_d(d, 1)
     if _use_exact(d, exact):
         return _over_power(_partial_exp_sum_scaled_int(d, d + 1), d)
     # same series in log space: the log term walks from -log(d+1) by
@@ -332,8 +324,7 @@ def beta_value(d: int, form: str = "paper", exact: bool | None = None) -> ExactS
 
 def beta_gap(d: int) -> Fraction:
     """Exact gap beta_series(d) - beta_paper(d) = (d-1)!/(d+1)^d."""
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
+    _check_d(d, 1)
     return Fraction(math.factorial(d - 1), (d + 1) ** d)
 
 
@@ -345,7 +336,7 @@ def pgf_X_prime(d: int, p: float, s: float) -> float:
     """
     _check_d(d)
     _check_p(p)
-    _check_s(s)
+    check_unit_interval("s", s)
     zeta = (s * p + 1.0 - p) / (d + 1)
     g = 1.0 / (d + 1)  # n = 0 contribution factor
     total = g
@@ -391,7 +382,7 @@ def cpgf_X_prime(d: int, p: float, u: float) -> float:
     """
     _check_d(d)
     _check_p(p)
-    _check_s(u)
+    check_unit_interval("u", u)
     return _complement_sum(_masses(d, root=False), p, u)
 
 
@@ -399,7 +390,7 @@ def cpgf_N_prime(d: int, p: float, u: float) -> float:
     """1 - G_{N'}(1 - u), the survival probability given survival root u."""
     _check_d(d)
     _check_p(p)
-    _check_s(u)
+    check_unit_interval("u", u)
     return _complement_sum(_masses(d, root=True), p, u)
 
 
@@ -411,7 +402,7 @@ def pgf_N_prime(d: int, p: float, s: float) -> float:
     """
     _check_d(d)
     _check_p(p)
-    _check_s(s)
+    check_unit_interval("s", s)
     zeta = (s * p + 1.0 - p) / (d + 1)
     g = zeta  # n = 1: d!/d! * zeta
     total = g

@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import check_at_least
+
 #: largest first argument for which operations default to exact rationals
 EXACT_LIMIT = 500
 
@@ -161,20 +163,6 @@ class ExactScalar:
         return f"ExactScalar(log={self.log_value!r})"
 
 
-@dataclass(frozen=True)
-class GammaArgs:
-    """Integer argument pair (m, n) with the domain checks applied once."""
-
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
-        if self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n}")
-
-
 def _use_exact(m: int, exact: bool | None) -> bool:
     return exact if exact is not None else m <= EXACT_LIMIT
 
@@ -240,19 +228,21 @@ def partial_exp_sum(m: int, n: int, exact: bool | None = None) -> ExactScalar:
     Exact rational for ``m <= EXACT_LIMIT`` (or when forced), log-space float
     otherwise.
     """
-    args = GammaArgs(m, n)
-    if _use_exact(args.m, exact):
-        scaled = _partial_exp_sum_scaled_int(args.m, args.n)
-        return ExactScalar.from_fraction(Fraction(scaled, math.factorial(args.m - 1)))
-    return ExactScalar.from_log(log_partial_exp_sum(args.m, args.n))
+    check_at_least("m", m, 1)
+    check_at_least("n", n, 0)
+    if _use_exact(m, exact):
+        scaled = _partial_exp_sum_scaled_int(m, n)
+        return ExactScalar.from_fraction(Fraction(scaled, math.factorial(m - 1)))
+    return ExactScalar.from_log(log_partial_exp_sum(m, n))
 
 
 def scaled_incomplete_gamma(m: int, n: int, exact: bool | None = None) -> ExactScalar:
     """``exp(n) * Gamma(m, n) = (m-1)! * S(m, n)``, always a rational."""
-    args = GammaArgs(m, n)
-    if _use_exact(args.m, exact):
-        return ExactScalar.from_fraction(Fraction(_partial_exp_sum_scaled_int(args.m, args.n)))
-    return ExactScalar.from_log(math.lgamma(args.m) + log_partial_exp_sum(args.m, args.n))
+    check_at_least("m", m, 1)
+    check_at_least("n", n, 0)
+    if _use_exact(m, exact):
+        return ExactScalar.from_fraction(Fraction(_partial_exp_sum_scaled_int(m, n)))
+    return ExactScalar.from_log(math.lgamma(m) + log_partial_exp_sum(m, n))
 
 
 def gamma_recurrence_residual(m: int, n: int) -> ExactScalar:
@@ -261,13 +251,14 @@ def gamma_recurrence_residual(m: int, n: int) -> ExactScalar:
     Evaluated in the scaled (exp(n)-multiplied) form, so the result is an
     exact rational and must be exactly zero for all valid inputs.
     """
-    args = GammaArgs(m, n)
+    check_at_least("m", m, 1)
+    check_at_least("n", n, 0)
     # e^n Gamma(m+1, n) = m! S(m+1, n) and e^n Gamma(m, n) = (m-1)! S(m, n),
     # both integers in the scaled representation.
     value = (
-        _partial_exp_sum_scaled_int(args.m + 1, args.n)
-        - args.m * _partial_exp_sum_scaled_int(args.m, args.n)
-        - args.n ** args.m
+        _partial_exp_sum_scaled_int(m + 1, n)
+        - m * _partial_exp_sum_scaled_int(m, n)
+        - n ** m
     )
     return ExactScalar.from_fraction(Fraction(value))
 
@@ -278,6 +269,5 @@ def gamma_asymptotic_log(m: int) -> float:
     The ratio to the exact value tends to 1 slowly (relative error of order
     1/sqrt(m)); this is a display/validation aid, never used in thresholds.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    check_at_least("m", m, 1)
     return m * (math.log(m) - 1.0) + 0.5 * math.log(math.pi / (2.0 * m))

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericFault
+from .errors import NumericFault, check_at_least
 from .laws import (
     _check_d,
     _check_p,
@@ -214,10 +214,8 @@ def alpha_critical(
     reported with feasible = False (the rumor dies for every alpha).
     """
     _check_d(d, minimum=3)
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if h < 1:
-        raise ValueError(f"h must be at least 1, got {h}")
+    check_at_least("k", k, 2)
+    check_at_least("h", h, 1)
     if k >= d:
         warnings.warn(
             f"alpha_critical assumes k < d; got k={k}, d={d}", stacklevel=2
@@ -253,8 +251,7 @@ def max_h(d: int, k: int, beta_form: str = "paper", exact: bool | None = None) -
     moderate d.
     """
     _check_d(d, minimum=3)
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    check_at_least("k", k, 2)
     pc = p_critical(d, exact=exact).value
     if not pc < 1:
         raise ValueError(f"p_c({d}) >= 1: no feasible h exists")
@@ -275,6 +272,5 @@ def max_h(d: int, k: int, beta_form: str = "paper", exact: bool | None = None) -
 def asymptotic_h_bound(d: int, k: int) -> float:
     """The large-d feasibility scale log d / log k for the path length h."""
     _check_d(d, minimum=3)
-    if k < 2:
-        raise ValueError(f"k must be at least 2 (log k must be positive), got {k}")
+    check_at_least("k", k, 2)
     return math.log(d) / math.log(k)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from .errors import check_at_least, check_unit_interval
 from .laws import _check_d
 
 
@@ -35,12 +36,9 @@ class TreeTopology:
         if self.kind == "hub_path":
             if self.k is None or self.alpha is None or self.h is None:
                 raise ValueError("hub_path trees require k, alpha, and h")
-            if self.k < 2:
-                raise ValueError(f"k must be at least 2, got {self.k}")
-            if not 0 < self.alpha <= 1:
-                raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-            if self.h < 1:
-                raise ValueError(f"h must be at least 1, got {self.h}")
+            check_at_least("k", self.k, 2)
+            check_unit_interval("alpha", self.alpha, open_low=True)
+            check_at_least("h", self.h, 1)
             if self.k >= self.d:
                 warnings.warn(
                     f"hub_path analysis assumes k < d; got k={self.k}, d={self.d}",

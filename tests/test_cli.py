@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rumorlab.cli import main
+from rumorlab.cli import build_parser, main
 from rumorlab.errors import NumericFault
 from rumorlab.laws import law_X_prime
 
@@ -443,3 +444,64 @@ class TestPlumbing:
         monkeypatch.setattr(cli_mod.thresholds, "psi_root", boom)
         code = main(["psi", "3", "1.0", "--seed", "1"])
         assert code == 3
+
+
+_COMMON = {"-h", "--help", "--seed", "--format", "--out"}
+_THREADS = {"--threads"}
+_MODE = {"--exact", "--float"}
+
+# each command's option strings: --threads only where replica jobs run,
+# --exact/--float only where an arithmetic mode is passed on
+FLAGS = {
+    "pc-table": _COMMON | _MODE | {"--d-min", "--d-max"},
+    "theta": _COMMON | _THREADS | {"--method", "--replicas", "--horizon", "--level"},
+    "psi": _COMMON,
+    "alpha-c": _COMMON | _MODE | {"--beta-form"},
+    "max-h": _COMMON | _MODE | {"--beta-form"},
+    "audit-beta": _COMMON | {"--replicas"},
+    "offspring": _COMMON | {"--replicas"},
+    "simulate": _COMMON | _THREADS | {
+        "--tree", "--d", "--k", "--alpha", "--h", "--p", "--level", "--level-sweep",
+        "--level-unit", "--replicas", "--event-cap",
+    },
+    "gw": _COMMON | _THREADS | {"--replicas", "--horizon", "--cap"},
+}
+
+QUICK_RUNS = {
+    "pc-table": ["--d-max", "3"],
+    "theta": ["4", "0.9"],
+    "psi": ["3", "1.0"],
+    "alpha-c": ["5", "3", "1"],
+    "max-h": ["5", "3"],
+    "audit-beta": ["3", "--replicas", "100"],
+    "offspring": ["3", "1.0", "--replicas", "100"],
+    "simulate": ["--d", "3", "--level", "3", "--replicas", "50"],
+    "gw": ["4", "0.9", "--replicas", "100"],
+}
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_each_command_takes_only_its_flags(self, command):
+        (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands) == set(FLAGS)
+        assert {flag for action in commands[command]._actions for flag in action.option_strings} == FLAGS[command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["psi", "3", "1.0", "--threads", "2"], ["gw", "4", "0.9", "--exact"], ["audit-beta", "3", "--float"]],
+        ids=["psi-threads", "gw-exact", "audit-beta-float"],
+    )
+    def test_flag_the_command_ignores_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(QUICK_RUNS))
+    def test_parameters_repeat_no_manifest_key(self, capsys, command):
+        code, out = run_cli([command, *QUICK_RUNS[command], "--seed", "1", "--format", "json"], capsys)
+        assert code == 0
+        manifest = json.loads(out)["manifest"]
+        assert manifest["command"] == command
+        assert not set(manifest["parameters"]) & set(manifest)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,17 @@ class TestEstimateSurvival:
         est = estimate_survival_ctmc(hub_path(d, k, alpha, h), p, level, replicas=n, seed=seed)
         assert est.level_unit == "hub"
         assert abs(est.estimate - reach) <= 4 * math.sqrt(reach * (1 - reach) / n)
+
+    def test_deep_level_memory_is_bounded_by_replicas(self):
+        # every replica dies at once, far below the level: the reach counts
+        # must not grow with it
+        tracemalloc.start()
+        try:
+            estimate_survival_levels(cayley(3), 0.2, [10**5], replicas=640, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_levels_rejects_bad_levels(self):
         with pytest.raises(ValueError):

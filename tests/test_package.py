@@ -1,8 +1,27 @@
 import os
+import re
 import subprocess
 import sys
 
+import pytest
+
 import rumorlab
+from rumorlab import (
+    alpha_critical,
+    asymptotic_h_bound,
+    beta_gap,
+    beta_paper,
+    beta_series,
+    cayley,
+    estimate_survival_levels,
+    hub_path,
+    max_h,
+    offspring_empirical,
+    partial_exp_sum,
+    path_traversal_empirical,
+    survival_mc,
+)
+from rumorlab._seeds import run_jobs
 
 
 def test_every_public_name_resolves():
@@ -21,3 +40,30 @@ def test_cli_start_up_imports_no_process_pool():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+BOUNDED_INTEGERS = {
+    "survival_mc-replicas": (lambda v: survival_mc(4, 0.9, v), "replicas", 1),
+    "estimate_survival_levels-replicas": (
+        lambda v: estimate_survival_levels(cayley(3), 0.9, [5], replicas=v), "replicas", 1
+    ),
+    "offspring_empirical-replicas": (lambda v: offspring_empirical(3, 0.9, v), "replicas", 1),
+    "path_traversal_empirical-replicas": (lambda v: path_traversal_empirical(3, v), "replicas", 1),
+    "alpha_critical-k": (lambda v: alpha_critical(5, v, 1), "k", 2),
+    "max_h-k": (lambda v: max_h(5, v), "k", 2),
+    "asymptotic_h_bound-k": (lambda v: asymptotic_h_bound(5, v), "k", 2),
+    "hub_path-k": (lambda v: hub_path(5, v, 0.5, 1), "k", 2),
+    "beta_paper-d": (beta_paper, "d", 1),
+    "beta_series-d": (beta_series, "d", 1),
+    "beta_gap-d": (beta_gap, "d", 1),
+    "partial_exp_sum-m": (lambda v: partial_exp_sum(v, 3), "m", 1),
+    "partial_exp_sum-n": (lambda v: partial_exp_sum(2, v), "n", 0),
+    "run_jobs-workers": (lambda v: run_jobs(abs, [], v), "workers", 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BOUNDED_INTEGERS))
+def test_bounded_integer_one_below_its_bound_gets_one_message(entry):
+    call, name, minimum = BOUNDED_INTEGERS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be at least {minimum}, got {minimum - 1}")):
+        call(minimum - 1)

@@ -6,7 +6,6 @@ import pytest
 from rumorlab.specfun import (
     EXACT_LIMIT,
     ExactScalar,
-    GammaArgs,
     gamma_asymptotic_log,
     gamma_recurrence_residual,
     log_fraction,
@@ -175,7 +174,8 @@ class TestExactScalar:
         assert huge.as_float() == math.inf or huge.as_float() > 1e300
 
     def test_gamma_args_validation(self):
-        with pytest.raises(ValueError):
-            GammaArgs(0, 3)
-        with pytest.raises(ValueError):
-            GammaArgs(2, -1)
+        for fn in (partial_exp_sum, scaled_incomplete_gamma, gamma_recurrence_residual):
+            with pytest.raises(ValueError, match="m must be at least 1, got 0"):
+                fn(0, 3)
+            with pytest.raises(ValueError, match="n must be at least 0, got -1"):
+                fn(2, -1)
