@@ -6,8 +6,8 @@ offspring distributed as X'.  ``survival_mc`` runs replicas in fixed-size
 blocks.  One generation step draws the offspring of every live replica of a
 block at once, each as a multinomial split of its population over the
 offspring support, which is exact and O(support) per replica and generation
-however large the population grows.  The laws come from the float log-space
-builders in ``laws``, so the engine runs in seconds for d in the hundreds.
+however large the population grows.  The laws come from the float builders
+in ``laws``, so the engine runs in seconds for d in the hundreds.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from ._seeds import run_jobs, substream
 from .errors import check_at_least
-from .laws import Pmf, law_N, law_N_prime_float, law_X, law_X_prime_float
+from .laws import Pmf, _complement_sum, law_N, law_N_prime_float, law_X, law_X_prime_float
 from .thresholds import survival_fixed_point
 
 #: two-sided 95% normal quantile used by the Wilson score interval
@@ -135,19 +135,14 @@ def extinction_by_iteration(offspring_law: Pmf, tol: float = 1e-12) -> float:
     """Extinction probability, the smallest fixed point of s = G(s), from the raw pmf.
 
     The survival complement 1 - G(1 - u) = sum_k P(k) (1 - (1 - u)^k) is
-    summed term by term from the masses and solved by
-    ``thresholds.survival_fixed_point``.  No closed-form pgf enters, so this
-    is an oracle independent of ``psi_root``.
+    summed term by term from the masses given (``laws._complement_sum`` at
+    p = 1) and solved by ``thresholds.survival_fixed_point``.  No closed-form
+    pgf enters, so this is an oracle independent of ``psi_root``.
     """
     values = np.arange(offspring_law.support_min, offspring_law.support_max + 1)
     probs = offspring_law.to_floats()
-    values, probs = values[values > 0], probs[values > 0]
-
-    def H(u: float) -> float:
-        log_base = math.log1p(-u) if u < 1.0 else -math.inf
-        return float(-(probs @ np.expm1(values * log_base)))
-
-    u, _ = survival_fixed_point(H, tol)
+    law = values[values > 0], probs[values > 0]
+    u, _ = survival_fixed_point(lambda v: _complement_sum(law, 1.0, v), tol)
     return 1.0 - u
 
 
@@ -170,6 +165,8 @@ def coupled_monotonicity_trial(
     """
     if not 0 < p1 <= p2 <= 1:
         raise ValueError(f"need 0 < p1 <= p2 <= 1, got p1={p1}, p2={p2}")
+    check_at_least("horizon", horizon, 1)
+    check_at_least("population_guard", population_guard, 1)
     rng = np.random.default_rng([substream(seed, "coupling")])
     n_values, n_pvals = _support_and_pvals(law_N(d))
     x_values, x_pvals = _support_and_pvals(law_X(d))

@@ -2,11 +2,13 @@
 
 ``X`` counts the new spreaders generated by a non-root spreader on the degree
 ``d+1`` tree; ``N`` the spreaders generated by the root.  Primed variants
-thin every successful contact by the spread probability ``p``.  All laws are
-exact rationals; the generating functions are evaluated through their finite
-polynomial forms, which stay bounded and well-defined at every point of
-``[0, 1]`` (including s = 0 with p = 1, where the closed gamma-function forms
-are singular).
+thin every successful contact by the spread probability ``p``, so
+G_{X'}(s) = G_X(1 - p + p s); one routine, ``_thin``, expands that
+composition for every primed law.  ``law_*`` give exact rationals and
+``law_*_float`` float masses for the Monte Carlo engine.  The generating
+functions are evaluated through their finite polynomial forms, which stay
+bounded and well-defined at every point of ``[0, 1]`` (including s = 0 with
+p = 1, where the closed gamma-function forms are singular).
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ _SUM_TOL = 1e-9
 #: first and last fixed-point widths of ``_mean_excess``'s series
 _EPS_BITS = 128
 _EPS_MAX_BITS = 4096
-#: columns of the (k, j) grid that one step of ``_thinned_floats`` holds
-_THIN_BLOCK = 128
 
 
 def _as_fraction(p) -> Fraction:
@@ -187,96 +187,65 @@ def mean_N(d: int) -> Fraction:
     return Fraction(law_N(d).mean())
 
 
-def _thinned(base: Pmf, p, support_min: int, size: int) -> Pmf:
-    """Binomial thinning of an exact integer law by retention probability p."""
-    pf = _as_fraction(p)
-    qf = 1 - pf
-    out = [Fraction(0)] * size
-    for k, mass in zip(base.support(), base.probs):
-        for i in range(k + 1):
-            out[i] += math.comb(k, i) * pf ** i * qf ** (k - i) * mass
-    return Pmf(support_min, tuple(out))
+def _thin(masses: np.ndarray, p) -> np.ndarray:
+    """Masses of V' on {0, ..., n-1}: V on {0, ..., n-1} with masses
+    ``masses``, each unit kept with probability p.
+
+    These are the coefficients of G_V(1 - p + p s), expanded by Horner in
+    t = 1 - p + p s: each step multiplies the running polynomial by t and
+    adds the next mass down.  Every term is non-negative, so nothing cancels.
+    Serves float64 masses with a float p and an object array of Fractions
+    with a Fraction p alike; at p = 1 it returns the masses unchanged.
+    """
+    q = 1 - p
+    out = masses[-1:]
+    for mass in masses[-2::-1]:
+        nxt = np.concatenate((q * out, p * out[-1:]))
+        nxt[1:-1] += p * out[:-1]
+        nxt[0] += mass
+        out = nxt
+    return out
 
 
 def law_X_prime(d: int, p) -> Pmf:
     """Law of X' on {0, ..., d}: X given X=i thinned by Binomial(i, p)."""
     _check_d(d)
     _check_p(p)
-    if p == 1:
-        return law_X(d)
-    return _thinned(law_X(d), p, 0, d + 1)
+    masses = np.array(law_X(d).probs, dtype=object)
+    return Pmf(0, tuple(_thin(masses, _as_fraction(p))))
 
 
 def law_N_prime(d: int, p) -> Pmf:
     """Law of N' on {0, ..., d+1}; at p = 1 this is law_N with P(N'=0) = 0.
 
-    Computed by binomial mixing of law_N, which regroups the printed
+    Computed by binomial thinning of law_N, which regroups the printed
     (p/(1-p))^i form into an expression that stays finite for every p.
     """
     _check_d(d)
     _check_p(p)
-    if p == 1:
-        return Pmf(0, (Fraction(0),) + law_N(d).probs)
-    return _thinned(law_N(d), p, 0, d + 2)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0, ..., n."""
-    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
-
-
-def _thinned_floats(log_base: np.ndarray, p: float, log_fact: np.ndarray) -> np.ndarray:
-    """Binomial thinning of a law on {0, ..., n-1} given by its log masses.
-
-    P(j) = sum_{k >= j} C(k, j) p^j (1-p)^(k-j) P_base(k), one log-sum-exp
-    per column j of the (k, j) grid, so no term overflows or needs big
-    rationals.  The grid is built ``_THIN_BLOCK`` columns at a time, from row
-    k = j0 of the block's first column j0 (the rows above hold only zero
-    terms), so memory is O(n) and each column sums its terms row after row,
-    in the same order as over the whole grid.  numpy would sum a lone column
-    pairwise, but a last block of one column holds one term.
-    """
-    if p == 1:
-        return np.exp(log_base)
-    n = log_base.size
-    out = np.empty(n)
-    for j0 in range(0, n, _THIN_BLOCK):
-        k = np.arange(j0, n)[:, None]
-        j = np.arange(j0, min(j0 + _THIN_BLOCK, n))[None, :]
-        terms = np.where(
-            j <= k,
-            log_fact[k] - log_fact[j] - log_fact[np.abs(k - j)]
-            + j * math.log(p) + (k - j) * math.log1p(-p) + log_base[j0:, None],
-            -np.inf,
-        )
-        peak = terms.max(axis=0)
-        out[j0:j0 + _THIN_BLOCK] = np.exp(peak + np.log(np.exp(terms - peak).sum(axis=0)))
-    return out
+    masses = np.array((0,) + law_N(d).probs, dtype=object)
+    return Pmf(0, tuple(_thin(masses, _as_fraction(p))))
 
 
 def law_X_prime_float(d: int, p: float) -> np.ndarray:
-    """Masses of X' on {0, ..., d} as floats, built in log space.
+    """Masses of X' on {0, ..., d} as floats, thinned from the ``_masses``
+    ladder with P(X=0) = 1/(d+1) in front.
 
     The Monte Carlo engines use this form: it costs O(d^2) float operations
     and O(d) memory where ``law_X_prime`` costs O(d^2) big-rational ones,
-    and it agrees with the exact law to about 1e-13 in total variation.
+    and it agrees with the exact law to about 1e-16 in total variation.
     """
     _check_d(d)
     _check_p(p)
-    log_fact = _log_factorials(d + 1)
-    k = np.arange(d + 1)
-    log_x = log_fact[d] - log_fact[d - k] + np.log(k + 1) - (k + 1) * math.log(d + 1)
-    return _thinned_floats(log_x, float(p), log_fact)
+    return _thin(np.concatenate(([1.0 / (d + 1)], _masses(d, root=False)[1])), float(p))
 
 
 def law_N_prime_float(d: int, p: float) -> np.ndarray:
-    """Masses of N' on {0, ..., d+1} as floats, built like ``law_X_prime_float``."""
+    """Masses of N' on {0, ..., d+1} as floats, built like ``law_X_prime_float``
+    with P(N=0) = 0 in front."""
     _check_d(d)
     _check_p(p)
-    log_fact = _log_factorials(d + 1)
-    k = np.arange(1, d + 2)
-    log_n = log_fact[d + 1] - log_fact[d + 1 - k] + np.log(k) - (k + 1) * math.log(d + 1)
-    return _thinned_floats(np.concatenate(([-np.inf], log_n)), float(p), log_fact)
+    return _thin(np.concatenate(([0.0], _masses(d, root=True)[1])), float(p))
 
 
 def beta_paper(d: int, exact: bool | None = None) -> ExactScalar:
@@ -328,31 +297,15 @@ def beta_gap(d: int) -> Fraction:
     return Fraction(math.factorial(d - 1), (d + 1) ** d)
 
 
-def pgf_X_prime(d: int, p: float, s: float) -> float:
-    """G_{X'}(s) = (d!/(d+1)) sum_{n=0}^{d} (n+1) zeta^n / (d-n)!.
-
-    zeta = (s p + 1 - p)/(d+1).  Accumulated as a product of factors
-    (d-n+1)*zeta <= 1, so the evaluation is stable for any d.
-    """
-    _check_d(d)
-    _check_p(p)
-    check_unit_interval("s", s)
-    zeta = (s * p + 1.0 - p) / (d + 1)
-    g = 1.0 / (d + 1)  # n = 0 contribution factor
-    total = g
-    for n in range(1, d + 1):
-        g *= (d - n + 1) * zeta
-        total += (n + 1) * g
-    return total
-
-
 @functools.lru_cache(maxsize=32)
 def _masses(d: int, root: bool) -> tuple[np.ndarray, np.ndarray]:
     """(n, P(V = n)) for n = 1, 2, ... as float arrays, with V = N if
     ``root`` else X.
 
     Both come from g_n = d! / ((d-n)! (d+1)^(n+1)), a product of factors
-    <= 1 as in ``pgf_X_prime``: P(X = n) = (n+1) g_n, P(N = n) = n g_(n-1).
+    <= 1, so the ladder is stable for any d: P(X = n) = (n+1) g_n and
+    P(N = n) = n g_(n-1).  P(X = 0) = g_0 = 1/(d+1) and P(N = 0) = 0 stay
+    out: at p u = 1, ``_complement_sum`` would give an n = 0 term 0 * -inf.
     The arrays are cached, so they are read-only.
     """
     g = np.cumprod(np.concatenate(([1.0 / (d + 1)], np.arange(d, 0, -1) / (d + 1))))
@@ -371,6 +324,33 @@ def _complement_sum(law: tuple[np.ndarray, np.ndarray], p: float, u: float) -> f
     n, mass = law
     log_base = math.log1p(-p * u) if p * u < 1 else -math.inf
     return -float(mass.dot(np.expm1(n * log_base)))
+
+
+def _pgf(law: tuple[np.ndarray, np.ndarray], p: float, s: float) -> float:
+    """sum_n P(V=n) (1 - p + p s)^n for the (n, P(V=n)) arrays ``law``,
+    i.e. G_{V'}(s) less its mass P(V=0) at n = 0."""
+    n, mass = law
+    return float(mass.dot((s * p + 1.0 - p) ** n))
+
+
+def pgf_X_prime(d: int, p: float, s: float) -> float:
+    """G_{X'}(s) = 1/(d+1) + sum_{n=1}^{d} P(X=n) (1 - p + p s)^n."""
+    _check_d(d)
+    _check_p(p)
+    check_unit_interval("s", s)
+    return 1.0 / (d + 1) + _pgf(_masses(d, root=False), p, s)
+
+
+def pgf_N_prime(d: int, p: float, s: float) -> float:
+    """G_{N'}(s) = sum_{n=1}^{d+1} P(N=n) (1 - p + p s)^n.
+
+    At p = 1 this is exactly the pgf of N; no separate branch is needed
+    because the finite sum never divides by 1 - p.
+    """
+    _check_d(d)
+    _check_p(p)
+    check_unit_interval("s", s)
+    return _pgf(_masses(d, root=True), p, s)
 
 
 def cpgf_X_prime(d: int, p: float, u: float) -> float:
@@ -392,24 +372,6 @@ def cpgf_N_prime(d: int, p: float, u: float) -> float:
     _check_p(p)
     check_unit_interval("u", u)
     return _complement_sum(_masses(d, root=True), p, u)
-
-
-def pgf_N_prime(d: int, p: float, s: float) -> float:
-    """G_{N'}(s) = d! sum_{n=1}^{d+1} n zeta^n / (d+1-n)!, same stable scheme.
-
-    At p = 1 this is exactly the pgf of N; no separate branch is needed
-    because the finite sum never divides by 1 - p.
-    """
-    _check_d(d)
-    _check_p(p)
-    check_unit_interval("s", s)
-    zeta = (s * p + 1.0 - p) / (d + 1)
-    g = zeta  # n = 1: d!/d! * zeta
-    total = g
-    for n in range(2, d + 2):
-        g *= (d + 2 - n) * zeta
-        total += n * g
-    return total
 
 
 def pmf_from_counts(counts: Iterable[int], support_min: int = 0) -> Pmf:

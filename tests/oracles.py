@@ -2,11 +2,11 @@
 
 Each one reaches a quantity of the library by a different route: E(X) as
 a sum of term ratios, the printed form of the N' law, brute-force
-enumeration of contact sequences for the traversal probability, and two
-samplers of the X' law.  The scalar
-log-space loops and the whole-grid thinning at the end are the plain forms
-that the library's array kernels must reproduce bit for bit; the scalar
-complement sum is the one they reproduce to summation order.
+enumeration of contact sequences for the traversal probability, the
+binomial sum for the thinned laws, and two samplers of the X' law.  The
+scalar log-space loops at the end are the plain forms that the library's
+array kernels must reproduce bit for bit; the scalar complement sum is the
+one they reproduce to summation order.
 """
 
 from __future__ import annotations
@@ -60,6 +60,17 @@ def law_N_prime_printed(d: int, p) -> Pmf:
             )
         probs.append(ratio ** i * inner / (d + 1))
     return Pmf(0, tuple(probs))
+
+
+def thinned_binomial_sum(base: Pmf, p) -> tuple:
+    """Masses of the law ``base`` thinned by p on {0, ..., support_max}:
+    P'(i) = sum_k C(k, i) p^i (1-p)^(k-i) P(k), one exact term at a time."""
+    pf = _as_fraction(p)
+    out = [Fraction(0)] * (base.support_max + 1)
+    for k, mass in zip(base.support(), base.probs):
+        for i in range(k + 1):
+            out[i] += math.comb(k, i) * pf ** i * (1 - pf) ** (k - i) * mass
+    return tuple(out)
 
 
 def enumerate_traversal_probability(d: int) -> Fraction:
@@ -133,21 +144,6 @@ def beta_series_log_loop(d: int) -> float:
         log_term += math.log(d - i + 1) - math.log(d + 1)
         log_sum = _log_add(log_sum, log_term)
     return log_sum
-
-
-def thinned_floats_full_grid(log_base: np.ndarray, p: float, log_fact: np.ndarray) -> np.ndarray:
-    """Binomial thinning by one log-sum-exp over the whole (k, j) grid."""
-    n = log_base.size
-    k = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    terms = np.where(
-        j <= k,
-        log_fact[k] - log_fact[j] - log_fact[np.abs(k - j)]
-        + j * math.log(p) + (k - j) * math.log1p(-p) + log_base[:, None],
-        -np.inf,
-    )
-    peak = terms.max(axis=0)
-    return np.exp(peak + np.log(np.exp(terms - peak).sum(axis=0)))
 
 
 def complement_sum_loop(d: int, p: float, u: float, root: bool) -> float:

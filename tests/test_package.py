@@ -13,6 +13,7 @@ from rumorlab import (
     beta_paper,
     beta_series,
     cayley,
+    coupled_monotonicity_trial,
     estimate_survival_levels,
     hub_path,
     max_h,
@@ -59,6 +60,12 @@ BOUNDED_INTEGERS = {
     "partial_exp_sum-m": (lambda v: partial_exp_sum(v, 3), "m", 1),
     "partial_exp_sum-n": (lambda v: partial_exp_sum(2, v), "n", 0),
     "run_jobs-workers": (lambda v: run_jobs(abs, [], v), "workers", 1),
+    "coupled_monotonicity_trial-horizon": (
+        lambda v: coupled_monotonicity_trial(3, 0.5, 0.9, horizon=v), "horizon", 1
+    ),
+    "coupled_monotonicity_trial-population_guard": (
+        lambda v: coupled_monotonicity_trial(3, 0.5, 0.9, population_guard=v), "population_guard", 1
+    ),
 }
 
 
