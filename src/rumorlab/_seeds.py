@@ -15,10 +15,11 @@ depend on the worker count, so where a job runs changes no draw.
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 import random
 import time
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import check_at_least
 
@@ -34,16 +35,34 @@ _INLINE_S = 0.1
 _CHUNKS_PER_WORKER = 4
 
 
+def _part(part: int | str) -> bytes:
+    """The bytes hashed for one path part.  An integer part, like the
+    master seed, goes through ``operator.index``: a float is a TypeError,
+    never truncated."""
+    if isinstance(part, str):
+        return b"s" + part.encode("utf-8") + b"\x00"
+    return b"i" + operator.index(part).to_bytes(16, "little", signed=True)
+
+
+def _prefix(master_seed: int, path: tuple):
+    """A BLAKE2b state that has hashed ``(master_seed, *path)``."""
+    seed = operator.index(master_seed).to_bytes(16, "little", signed=True)
+    return hashlib.blake2b(seed + b"".join(map(_part, path)), digest_size=8)
+
+
 def substream(master_seed: int, *path: int | str) -> int:
     """Derive a 64-bit substream seed from ``(master_seed, *path)``."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(int(master_seed).to_bytes(16, "little", signed=True))
-    for part in path:
-        if isinstance(part, str):
-            h.update(b"s" + part.encode("utf-8") + b"\x00")
-        else:
-            h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
-    return int.from_bytes(h.digest(), "little")
+    return int.from_bytes(_prefix(master_seed, path).digest(), "little")
+
+
+def substreams(master_seed: int, *path: int | str, indices: range) -> Iterator[int]:
+    """``substream(master_seed, *path, i)`` for each i in ``indices``,
+    hashing the shared prefix once and copying its state per index."""
+    prefix = _prefix(master_seed, path)
+    for i in indices:
+        h = prefix.copy()
+        h.update(_part(i))
+        yield int.from_bytes(h.digest(), "little")
 
 
 def substream_random(master_seed: int, *path: int | str) -> random.Random:

@@ -10,10 +10,11 @@ therefore a function of the genealogy, not of the clock, and the engine
 draws no waiting times.
 
 The engine materializes only informed vertices and explores spreaders depth
-first from a stack: a popped spreader runs its whole contact race and pushes
-the children it made spreaders.  A run stops at the first spreader created at
-the target level.  Child subtrees on a tree are exchangeable, so the role of
-a child spreader (hub, path or leaf) is drawn when it is made.
+first from a stack of their depths: a popped spreader runs its whole contact
+race and pushes the children it made spreaders.  A run stops at the first
+spreader created at the target level.  A spreader's depth fixes whether it is
+a hub or a path vertex.  Child subtrees on a tree are exchangeable, so whether
+a hub's child is a leaf is drawn when the child is made.
 
 No uniform is drawn for an outcome that is already decided.  A leaf's one
 neighbor is its informer, so its whole race is one stifling contact: that
@@ -24,17 +25,15 @@ contacted ignorant spreads, so the thinning uniform is drawn only for p < 1.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 
-from ._seeds import run_jobs, substream, substream_random
+from ._seeds import run_jobs, substream, substream_random, substreams
 from .errors import check_at_least
 from .gw import CappedEstimate, EstimateCI, wilson_interval
 from .laws import Pmf, _check_d, _check_p, pmf_from_counts
 from .treegen import TreeTopology
-
-#: role codes carried inside stack entries
-_HUB, _PATH, _LEAF = 0, 1, 2
 
 DEFAULT_EVENT_CAP = 10 ** 8
 
@@ -76,6 +75,90 @@ def _resolve_level_unit(topology: TreeTopology, level_unit: str | None) -> str:
     return level_unit
 
 
+def _explore(rand, topology: TreeTopology, p: float, target_level: int, event_cap: int, hub_unit: bool):
+    """One run of the dynamics from a root spreader, drawing from ``rand``.
+
+    Returns ``(reached_level, events, informed, stop_reason)``; the
+    arguments are taken as checked.  A spreader's depth fixes its role: on
+    a hub_path tree the vertices at depths divisible by h are hubs and the
+    others path vertices, so a stack entry is the depth alone.  A popped
+    spreader works out once what all its contacts share: its degree, its
+    free slots, which slots can make a child spreader, whether the child's
+    role is drawn, and the level a child and a leaf count at (0 where they
+    count at none).  A contact then only draws, tests the free slots and
+    checks the level and the cap.
+    """
+    d = topology.d
+    is_hub_path = topology.kind == "hub_path"
+    k, alpha, h = (topology.k, topology.alpha, topology.h) if is_hub_path else (0, 1.0, 1)
+    thin = p < 1.0  # at p = 1 every contacted ignorant spreads
+    # degrees and free-slot counts as floats: exact, and CPython's float-only
+    # arithmetic and comparisons are faster than mixed float-int ones
+    hub_deg, path_deg = float(d + 1), float(k)
+
+    stack = [0]  # depths of the unexplored hub and path spreaders
+    events = 0
+    informed = 1
+    max_level = 0
+
+    while stack:
+        depth = stack.pop()
+        child = depth + 1
+        if depth % h:
+            # a path vertex: only the slot [0, 1) toward the next hub, while
+            # it is fresh, makes a child; every other contact makes a leaf
+            deg = path_deg
+            free = deg - 1.0
+            onward = 1.0
+            onward_after = 0.0
+            role_draw = False
+        else:
+            # a hub: any slot can make a child, and on a hub_path tree the
+            # alpha draw decides whether it is one or a leaf
+            deg = hub_deg
+            free = deg - 1.0 if depth else deg
+            onward = onward_after = deg
+            role_draw = is_hub_path
+        if hub_unit:
+            leaf_level = 0
+            child_level = 0 if child % h else child // h
+        else:
+            leaf_level = child_level = child
+
+        while True:
+            events += 1
+            if events >= event_cap:
+                return max_level, events, informed, "event_cap"
+            u = rand() * deg
+            if u >= free:
+                break  # contacted the informer or an already-informed neighbor
+            informed += 1
+            free -= 1.0
+            makes_child = u < onward
+            if makes_child:
+                onward = onward_after
+            if thin and rand() >= p:
+                continue  # the contacted ignorant stifles at once
+            if makes_child and not (role_draw and rand() >= alpha):
+                if child_level > max_level:
+                    max_level = child_level
+                    if child_level >= target_level:
+                        return child_level, events, informed, "level_reached"
+                stack.append(child)
+                continue
+            if leaf_level > max_level:
+                max_level = leaf_level
+                if leaf_level >= target_level:
+                    return leaf_level, events, informed, "level_reached"
+            # a leaf's one neighbor is its informer: its whole race is one
+            # stifling contact, counted now and drawn from nothing
+            events += 1
+            if events >= event_cap:
+                return max_level, events, informed, "event_cap"
+
+    return max_level, events, informed, "absorbed"
+
+
 def simulate_mt(
     topology: TreeTopology,
     p: float,
@@ -102,76 +185,10 @@ def simulate_mt(
     """
     _check_p(p)
     check_at_least("target_level", target_level, 1)
+    check_at_least("event_cap", event_cap, 1)
     unit = _resolve_level_unit(topology, level_unit)
     rand = substream_random(seed, "mt").random
-
-    d = topology.d
-    is_hub_path = topology.kind == "hub_path"
-    k = topology.k if is_hub_path else 0
-    alpha = topology.alpha if is_hub_path else 1.0
-    h = topology.h if is_hub_path else 1
-    hub_unit = unit == "hub"
-    thin = p < 1.0  # at p = 1 every contacted ignorant spreads
-
-    # unexplored hub and path spreaders: (depth, hub_gen, role, path_pos)
-    stack = [(0, 0, _HUB, 0)]
-    events = 0
-    informed = 1
-    max_level = 0
-
-    while stack:
-        depth, hgen, role, pos = stack.pop()
-        if role == _HUB:
-            deg = d + 1
-            free = d + 1 if depth == 0 else d
-        else:
-            deg = k
-            free = k - 1
-        onward_fresh = role == _PATH  # the path slot toward the next hub
-
-        while True:
-            events += 1
-            if events >= event_cap:
-                return SimOutcome(max_level, events, informed, "event_cap", unit)
-            u = rand() * deg
-            if u >= free:
-                break  # contacted the informer or an already-informed neighbor
-            informed += 1
-            free -= 1
-            onward = onward_fresh and u < 1.0
-            if onward:
-                onward_fresh = False
-            if thin and rand() >= p:
-                continue  # the contacted ignorant stifles at once
-            if role == _PATH:
-                if not onward:
-                    c_role, c_pos, c_hgen = _LEAF, 0, hgen
-                elif pos == h - 1:
-                    c_role, c_pos, c_hgen = _HUB, 0, hgen + 1
-                else:
-                    c_role, c_pos, c_hgen = _PATH, pos + 1, hgen
-            elif is_hub_path and rand() >= alpha:
-                c_role, c_pos, c_hgen = _LEAF, 0, hgen
-            elif h == 1:
-                c_role, c_pos, c_hgen = _HUB, 0, hgen + 1
-            else:
-                c_role, c_pos, c_hgen = _PATH, 1, hgen
-            if c_role == _HUB or not hub_unit:
-                level = c_hgen if hub_unit else depth + 1
-                if level > max_level:
-                    max_level = level
-                    if level >= target_level:
-                        return SimOutcome(level, events, informed, "level_reached", unit)
-            if c_role == _LEAF:
-                # a leaf's one neighbor is its informer: its whole race is
-                # one stifling contact, counted now and drawn from nothing
-                events += 1
-                if events >= event_cap:
-                    return SimOutcome(max_level, events, informed, "event_cap", unit)
-                continue
-            stack.append((depth + 1, c_hgen, c_role, c_pos))
-
-    return SimOutcome(max_level, events, informed, "absorbed", unit)
+    return SimOutcome(*_explore(rand, topology, p, target_level, event_cap, unit == "hub"), unit)
 
 
 def offspring_empirical(d: int, p: float, replicas: int, seed: int = 0) -> Pmf:
@@ -230,22 +247,22 @@ def path_traversal_empirical(k: int, replicas: int, seed: int = 0) -> EstimateCI
 def _survival_chunk(args) -> tuple[Counter, Counter]:
     """Counts by ``reached_level`` of replicas lo..hi-1: all of them, and
     those that hit the event cap.  Only levels some replica reached appear,
-    so the counts stay small however high ``top`` is."""
+    so the counts stay small however high ``top`` is.
+
+    Replica r runs exactly as ``simulate_mt`` with the seed
+    ``substream(seed, "survival", r)``, on one reseeded generator."""
     (topology, p, top, event_cap, seed, lo, hi, unit) = args
+    hub_unit = unit == "hub"
+    rng = random.Random()
+    rand = rng.random
     ended = Counter()
     capped = Counter()
-    for r in range(lo, hi):
-        out = simulate_mt(
-            topology,
-            p,
-            top,
-            event_cap=event_cap,
-            seed=substream(seed, "survival", r),
-            level_unit=unit,
-        )
-        ended[out.reached_level] += 1
-        if out.stop_reason == "event_cap":
-            capped[out.reached_level] += 1
+    for replica_seed in substreams(seed, "survival", indices=range(lo, hi)):
+        rng.seed(substream(replica_seed, "mt"))
+        reached, _, _, stop_reason = _explore(rand, topology, p, top, event_cap, hub_unit)
+        ended[reached] += 1
+        if stop_reason == "event_cap":
+            capped[reached] += 1
     return ended, capped
 
 

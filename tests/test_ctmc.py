@@ -1,6 +1,11 @@
+import hashlib
+import itertools
+import json
 import math
 import random
 import tracemalloc
+from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -8,6 +13,7 @@ import pytest
 from rumorlab import ctmc
 from rumorlab._seeds import substream
 from rumorlab.ctmc import (
+    DEFAULT_EVENT_CAP,
     SimOutcome,
     SurvivalEstimate,
     estimate_survival_ctmc,
@@ -122,6 +128,15 @@ class TestSimulateMt:
         out = simulate_mt(hub_path(5, 4, 0.8, 2), 1.0, target_level=4, seed=3, level_unit="graph")
         assert out.level_unit == "graph"
 
+    @pytest.mark.parametrize("event_cap", [0, -3])
+    def test_event_cap_below_one_rejected(self, event_cap):
+        with pytest.raises(ValueError, match="event_cap must be at least 1"):
+            simulate_mt(cayley(3), 0.5, 5, event_cap=event_cap, seed=1)
+
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            simulate_mt(cayley(4), 0.9, 30, seed=7.7)
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             simulate_mt(cayley(3), 0.0, target_level=5)
@@ -168,6 +183,46 @@ class TestDraws:
     def test_thinned_cayley_estimate_is_pinned(self):
         est = estimate_survival_ctmc(cayley(4), 0.9, 30, replicas=500, seed=9190)
         assert (est.estimate, est.cap_hits) == (377 / 500, 0)
+
+    def test_outcome_grid_is_pinned(self):
+        # every draw, its order and each stop rule show in this digest: both
+        # families, role draws at h = 1, 2, 3, p = 1 and p < 1, both level
+        # units and caps that fall on every kind of contact
+        topologies = [
+            cayley(3), cayley(4),
+            hub_path(10, 4, 0.7, 1), hub_path(10, 4, 0.7, 2), hub_path(10, 3, 0.9, 3),
+        ]
+        grid = itertools.product(topologies, (1.0, 0.85), ("graph", "hub"), (1, 5, 37, DEFAULT_EVENT_CAP))
+        outcomes = [
+            astuple(simulate_mt(topology, p, 6, event_cap=cap, seed=seed, level_unit=unit))
+            for topology, p, unit, cap in grid
+            for seed in range(50)
+        ]
+        assert {o[3] for o in outcomes} == {"absorbed", "level_reached", "event_cap"}
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+        assert digest == "5d940644627a47edbf5335889375b5981fa31d5c76bf24ba6724583febc991f9"
+
+    @pytest.mark.parametrize(
+        "topology,p,top,cap,unit",
+        [
+            (cayley(4), 0.9, 14, 60, "graph"),
+            (hub_path(10, 4, 0.7, 2), 1.0, 8, 80, "hub"),
+            (hub_path(10, 3, 0.9, 3), 0.85, 12, 10**8, "graph"),
+        ],
+        ids=["cayley", "hub_path", "hub_path_graph"],
+    )
+    def test_survival_chunk_counts_single_runs(self, topology, p, top, cap, unit):
+        seed, lo, hi = 31, 64, 128
+        ended, capped = Counter(), Counter()
+        for r in range(lo, hi):
+            out = simulate_mt(
+                topology, p, top, event_cap=cap, seed=substream(seed, "survival", r), level_unit=unit
+            )
+            ended[out.reached_level] += 1
+            if out.stop_reason == "event_cap":
+                capped[out.reached_level] += 1
+        assert len(ended) > 1
+        assert ctmc._survival_chunk((topology, p, top, cap, seed, lo, hi, unit)) == (ended, capped)
 
 
 class TestOffspringEmpirical:

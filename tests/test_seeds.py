@@ -2,10 +2,11 @@ import itertools
 import os
 import types
 
+import numpy as np
 import pytest
 
 from rumorlab import _seeds
-from rumorlab._seeds import run_jobs
+from rumorlab._seeds import run_jobs, substream, substreams
 
 
 def job_and_pid(job):
@@ -50,3 +51,35 @@ def test_one_core_runs_everything_inline(monkeypatch, pool_only, recording_pool)
 def test_workers_below_one_rejected(workers):
     with pytest.raises(ValueError, match="workers must be at least 1"):
         run_jobs(abs, [-1], workers)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ((-1,), 2848447998088014325),
+        ((0, "survival", 5), 11275217487500167946),
+        ((2**127 - 1, "gw", 3), 4024506795085302468),
+        ((-(2**63), "mt"), 6184293660281997714),
+        ((7, "s", 0, -4, "x"), 13761499025790453448),
+    ],
+)
+def test_substream_is_pinned(key, value):
+    assert substream(*key) == value
+
+
+@pytest.mark.parametrize("seed", [0, -7, 2**127 - 1, -(2**127)])
+def test_substreams_match_substream(seed):
+    indices = range(60, 200)
+    expected = [substream(seed, "survival", r) for r in indices]
+    assert list(substreams(seed, "survival", indices=indices)) == expected
+    assert list(substreams(seed, indices=range(3))) == [substream(seed, r) for r in range(3)]
+
+
+@pytest.mark.parametrize("key", [(7.7,), (3, "gw", 2.5), (3, 2.0)])
+def test_substream_rejects_floats(key):
+    with pytest.raises(TypeError):
+        substream(*key)
+
+
+def test_substream_takes_numpy_integers():
+    assert substream(np.int64(3), "gw", np.uint8(2)) == substream(3, "gw", 2)
