@@ -10,10 +10,7 @@ from .errors import NumericFault
 from .specfun import (
     EXACT_LIMIT,
     ExactScalar,
-    gamma_asymptotic_log,
-    gamma_recurrence_residual,
     partial_exp_sum,
-    scaled_incomplete_gamma,
 )
 from .laws import (
     Pmf,
@@ -86,8 +83,6 @@ __all__ = [
     "estimate_survival_ctmc",
     "estimate_survival_levels",
     "extinction_by_iteration",
-    "gamma_asymptotic_log",
-    "gamma_recurrence_residual",
     "hub_path",
     "law_N",
     "law_N_prime",
@@ -103,7 +98,6 @@ __all__ = [
     "pgf_N_prime",
     "pgf_X_prime",
     "psi_root",
-    "scaled_incomplete_gamma",
     "simulate_mt",
     "survival_mc",
     "theta",

@@ -49,8 +49,7 @@ def _thread_count(text: str) -> int:
 
 def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
     """The flags every command takes, ``--threads`` for the commands that
-    run replica jobs, and ``--exact/--float`` for those that pick an
-    arithmetic mode."""
+    run replica jobs, and ``--exact`` for those that print exact rationals."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_seed, default=os.environ.get("RUMORLAB_SEED"), help="master seed in [-2**127, 2**127) (default: RUMORLAB_SEED env or OS entropy)")
     common.add_argument("--format", choices=("csv", "json"), default="csv", dest="out_format")
@@ -62,17 +61,16 @@ def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
         "still left after a short inline start",
     )
     exact = argparse.ArgumentParser(add_help=False)
-    mode = exact.add_mutually_exclusive_group()
-    mode.add_argument("--exact", dest="exact", action="store_true", default=None, help="force exact rational arithmetic")
-    mode.add_argument("--float", dest="exact", action="store_false", help="force log-space float arithmetic")
+    exact.add_argument("--exact", action="store_true", help="exact rationals past d = 500 too (log-space floats by default)")
     return common, threads, exact
 
 
 def _manifest(args: argparse.Namespace, started: float) -> dict:
+    # options left unset (None, or --exact not given) are omitted
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("command", "func", "out", "out_format", "seed") and v is not None
+        if k not in ("command", "func", "out", "out_format", "seed") and v is not None and v is not False
     }
     return {
         "command": args.command,
@@ -114,9 +112,24 @@ def _emit(args: argparse.Namespace, manifest: dict, rows: list[dict], payload: d
         raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
+def _digits(n: int) -> str:
+    """Every digit of n.  Exact values at large d (p_c from d = 1,372 on)
+    outgrow the interpreter's limit on int-to-str conversion (4,300 digits
+    by default since Python 3.10.7), so the limit is lifted for this
+    conversion alone."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)  # an interpreter without the limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _fraction_fields(value) -> tuple[str, str]:
     if value is not None and value.is_exact:
-        return str(value.numerator), str(value.denominator)
+        return _digits(value.numerator), _digits(value.denominator)
     return "", ""
 
 
@@ -210,7 +223,7 @@ def cmd_audit_beta(args) -> tuple[list[dict], dict | None]:
     payload = {
         "beta_paper": paper.as_float(),
         "beta_series": series.as_float(),
-        "exact_gap": f"{gap.numerator}/{gap.denominator}",
+        "exact_gap": f"{_digits(gap.numerator)}/{_digits(gap.denominator)}",
         "gap_float": float(gap),
         "empirical": est.__dict__,
         "empirical_covers": (

@@ -202,15 +202,15 @@ def offspring_empirical(d: int, p: float, replicas: int, seed: int = 0) -> Pmf:
     _check_p(p)
     check_at_least("replicas", replicas, 1)
     counts = [0] * (d + 1)
-    deg = d + 1
+    deg, fresh = float(d + 1), float(d)  # float slot counts, as in ``_explore``
     for chunk_start in range(0, replicas, _CHUNK):
         rng = substream_random(seed, "offspring", chunk_start)
         rand = rng.random
         for _ in range(chunk_start, min(chunk_start + _CHUNK, replicas)):
-            free = d
+            free = fresh
             made = 0
             while rand() * deg < free:
-                free -= 1
+                free -= 1.0
                 if rand() < p:
                     made += 1
             counts[made] += 1
@@ -227,19 +227,20 @@ def path_traversal_empirical(k: int, replicas: int, seed: int = 0) -> EstimateCI
     check_at_least("k", k, 2)
     check_at_least("replicas", replicas, 1)
     hits = 0
+    deg, fresh = float(k), float(k - 1)  # float slot counts, as in ``_explore``
     for chunk_start in range(0, replicas, _CHUNK):
         rng = substream_random(seed, "traversal", chunk_start)
         rand = rng.random
         for _ in range(chunk_start, min(chunk_start + _CHUNK, replicas)):
-            free = k - 1
+            free = fresh
             while True:
-                u = rand() * k
+                u = rand() * deg
                 if u >= free:
                     break  # stifled before touching the designated neighbor
                 if u < 1.0:
                     hits += 1  # the designated neighbor occupies slot [0, 1)
                     break
-                free -= 1
+                free -= 1.0
     low, high = wilson_interval(hits, replicas)
     return EstimateCI(hits / replicas, low, high, replicas, seed)
 

@@ -129,13 +129,14 @@ def _over_power(num: int, d: int) -> ExactScalar:
     return ExactScalar.from_fraction(Fraction(num, (d + 1) ** d))
 
 
-def mean_X(d: int, exact: bool | None = None) -> ExactScalar:
-    """E(X) = d Sigma_d / (d+1)^d, exact for moderate d, log-space beyond; the
-    integer Sigma_d = (d-1)! S(d, d+1) also gives both beta forms exactly."""
+def mean_X(d: int, exact: bool = False) -> ExactScalar:
+    """E(X) = d Sigma_d / (d+1)^d, exact for d <= EXACT_LIMIT or with
+    ``exact``, log-space beyond; the integer Sigma_d = (d-1)! S(d, d+1) also
+    gives both beta forms exactly."""
     _check_d(d)
     if _use_exact(d, exact):
         return _over_power(d * _partial_exp_sum_scaled_int(d, d + 1), d)
-    log_s = partial_exp_sum(d, d + 1, exact=False).log_value
+    log_s = partial_exp_sum(d, d + 1).log_value  # log space: d > EXACT_LIMIT
     return ExactScalar.from_log(math.lgamma(d + 1) + log_s - d * math.log(d + 1))
 
 
@@ -248,7 +249,7 @@ def law_N_prime_float(d: int, p: float) -> np.ndarray:
     return _thin(np.concatenate(([0.0], _masses(d, root=True)[1])), float(p))
 
 
-def beta_paper(d: int, exact: bool | None = None) -> ExactScalar:
+def beta_paper(d: int, exact: bool = False) -> ExactScalar:
     """Published traversal probability (e^{d+1} Gamma(d, d+1) - Gamma(d)) / (d+1)^d.
 
     Equals (d-1)! (S(d, d+1) - 1) / (d+1)^d.  See ``beta_series`` for the
@@ -256,18 +257,17 @@ def beta_paper(d: int, exact: bool | None = None) -> ExactScalar:
     (d-1)!/(d+1)^d, and downstream thresholds default to this published form.
 
     d = 1 (a path vertex of degree 2) is admitted for the hub-tree k = 2
-    degenerate case; the closed form gives exactly 0 there, so d = 1 is
-    always exact (its log form would take the log of 0).
+    degenerate case; the closed form gives exactly 0 there.
     """
     _check_d(d, 1)
-    if d == 1 or _use_exact(d, exact):
+    if _use_exact(d, exact):
         return _over_power(_partial_exp_sum_scaled_int(d, d + 1) - math.factorial(d - 1), d)
     log_s = log_partial_exp_sum(d, d + 1)
     log_s_minus_1 = log_s + math.log1p(-math.exp(-log_s))
     return ExactScalar.from_log(math.lgamma(d) + log_s_minus_1 - d * math.log(d + 1))
 
 
-def beta_series(d: int, exact: bool | None = None) -> ExactScalar:
+def beta_series(d: int, exact: bool = False) -> ExactScalar:
     """First-principles traversal probability: sum over all d contact paths.
 
     P(first contact with the target on attempt i) = [(d-1)!/(d-i)!]/(d+1)^i,
@@ -282,7 +282,7 @@ def beta_series(d: int, exact: bool | None = None) -> ExactScalar:
     return ExactScalar.from_log(log_sum_exp_walk(-log_d1, log_ints(d - 1)[::-1] - log_d1))
 
 
-def beta_value(d: int, form: str = "paper", exact: bool | None = None) -> ExactScalar:
+def beta_value(d: int, form: str = "paper", exact: bool = False) -> ExactScalar:
     """Traversal probability in the requested form ('paper' or 'series')."""
     if form == "paper":
         return beta_paper(d, exact=exact)

@@ -19,11 +19,9 @@ import numpy as np
 
 from .errors import check_at_least
 
-#: largest first argument for which operations default to exact rationals
+#: largest first argument with exact rationals by default; beyond it, log-space
+#: floats unless ``exact`` asks for rationals
 EXACT_LIMIT = 500
-
-#: relative accuracy target documented for log-mode evaluation
-LOG_MODE_RTOL = 1e-10
 
 _LN2 = math.log(2.0)
 
@@ -49,7 +47,7 @@ class ExactScalar:
 
     ``fraction`` is the exact value when representable; ``log_value`` is its
     natural log when the value is positive.  Large-argument code paths drop
-    the rational and keep only ``log_value`` (relative target 1e-10).
+    the rational and keep only ``log_value``.
     """
 
     fraction: Fraction | None
@@ -163,8 +161,9 @@ class ExactScalar:
         return f"ExactScalar(log={self.log_value!r})"
 
 
-def _use_exact(m: int, exact: bool | None) -> bool:
-    return exact if exact is not None else m <= EXACT_LIMIT
+def _use_exact(m: int, exact: bool) -> bool:
+    """Exact rationals when asked for, or when ``m <= EXACT_LIMIT``."""
+    return exact or m <= EXACT_LIMIT
 
 
 def _partial_exp_sum_scaled_int(m: int, n: int) -> int:
@@ -182,7 +181,7 @@ def _partial_exp_sum_scaled_int(m: int, n: int) -> int:
     return acc
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def _log_ints(size: int) -> np.ndarray:
     logs = np.fromiter(map(math.log, range(1, size + 1)), dtype=float, count=size)
     logs.flags.writeable = False
@@ -195,8 +194,8 @@ def log_ints(n: int) -> np.ndarray:
 
     numpy's vectorised ``log`` can differ from the C library's by one ulp
     (on AVX-512 hosts it does at i = 9170), which would move log-mode values
-    off the scalar recurrences they reproduce.  Tables are cached at powers
-    of two.
+    off the scalar recurrences they reproduce.  Tables are built at powers
+    of two, and only the two latest are kept.
     """
     return _log_ints(1 << max(n - 1, 0).bit_length())[:n]
 
@@ -222,10 +221,10 @@ def log_partial_exp_sum(m: int, n: int) -> float:
     return log_sum_exp_walk(0.0, math.log(n) - log_ints(m - 1))
 
 
-def partial_exp_sum(m: int, n: int, exact: bool | None = None) -> ExactScalar:
+def partial_exp_sum(m: int, n: int, exact: bool = False) -> ExactScalar:
     """``S(m, n) = sum_{i=0}^{m-1} n^i / i!`` as an ExactScalar.
 
-    Exact rational for ``m <= EXACT_LIMIT`` (or when forced), log-space float
+    Exact rational for ``m <= EXACT_LIMIT`` or with ``exact``, log-space float
     otherwise.
     """
     check_at_least("m", m, 1)
@@ -234,40 +233,3 @@ def partial_exp_sum(m: int, n: int, exact: bool | None = None) -> ExactScalar:
         scaled = _partial_exp_sum_scaled_int(m, n)
         return ExactScalar.from_fraction(Fraction(scaled, math.factorial(m - 1)))
     return ExactScalar.from_log(log_partial_exp_sum(m, n))
-
-
-def scaled_incomplete_gamma(m: int, n: int, exact: bool | None = None) -> ExactScalar:
-    """``exp(n) * Gamma(m, n) = (m-1)! * S(m, n)``, always a rational."""
-    check_at_least("m", m, 1)
-    check_at_least("n", n, 0)
-    if _use_exact(m, exact):
-        return ExactScalar.from_fraction(Fraction(_partial_exp_sum_scaled_int(m, n)))
-    return ExactScalar.from_log(math.lgamma(m) + log_partial_exp_sum(m, n))
-
-
-def gamma_recurrence_residual(m: int, n: int) -> ExactScalar:
-    """Residual of the recurrence ``Gamma(m+1, n) = m Gamma(m, n) + n^m exp(-n)``.
-
-    Evaluated in the scaled (exp(n)-multiplied) form, so the result is an
-    exact rational and must be exactly zero for all valid inputs.
-    """
-    check_at_least("m", m, 1)
-    check_at_least("n", n, 0)
-    # e^n Gamma(m+1, n) = m! S(m+1, n) and e^n Gamma(m, n) = (m-1)! S(m, n),
-    # both integers in the scaled representation.
-    value = (
-        _partial_exp_sum_scaled_int(m + 1, n)
-        - m * _partial_exp_sum_scaled_int(m, n)
-        - n ** m
-    )
-    return ExactScalar.from_fraction(Fraction(value))
-
-
-def gamma_asymptotic_log(m: int) -> float:
-    """Log of the large-m approximation ``Gamma(m, m+1) ~ (m/e)^m sqrt(pi/(2m))``.
-
-    The ratio to the exact value tends to 1 slowly (relative error of order
-    1/sqrt(m)); this is a display/validation aid, never used in thresholds.
-    """
-    check_at_least("m", m, 1)
-    return m * (math.log(m) - 1.0) + 0.5 * math.log(math.pi / (2.0 * m))

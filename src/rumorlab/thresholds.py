@@ -68,7 +68,7 @@ def is_subcritical(d: int, p) -> bool:
     return _mean_excess(d, p) <= 0.0
 
 
-def p_critical(d: int, exact: bool | None = None) -> ThresholdReport:
+def p_critical(d: int, exact: bool = False) -> ThresholdReport:
     """p_c(d) = (d+1)^d / (d! S(d, d+1)), with asymptote sqrt(2/(pi d)).
 
     For d = 2 the value is 9/8 >= 1 and the report is flagged infeasible:
@@ -205,7 +205,7 @@ def theta_double_sum(d: int, p: float, psi: float | None = None) -> float:
 
 
 def alpha_critical(
-    d: int, k: int, h: int, beta_form: str = "paper", exact: bool | None = None
+    d: int, k: int, h: int, beta_form: str = "paper", exact: bool = False
 ) -> ThresholdReport:
     """alpha_c(d, k, h) = p_c(d) * beta(k-1)^(1-h).
 
@@ -243,7 +243,7 @@ def alpha_critical(
     )
 
 
-def max_h(d: int, k: int, beta_form: str = "paper", exact: bool | None = None) -> int:
+def max_h(d: int, k: int, beta_form: str = "paper", exact: bool = False) -> int:
     """Largest h with alpha_c(d, k, h) < 1, i.e. h < log p_c / log beta(k-1) + 1.
 
     Evaluated by direct comparison (exact rationals when available) rather

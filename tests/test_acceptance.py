@@ -21,6 +21,8 @@ from rumorlab.cli import main as cli_main
 from rumorlab.laws import law_X_prime
 from rumorlab.specfun import log_partial_exp_sum
 
+from test_specfun import gamma_recurrence_residual
+
 F = Fraction
 
 PC_TABLE_4DP = [
@@ -82,14 +84,14 @@ def test_criterion_3_asymptotics():
         log_s = log_partial_exp_sum(d, d + 1)
         log_pc = -(math.lgamma(d + 1) + log_s - d * math.log(d + 1))
         pc_gaps.append(abs(math.exp(log_pc) * math.sqrt(math.pi * d / 2) - 1))
-        log_beta = rl.beta_paper(d, exact=False).log_value
+        log_beta = rl.beta_paper(d).log_value
         beta_gaps.append(abs(math.exp(log_beta) * math.sqrt(2 * d / math.pi) - 1))
     assert all(a > b for a, b in zip(pc_gaps, pc_gaps[1:]))
     assert pc_gaps[-1] < 0.02
     assert all(a > b for a, b in zip(beta_gaps, beta_gaps[1:]))
     assert beta_gaps[-1] < 0.02
     # the log-mode p_c path must agree with the library's own report
-    assert rl.p_critical(10**4, exact=False).float_value * math.sqrt(math.pi * 10**4 / 2) == pytest.approx(
+    assert rl.p_critical(10**4).float_value * math.sqrt(math.pi * 10**4 / 2) == pytest.approx(
         1 + pc_gaps[-1], abs=1e-9
     )
     budget.done(
@@ -103,7 +105,7 @@ def test_criterion_4_gamma_identity_grid():
     budget = Budget(10.0)
     for m in range(1, 201):
         for n in range(1, 201):
-            assert rl.gamma_recurrence_residual(m, n).fraction == 0
+            assert gamma_recurrence_residual(m, n) == 0
     budget.done(4, "recurrence residual exactly 0 for all 1 <= m, n <= 200")
 
 

@@ -1,15 +1,18 @@
 import argparse
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from rumorlab.cli import build_parser, main
 from rumorlab.errors import NumericFault
-from rumorlab.laws import law_X_prime
+from rumorlab.laws import beta_paper, law_X_prime
 
 from oracles import mean_X_term_sum
 
@@ -81,10 +84,11 @@ class TestPcTable:
             assert float(Fraction(int(num), int(den))) == row["pc_float"]
 
     def test_float_mode_omits_fractions(self, capsys):
-        code, out = run_cli(["pc-table", "--d-min", "3", "--d-max", "3", "--float", "--seed", "1"], capsys)
+        # past EXACT_LIMIT = 500 the rows carry only the log-space float
+        code, out = run_cli(["pc-table", "--d-min", "501", "--d-max", "501", "--seed", "1"], capsys)
         rows = parse_csv(out)
         assert rows[0]["pc_numerator"] == ""
-        assert float(rows[0]["pc_float"]) == pytest.approx(32 / 39, rel=1e-12)
+        assert float(rows[0]["pc_float"]) == pytest.approx(float(1 / mean_X_term_sum(501)), rel=1e-12)
 
 
 class TestTheta:
@@ -446,12 +450,57 @@ class TestPlumbing:
         assert code == 3
 
 
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@contextlib.contextmanager
+def all_int_digits():
+    """Lift the interpreter's limit on int/str conversion, to read back a
+    report's long integers, after checking that the report left it as it was."""
+    assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(_DIGIT_LIMIT)
+
+
+class TestLongExactValues:
+    # each value has more than 4,300 digits, the interpreter's default limit
+    # on converting an int to a string
+
+    def test_pc_table_exact(self, capsys):
+        code, out = run_cli(["pc-table", "--d-min", "1372", "--d-max", "1372", "--exact", "--format", "json"], capsys)
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        with all_int_digits():
+            num, den = int(row["pc_numerator"]), int(row["pc_denominator"])
+        assert math.gcd(num, den) == 1
+        assert Fraction(num, den) == 1 / mean_X_term_sum(1372)
+
+    def test_alpha_c_exact(self, capsys):
+        code, out = run_cli(["alpha-c", "2000", "10", "2", "--exact", "--format", "json"], capsys)
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        with all_int_digits():
+            value = Fraction(int(row["alpha_c_numerator"]), int(row["alpha_c_denominator"]))
+        assert value == 1 / mean_X_term_sum(2000) / beta_paper(9).fraction
+
+    def test_audit_beta_gap(self, capsys):
+        k = 1457
+        code, out = run_cli(["audit-beta", str(k), "--replicas", "100", "--seed", "1", "--format", "json"], capsys)
+        assert code == 0
+        gap = Fraction(math.factorial(k - 2), k ** (k - 1))
+        with all_int_digits():
+            assert json.loads(out)["exact_gap"] == f"{gap.numerator}/{gap.denominator}"
+
+
 _COMMON = {"-h", "--help", "--seed", "--format", "--out"}
 _THREADS = {"--threads"}
-_MODE = {"--exact", "--float"}
+_MODE = {"--exact"}
 
 # each command's option strings: --threads only where replica jobs run,
-# --exact/--float only where an arithmetic mode is passed on
+# --exact only where exact rationals are printed
 FLAGS = {
     "pc-table": _COMMON | _MODE | {"--d-min", "--d-max"},
     "theta": _COMMON | _THREADS | {"--method", "--replicas", "--horizon", "--level"},
@@ -489,8 +538,11 @@ class TestFlagSurface:
 
     @pytest.mark.parametrize(
         "argv",
-        [["psi", "3", "1.0", "--threads", "2"], ["gw", "4", "0.9", "--exact"], ["audit-beta", "3", "--float"]],
-        ids=["psi-threads", "gw-exact", "audit-beta-float"],
+        [
+            ["psi", "3", "1.0", "--threads", "2"], ["gw", "4", "0.9", "--exact"], ["audit-beta", "3", "--float"],
+            ["pc-table", "--float"], ["alpha-c", "5", "3", "1", "--float"], ["max-h", "5", "3", "--float"],
+        ],
+        ids=["psi-threads", "gw-exact", "audit-beta-float", "pc-table-float", "alpha-c-float", "max-h-float"],
     )
     def test_flag_the_command_ignores_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -505,3 +557,51 @@ class TestFlagSurface:
         manifest = json.loads(out)["manifest"]
         assert manifest["command"] == command
         assert not set(manifest["parameters"]) & set(manifest)
+
+
+def _hub_runs():
+    """alpha-c and max-h with p_c(d) and beta(k-1) on both sides of EXACT_LIMIT = 500."""
+    grid = [(d, k) for d in (50, 499, 500, 501, 1000) for k in (3, 10, 40)]
+    grid += [(1000, k) for k in (501, 502, 600)]
+    for d, k in grid:
+        for form in ("paper", "series"):
+            for h in (1, 2, 3):
+                yield ["alpha-c", str(d), str(k), str(h), "--beta-form", form]
+            yield ["max-h", str(d), str(k), "--beta-form", form]
+
+
+# SHA-256 of the CSV report bodies, manifest line dropped, of each group of
+# runs (all at --seed 1; k < d, so alpha-c warns nowhere); they pin every
+# digit of the exact rows (d <= 500, or --exact) and the bits of the
+# log-space rows beyond
+REPORT_DIGESTS = {
+    "pc-table": (
+        [["pc-table", "--d-min", "3", "--d-max", "1000"]],
+        "b8d385e2b0638e30370c7d94734d68daa3504bfe58516e70b50cb693e08b2997",
+    ),
+    "pc-table-exact": (
+        [["pc-table", "--d-min", "495", "--d-max", "600", "--exact"]],
+        "94ddaba1ca701d8cb2cd56c7f199949c27cff8a156de3ff9fc86bf43deb786d1",
+    ),
+    "hub-thresholds": (
+        list(_hub_runs()),
+        "1d76ca3651486ca076769735e04b9891cc051cdd640c594fd570ee7266d92b7c",
+    ),
+    "audit-beta": (
+        [["audit-beta", str(k), "--replicas", "20000"] for k in (3, 30, 501, 800)],
+        "f514f5b3d7849f5f93a1e18ae4c45ed721b75b5f6282ae43e1ed4bb78f0e58b0",
+    ),
+}
+
+
+class TestReportDigests:
+    @pytest.mark.parametrize("group", sorted(REPORT_DIGESTS))
+    def test_report_bodies_are_pinned(self, capsys, group):
+        runs, digest = REPORT_DIGESTS[group]
+        sha = hashlib.sha256()
+        for argv in runs:
+            code, out = run_cli(argv + ["--seed", "1"], capsys)
+            assert code == 0
+            body = "".join(ln for ln in out.splitlines(keepends=True) if not ln.startswith("# manifest: "))
+            sha.update(f"{' '.join(argv)}\n{body}".encode())
+        assert sha.hexdigest() == digest

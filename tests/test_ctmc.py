@@ -255,6 +255,11 @@ class TestOffspringEmpirical:
         b = offspring_empirical(3, 0.7, 5000, seed=9)
         assert a.probs == b.probs
 
+    def test_seeded_counts_are_pinned(self):
+        # the draws of each replica, and so these counts, are fixed by the seed
+        emp = offspring_empirical(4, 0.8, 20_000, seed=2718)
+        assert [q * 20_000 for q in emp.probs] == [5521, 7447, 4957, 1800, 275]
+
 
 class TestPathTraversal:
     def test_k3_separates_the_two_forms(self):
@@ -266,6 +271,10 @@ class TestPathTraversal:
         est = path_traversal_empirical(4, 200_000, seed=13)
         se = mc_se(est.estimate, est.replicas)
         assert abs(est.estimate - 26 / 64) <= 3 * se
+
+    def test_seeded_hits_are_pinned(self):
+        # the draws of each replica, and so the hits, are fixed by the seed
+        assert path_traversal_empirical(5, 20_000, seed=2718).estimate * 20_000 == 7600
 
     def test_single_replica(self):
         est = path_traversal_empirical(3, 1, seed=14)

@@ -134,7 +134,6 @@ class TestBeta:
         assert beta_paper(3).fraction == F(24, 64)
         assert beta_paper(2).fraction == F(1, 3)
         assert beta_paper(1).fraction == 0
-        assert beta_paper(1, exact=False).fraction == 0  # the log form would take log 0
 
     def test_series_values(self):
         assert beta_series(2).fraction == F(4, 9)
@@ -160,15 +159,17 @@ class TestBeta:
             assert beta_series(d).fraction == math.factorial(d - 1) * s / (d + 1) ** d
 
     def test_log_mode_matches_exact(self):
-        for d in (60, 200):
+        # log mode serves d > EXACT_LIMIT = 500 only
+        for d in (501, 1000):
             for fn in (beta_paper, beta_series):
                 exact = fn(d, exact=True)
-                logged = fn(d, exact=False)
+                logged = fn(d)
+                assert not logged.is_exact
                 assert logged.log_value == pytest.approx(exact.log_value, rel=1e-10)
 
     def test_log_mode_series_is_bit_identical_to_scalar_loop(self):
-        got = [beta_series(d, exact=False).log_value for d in range(1, 3001)]
-        assert got == [beta_series_log_loop(d) for d in range(1, 3001)]
+        got = [beta_series(d).log_value for d in range(501, 3001)]
+        assert got == [beta_series_log_loop(d) for d in range(501, 3001)]
 
     def test_form_selector(self):
         assert beta_value(3, "paper").fraction == F(24, 64)
@@ -179,7 +180,7 @@ class TestBeta:
     def test_large_d_scaling(self):
         # beta(d) * sqrt(2 d / pi) -> 1 from below
         d = 10**4
-        ratio = math.exp(beta_paper(d, exact=False).log_value) * math.sqrt(2 * d / math.pi)
+        ratio = math.exp(beta_paper(d).log_value) * math.sqrt(2 * d / math.pi)
         assert abs(ratio - 1) < 0.02
 
 

@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from rumorlab import specfun
 from rumorlab.specfun import (
     EXACT_LIMIT,
     ExactScalar,
-    gamma_asymptotic_log,
-    gamma_recurrence_residual,
+    _partial_exp_sum_scaled_int,
     log_fraction,
+    log_int,
     log_ints,
     log_partial_exp_sum,
     partial_exp_sum,
-    scaled_incomplete_gamma,
 )
 
 from oracles import log_partial_exp_sum_loop
@@ -78,56 +78,46 @@ class TestLogModeBitIdentity:
         with pytest.raises(ValueError):
             logs[0] = 0.0
 
+    def test_log_table_cache_is_bounded(self):
+        # a table of 2^20 floats outlives p_critical(10^6) only until newer ones push it out
+        for n in (3000, 70_000, 600_000, 20_000):
+            assert log_ints(n).tolist() == [math.log(i) for i in range(1, n + 1)]
+            assert specfun._log_ints.cache_info().currsize <= 2
+
+
+def gamma_recurrence_residual(m: int, n: int) -> int:
+    """Gamma(m+1, n) - m Gamma(m, n) - n^m e^(-n), scaled by e^n: exactly 0."""
+    return _partial_exp_sum_scaled_int(m + 1, n) - m * _partial_exp_sum_scaled_int(m, n) - n**m
+
 
 class TestScaledIncompleteGamma:
+    # e^n Gamma(m, n) = (m-1)! S(m, n), the integer behind every exact threshold
     def test_examples(self):
-        assert scaled_incomplete_gamma(3, 4).fraction == 26
-        assert scaled_incomplete_gamma(1, 9).fraction == 1
-        assert scaled_incomplete_gamma(4, 5).fraction == 236
+        assert _partial_exp_sum_scaled_int(3, 4) == 26
+        assert _partial_exp_sum_scaled_int(1, 9) == 1
+        assert _partial_exp_sum_scaled_int(4, 5) == 236
 
     def test_is_factorial_times_sum(self):
         for m, n in [(2, 2), (6, 7), (19, 20)]:
             expected = math.factorial(m - 1) * brute_partial_exp_sum(m, n)
-            assert scaled_incomplete_gamma(m, n).fraction == expected
+            assert _partial_exp_sum_scaled_int(m, n) == expected
 
     def test_log_mode(self):
-        got = scaled_incomplete_gamma(40, 41, exact=False).log_value
-        want = log_fraction(scaled_incomplete_gamma(40, 41).fraction)
-        assert got == pytest.approx(want, rel=1e-12)
+        # past EXACT_LIMIT, lgamma(m) + log S(m, n) is the log of the same integer
+        m = 2 * EXACT_LIMIT
+        got = math.lgamma(m) + partial_exp_sum(m, m + 1).log_value
+        assert got == pytest.approx(log_int(_partial_exp_sum_scaled_int(m, m + 1)), rel=1e-12)
 
 
 class TestRecurrenceResidual:
     @pytest.mark.parametrize("m,n", [(3, 4), (1, 5), (7, 8), (12, 0), (40, 33)])
     def test_exactly_zero(self, m, n):
-        assert gamma_recurrence_residual(m, n).fraction == 0
+        assert gamma_recurrence_residual(m, n) == 0
 
     def test_zero_on_small_grid(self):
         for m in range(1, 41):
             for n in range(0, 41):
-                assert gamma_recurrence_residual(m, n).fraction == 0
-
-
-class TestAsymptoticLog:
-    def test_closed_form_values(self):
-        assert gamma_asymptotic_log(1) == pytest.approx(-1.0 + 0.5 * math.log(math.pi / 2))
-        assert gamma_asymptotic_log(3) == pytest.approx(
-            3 * (math.log(3) - 1) + 0.5 * math.log(math.pi / 6)
-        )
-
-    def test_ratio_to_exact_decreases(self):
-        # The approximation converges at an O(1/sqrt(m)) rate; the ratio to
-        # the exact value at m = 100 is ~1.117 and shrinks monotonically.
-        def ratio(m):
-            exact_log = scaled_incomplete_gamma(m, m + 1, exact=False).log_value - (m + 1)
-            return math.exp(gamma_asymptotic_log(m) - exact_log)
-
-        gaps = [abs(ratio(m) - 1.0) for m in (10, 50, 100, 500)]
-        assert all(a > b for a, b in zip(gaps, gaps[1:]))
-        assert ratio(100) == pytest.approx(1.117377, abs=1e-4)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gamma_asymptotic_log(0)
+                assert gamma_recurrence_residual(m, n) == 0
 
 
 class TestExactScalar:
@@ -170,12 +160,11 @@ class TestExactScalar:
         assert a < Fraction(2, 10**400)
 
     def test_as_float_overflow_falls_back_to_log(self):
-        huge = scaled_incomplete_gamma(400, 401)
+        huge = ExactScalar.from_fraction(_partial_exp_sum_scaled_int(400, 401))
         assert huge.as_float() == math.inf or huge.as_float() > 1e300
 
     def test_gamma_args_validation(self):
-        for fn in (partial_exp_sum, scaled_incomplete_gamma, gamma_recurrence_residual):
-            with pytest.raises(ValueError, match="m must be at least 1, got 0"):
-                fn(0, 3)
-            with pytest.raises(ValueError, match="n must be at least 0, got -1"):
-                fn(2, -1)
+        with pytest.raises(ValueError, match="m must be at least 1, got 0"):
+            partial_exp_sum(0, 3)
+        with pytest.raises(ValueError, match="n must be at least 0, got -1"):
+            partial_exp_sum(2, -1)

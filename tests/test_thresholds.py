@@ -85,7 +85,7 @@ class TestPCritical:
         assert p_critical(1000).float_value == 0.026093974900000025
 
     def test_log_mode_large_d(self):
-        report = p_critical(10**4, exact=False)
+        report = p_critical(10**4)
         assert report.value.fraction is None
         assert 0 < report.float_value < 0.01
 
