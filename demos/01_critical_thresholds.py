@@ -12,11 +12,10 @@ from rumorlab import mean_X, p_critical
 print("d     p_c exact           p_c (4 dp)   asymptotic   E(X)")
 for d in range(2, 12):
     report = p_critical(d)
-    frac = report.value.fraction
     trunc = math.floor(report.float_value * 10000) / 10000
     print(
-        f"{d:<4}  {str(frac):<18}  {trunc:.4f}      "
-        f"{report.asymptotic_value:.4f}       {float(mean_X(d).fraction):.4f}"
+        f"{d:<4}  {str(report.value):<18}  {trunc:.4f}      "
+        f"{report.asymptotic_value:.4f}       {float(mean_X(d)):.4f}"
         f"{'   (no transition: E(X) <= 1)' if not report.feasible else ''}"
     )
 

@@ -31,8 +31,8 @@ print()
 
 print("Traversal audit (degree k = 3, so the formulas evaluate at 2):")
 est = path_traversal_empirical(3, 300_000, seed=12)
-print(f"  closed form : {float(beta_paper(2).fraction):.6f}  (= 1/3)")
-print(f"  series form : {float(beta_series(2).fraction):.6f}  (= 4/9)")
+print(f"  closed form : {float(beta_paper(2)):.6f}  (= 1/3)")
+print(f"  series form : {float(beta_series(2)):.6f}  (= 4/9)")
 print(f"  dynamics    : {est.estimate:.6f}  CI ({est.ci_low:.6f}, {est.ci_high:.6f})")
 print("  The dynamics lands on the series: the closed form drops the last contact path.")
 print()

@@ -7,11 +7,7 @@ simulator of the contact dynamics).
 """
 
 from .errors import NumericFault
-from .specfun import (
-    EXACT_LIMIT,
-    ExactScalar,
-    partial_exp_sum,
-)
+from .specfun import EXACT_LIMIT
 from .laws import (
     Pmf,
     beta_gap,
@@ -64,7 +60,6 @@ __all__ = [
     "CappedEstimate",
     "EXACT_LIMIT",
     "EstimateCI",
-    "ExactScalar",
     "NumericFault",
     "Pmf",
     "RootResult",
@@ -93,7 +88,6 @@ __all__ = [
     "mean_X",
     "offspring_empirical",
     "p_critical",
-    "partial_exp_sum",
     "path_traversal_empirical",
     "pgf_N_prime",
     "pgf_X_prime",

@@ -1,10 +1,10 @@
 """Deterministic substreams and the replica-parallel runner.
 
-Every stochastic component derives its randomness from a 64-bit master seed
-plus a structured path (replica or block index, purpose tag).  The
-derivation hashes the path with BLAKE2b, so substreams are independent of
-scheduling order and stable across platforms and Python versions (unlike
-``hash()``, which is salted per process).
+Every stochastic component derives its randomness from a master seed in
+[-2**127, 2**127) plus a structured path (replica or block index, purpose
+tag).  The derivation hashes the path with BLAKE2b, so substreams are
+independent of scheduling order and stable across platforms and Python
+versions (unlike ``hash()``, which is salted per process).
 
 ``run_jobs`` runs a list of such jobs inline, in order, and hands the jobs
 still left after ``_INLINE_S`` seconds to a process pool of at most the core
@@ -45,9 +45,14 @@ def _part(part: int | str) -> bytes:
 
 
 def _prefix(master_seed: int, path: tuple):
-    """A BLAKE2b state that has hashed ``(master_seed, *path)``."""
-    seed = operator.index(master_seed).to_bytes(16, "little", signed=True)
-    return hashlib.blake2b(seed + b"".join(map(_part, path)), digest_size=8)
+    """A BLAKE2b state that has hashed ``(master_seed, *path)``.  The seed is
+    hashed as 16 signed bytes, so one outside [-2**127, 2**127) is a
+    ValueError."""
+    seed = operator.index(master_seed)
+    if not -(1 << 127) <= seed < 1 << 127:
+        raise ValueError(f"a seed must be an integer in [-2**127, 2**127), got {seed}")
+    data = seed.to_bytes(16, "little", signed=True) + b"".join(map(_part, path))
+    return hashlib.blake2b(data, digest_size=8)
 
 
 def substream(master_seed: int, *path: int | str) -> int:

@@ -19,19 +19,23 @@ import os
 import secrets
 import sys
 import time
+from fractions import Fraction
+
 from . import __version__
 from . import ctmc, gw, laws, thresholds, treegen
+from ._seeds import substream
 from .errors import NumericFault, check_at_least
 
 _EXIT_NUMERIC_FAULT = 3
 
 
 def _seed(text: str) -> int:
-    """--seed's type, also applied to its default RUMORLAB_SEED; substreams take 16 signed bytes."""
+    """--seed's type, also applied to its default RUMORLAB_SEED; ``substream``
+    raises ValueError for a seed outside the range it can hash."""
     try:
         seed = int(text)
-        if -(1 << 127) <= seed < 1 << 127:
-            return seed
+        substream(seed)
+        return seed
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"a seed (--seed or RUMORLAB_SEED) must be an integer in [-2**127, 2**127), got {text!r}")
@@ -84,6 +88,8 @@ def _manifest(args: argparse.Namespace, started: float) -> dict:
 def _emit(args: argparse.Namespace, manifest: dict, rows: list[dict], payload: dict | None = None) -> None:
     """Write the report: JSON embeds the manifest; CSV carries it as a
     '#'-prefixed preamble above the header row (comma-delimited, UTF-8, LF).
+    JSON, which has no infinity or NaN, writes a non-finite float as null;
+    CSV writes ``inf``.
     """
     if args.out_format == "json":
         doc = {"manifest": manifest}
@@ -91,7 +97,9 @@ def _emit(args: argparse.Namespace, manifest: dict, rows: list[dict], payload: d
             doc.update(payload)
         if rows:
             doc["rows"] = rows
-        text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+        # read back with every Infinity or NaN constant, at any depth, as None
+        doc = json.loads(json.dumps(doc, default=str), parse_constant=lambda _: None)
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         buf.write("# manifest: " + json.dumps(manifest, sort_keys=True, default=str) + "\n")
@@ -128,7 +136,7 @@ def _digits(n: int) -> str:
 
 
 def _fraction_fields(value) -> tuple[str, str]:
-    if value is not None and value.is_exact:
+    if isinstance(value, Fraction):
         return _digits(value.numerator), _digits(value.denominator)
     return "", ""
 
@@ -221,21 +229,21 @@ def cmd_audit_beta(args) -> tuple[list[dict], dict | None]:
     gap = laws.beta_gap(m)
     est = ctmc.path_traversal_empirical(args.k, args.replicas, seed=args.seed)
     payload = {
-        "beta_paper": paper.as_float(),
-        "beta_series": series.as_float(),
+        "beta_paper": float(paper),
+        "beta_series": float(series),
         "exact_gap": f"{_digits(gap.numerator)}/{_digits(gap.denominator)}",
         "gap_float": float(gap),
         "empirical": est.__dict__,
         "empirical_covers": (
-            "series" if est.ci_low <= series.as_float() <= est.ci_high else
-            "paper" if est.ci_low <= paper.as_float() <= est.ci_high else "neither"
+            "series" if est.ci_low <= float(series) <= est.ci_high else
+            "paper" if est.ci_low <= float(paper) <= est.ci_high else "neither"
         ),
     }
     rows = [
-        {"form": form, "numerator": num, "denominator": den, "value": value}
+        {"form": form, "numerator": num, "denominator": den, "value": float(value)}
         for form, (num, den), value in (
-            ("paper", _fraction_fields(paper), paper.as_float()),
-            ("series", _fraction_fields(series), series.as_float()),
+            ("paper", _fraction_fields(paper), paper),
+            ("series", _fraction_fields(series), series),
             ("empirical", ("", ""), est.estimate),
         )
     ]

@@ -57,13 +57,17 @@ class CappedEstimate(EstimateCI):
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.  The ends are
+    exactly 0 at 0 successes and exactly 1 at n, where rounding would
+    otherwise leave them a hair inside."""
     check_at_least("n", n, 1)
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
-    return max(0.0, center - half), min(1.0, center + half)
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == n else min(1.0, center + half)
+    return low, high
 
 
 def _support_and_pvals(law: Pmf) -> tuple[np.ndarray, np.ndarray]:

@@ -23,13 +23,11 @@ import numpy as np
 
 from .errors import check_at_least, check_unit_interval
 from .specfun import (
-    ExactScalar,
     _partial_exp_sum_scaled_int,
     _use_exact,
     log_ints,
     log_partial_exp_sum,
     log_sum_exp_walk,
-    partial_exp_sum,
 )
 
 _SUM_TOL = 1e-9
@@ -124,20 +122,19 @@ def law_X(d: int) -> Pmf:
     return Pmf(0, probs)
 
 
-def _over_power(num: int, d: int) -> ExactScalar:
-    """num / (d+1)^d as an ExactScalar, normalised by one gcd."""
-    return ExactScalar.from_fraction(Fraction(num, (d + 1) ** d))
+def _log_mean_X(d: int) -> float:
+    """log E(X) = log d! + log S(d, d+1) - d log(d+1), summed in log space."""
+    return math.lgamma(d + 1) + log_partial_exp_sum(d, d + 1) - d * math.log(d + 1)
 
 
-def mean_X(d: int, exact: bool = False) -> ExactScalar:
-    """E(X) = d Sigma_d / (d+1)^d, exact for d <= EXACT_LIMIT or with
-    ``exact``, log-space beyond; the integer Sigma_d = (d-1)! S(d, d+1) also
-    gives both beta forms exactly."""
+def mean_X(d: int, exact: bool = False) -> Fraction | float:
+    """E(X) = d Sigma_d / (d+1)^d, a Fraction for d <= EXACT_LIMIT or with
+    ``exact``, a float from log space beyond; the integer
+    Sigma_d = (d-1)! S(d, d+1) also gives both beta forms exactly."""
     _check_d(d)
     if _use_exact(d, exact):
-        return _over_power(d * _partial_exp_sum_scaled_int(d, d + 1), d)
-    log_s = partial_exp_sum(d, d + 1).log_value  # log space: d > EXACT_LIMIT
-    return ExactScalar.from_log(math.lgamma(d + 1) + log_s - d * math.log(d + 1))
+        return Fraction(d * _partial_exp_sum_scaled_int(d, d + 1), (d + 1) ** d)
+    return math.exp(_log_mean_X(d))
 
 
 def _mean_excess(d: int, p) -> float:
@@ -170,7 +167,7 @@ def _mean_excess(d: int, p) -> float:
         if (lo > 0 or hi < 0) and lo / one == hi / one:
             return lo / one
         bits *= 2
-    return float(pf * mean_X(d, exact=True).fraction - 1)
+    return float(pf * mean_X(d, exact=True) - 1)
 
 
 def law_N(d: int) -> Pmf:
@@ -249,25 +246,26 @@ def law_N_prime_float(d: int, p: float) -> np.ndarray:
     return _thin(np.concatenate(([0.0], _masses(d, root=True)[1])), float(p))
 
 
-def beta_paper(d: int, exact: bool = False) -> ExactScalar:
+def beta_paper(d: int, exact: bool = False) -> Fraction | float:
     """Published traversal probability (e^{d+1} Gamma(d, d+1) - Gamma(d)) / (d+1)^d.
 
     Equals (d-1)! (S(d, d+1) - 1) / (d+1)^d.  See ``beta_series`` for the
     first-principles contact-sequence sum; the two differ by the final term
     (d-1)!/(d+1)^d, and downstream thresholds default to this published form.
+    A Fraction for d <= EXACT_LIMIT or with ``exact``, a float beyond.
 
     d = 1 (a path vertex of degree 2) is admitted for the hub-tree k = 2
     degenerate case; the closed form gives exactly 0 there.
     """
     _check_d(d, 1)
     if _use_exact(d, exact):
-        return _over_power(_partial_exp_sum_scaled_int(d, d + 1) - math.factorial(d - 1), d)
+        return Fraction(_partial_exp_sum_scaled_int(d, d + 1) - math.factorial(d - 1), (d + 1) ** d)
     log_s = log_partial_exp_sum(d, d + 1)
     log_s_minus_1 = log_s + math.log1p(-math.exp(-log_s))
-    return ExactScalar.from_log(math.lgamma(d) + log_s_minus_1 - d * math.log(d + 1))
+    return math.exp(math.lgamma(d) + log_s_minus_1 - d * math.log(d + 1))
 
 
-def beta_series(d: int, exact: bool = False) -> ExactScalar:
+def beta_series(d: int, exact: bool = False) -> Fraction | float:
     """First-principles traversal probability: sum over all d contact paths.
 
     P(first contact with the target on attempt i) = [(d-1)!/(d-i)!]/(d+1)^i,
@@ -275,14 +273,14 @@ def beta_series(d: int, exact: bool = False) -> ExactScalar:
     """
     _check_d(d, 1)
     if _use_exact(d, exact):
-        return _over_power(_partial_exp_sum_scaled_int(d, d + 1), d)
+        return Fraction(_partial_exp_sum_scaled_int(d, d + 1), (d + 1) ** d)
     # same series in log space: the log term walks from -log(d+1) by
     # log(d-i+1) - log(d+1) for i = 2..d
     log_d1 = math.log(d + 1)
-    return ExactScalar.from_log(log_sum_exp_walk(-log_d1, log_ints(d - 1)[::-1] - log_d1))
+    return math.exp(log_sum_exp_walk(-log_d1, log_ints(d - 1)[::-1] - log_d1))
 
 
-def beta_value(d: int, form: str = "paper", exact: bool = False) -> ExactScalar:
+def beta_value(d: int, form: str = "paper", exact: bool = False) -> Fraction | float:
     """Traversal probability in the requested form ('paper' or 'series')."""
     if form == "paper":
         return beta_paper(d, exact=exact)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,7 @@ from .laws import (
     _check_d,
     _check_p,
     _complement_sum,
+    _log_mean_X,
     _masses,
     _mean_excess,
     beta_value,
@@ -30,7 +32,7 @@ from .laws import (
     cpgf_X_prime,
     mean_X,
 )
-from .specfun import ExactScalar
+from .specfun import _use_exact
 
 _RESIDUAL_BOUND = 1e-10
 _FIXED_POINT_MAX_EVALS = 10_000
@@ -40,9 +42,13 @@ _NEWTON_MAX_STEPS = 30
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """A critical value with exact, float, and asymptotic views."""
+    """A critical value with exact, float, and asymptotic views.
 
-    value: ExactScalar | None
+    ``value`` is a Fraction where the inputs are held exactly and a float
+    otherwise (math.inf past the float range); None when the threshold is
+    infinite."""
+
+    value: Fraction | float | None
     float_value: float
     asymptotic_value: float | None
     feasible: bool
@@ -72,14 +78,14 @@ def p_critical(d: int, exact: bool = False) -> ThresholdReport:
     """p_c(d) = (d+1)^d / (d! S(d, d+1)), with asymptote sqrt(2/(pi d)).
 
     For d = 2 the value is 9/8 >= 1 and the report is flagged infeasible:
-    the rumor dies for every p, matching E(X) <= 1.
+    the rumor dies for every p, matching E(X) <= 1.  Past EXACT_LIMIT the
+    value is exp(-log E(X)), from the same log-space sum as ``mean_X``.
     """
     _check_d(d)
-    value = mean_X(d, exact=exact) ** (-1)
-    float_value = value.as_float()
+    value = 1 / mean_X(d, exact=True) if _use_exact(d, exact) else math.exp(-_log_mean_X(d))
     return ThresholdReport(
         value=value,
-        float_value=float_value,
+        float_value=float(value),
         asymptotic_value=math.sqrt(2.0 / (math.pi * d)),
         feasible=value < 1,
     )
@@ -211,7 +217,9 @@ def alpha_critical(
 
     ``beta_form`` selects the published closed form ('paper', default) or the
     first-principles series ('series'); see the beta audit.  Values >= 1 are
-    reported with feasible = False (the rumor dies for every alpha).
+    reported with feasible = False (the rumor dies for every alpha).  The
+    product is a Fraction when p_c and beta both are, and a float otherwise;
+    past the float range its float view is inf.
     """
     _check_d(d, minimum=3)
     check_at_least("k", k, 2)
@@ -221,23 +229,25 @@ def alpha_critical(
             f"alpha_critical assumes k < d; got k={k}, d={d}", stacklevel=2
         )
     pc = p_critical(d, exact=exact).value
-    if h == 1:
-        value = pc
-    else:
-        beta = beta_value(k - 1, form=beta_form, exact=exact)
-        if beta.fraction == 0:
-            # paper-form beta(1) = 0 (k = 2): no hub is ever reached through
-            # a path, so the threshold is infinite for h >= 2.
-            return ThresholdReport(
-                value=None,
-                float_value=math.inf,
-                asymptotic_value=None,
-                feasible=False,
-            )
+    beta = beta_value(k - 1, form=beta_form, exact=exact) if h > 1 else 1
+    if beta == 0:
+        # paper-form beta(1) = 0 (k = 2): no hub is ever reached through
+        # a path, so the threshold is infinite for h >= 2.
+        return ThresholdReport(
+            value=None,
+            float_value=math.inf,
+            asymptotic_value=None,
+            feasible=False,
+        )
+    value = math.inf  # stays if a float power or product overflows
+    try:
         value = pc * beta ** (1 - h)
+        float_value = float(value)
+    except OverflowError:  # past the float range; an exact value keeps its Fraction
+        float_value = math.inf
     return ThresholdReport(
         value=value,
-        float_value=value.as_float(),
+        float_value=float_value,
         asymptotic_value=None,
         feasible=value < 1,
     )
@@ -256,7 +266,7 @@ def max_h(d: int, k: int, beta_form: str = "paper", exact: bool = False) -> int:
     if not pc < 1:
         raise ValueError(f"p_c({d}) >= 1: no feasible h exists")
     beta = beta_value(k - 1, form=beta_form, exact=exact)
-    if beta.fraction == 0:
+    if beta == 0:
         return 1  # paper-form beta(1) = 0: only h = 1 is feasible
     # alpha_c(h) < 1  <=>  p_c < beta^(h-1); beta < 1 so the power decreases
     h = 1

@@ -112,6 +112,12 @@ class TestTheta:
         for key in ("gw_mc", "ctmc_mc"):
             assert doc[key]["ci_low"] - 0.01 <= analytic <= doc[key]["ci_high"] + 0.01
 
+    def test_monte_carlo_interval_holds_zero_when_nothing_survives(self, capsys):
+        code, out = run_cli(["theta", "2", "0.5", "--method", "all", "--replicas", "100", "--seed", "1"], capsys)
+        assert code == 0
+        for row in parse_csv(out)[1:]:
+            assert (row["estimate"], row["ci_low"]) == ("0.0", "0.0")
+
     def test_rejects_bad_p(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["theta", "4", "1.5", "--seed", "1"])
@@ -147,6 +153,20 @@ class TestPsiAlphaMaxH:
         rows = parse_csv(out)
         assert float(rows[0]["alpha_c_float"]) == pytest.approx(1.690435, abs=1e-5)
         assert rows[0]["feasible"] == "False"
+
+    @pytest.mark.parametrize(
+        "argv", [["50", "4", "1000"], ["1000", "10", "1000"], ["1000", "600", "2000"], ["50", "2", "2"]], ids="-".join
+    )
+    def test_alpha_c_beyond_float_range_is_inf(self, capsys, argv):
+        # k = 2 has paper-form beta(1) = 0, so alpha_c is infinite
+        code, out = run_cli(["alpha-c", *argv, "--seed", "1"], capsys)
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert (row["alpha_c_float"], row["feasible"]) == ("inf", "False")
+        code, out = run_cli(["alpha-c", *argv, "--seed", "1", "--format", "json"], capsys)
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert (row["alpha_c_float"], row["feasible"]) == (None, False)
 
     def test_max_h(self, capsys):
         code, out = run_cli(["max-h", "5", "3", "--seed", "1", "--format", "json"], capsys)
@@ -484,7 +504,7 @@ class TestLongExactValues:
         (row,) = json.loads(out)["rows"]
         with all_int_digits():
             value = Fraction(int(row["alpha_c_numerator"]), int(row["alpha_c_denominator"]))
-        assert value == 1 / mean_X_term_sum(2000) / beta_paper(9).fraction
+        assert value == 1 / mean_X_term_sum(2000) / beta_paper(9)
 
     def test_audit_beta_gap(self, capsys):
         k = 1457
@@ -559,21 +579,42 @@ class TestFlagSurface:
         assert not set(manifest["parameters"]) & set(manifest)
 
 
-def _hub_runs():
-    """alpha-c and max-h with p_c(d) and beta(k-1) on both sides of EXACT_LIMIT = 500."""
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, *QUICK_RUNS[command]] for command in sorted(QUICK_RUNS)]
+    + [["alpha-c", "50", "2", "2"], ["alpha-c", "50", "4", "1000"], ["theta", "2", "0.5", "--method", "all", "--replicas", "100"]],
+    ids="-".join,
+)
+def test_json_report_is_strict_json(capsys, argv):
+    # RFC 8259 has no Infinity or NaN: a non-finite float is written as null
+    code, out = run_cli(argv + ["--seed", "1", "--format", "json"], capsys)
+    assert code == 0
+    json.loads(out, parse_constant=_reject_constant)
+
+
+def _hub_runs(command, ds):
+    """alpha-c (h = 1, 2, 3) or max-h at d in ``ds``, with p_c(d) and beta(k-1)
+    on both sides of EXACT_LIMIT = 500."""
     grid = [(d, k) for d in (50, 499, 500, 501, 1000) for k in (3, 10, 40)]
     grid += [(1000, k) for k in (501, 502, 600)]
+    hs = [[str(h)] for h in (1, 2, 3)] if command == "alpha-c" else [[]]
     for d, k in grid:
-        for form in ("paper", "series"):
-            for h in (1, 2, 3):
-                yield ["alpha-c", str(d), str(k), str(h), "--beta-form", form]
-            yield ["max-h", str(d), str(k), "--beta-form", form]
+        if d in ds:
+            for form in ("paper", "series"):
+                for h in hs:
+                    yield [command, str(d), str(k), *h, "--beta-form", form]
 
 
 # SHA-256 of the CSV report bodies, manifest line dropped, of each group of
 # runs (all at --seed 1; k < d, so alpha-c warns nowhere); they pin every
 # digit of the exact rows (d <= 500, or --exact) and the bits of the
-# log-space rows beyond
+# log-space rows beyond.  hub-alpha-log holds alpha_c = p_c(d) beta^(1-h)
+# for d in {501, 1000} as one float product (p_c from log space, beta an
+# exact rational up to k - 1 = 500); it lies within 1.1e-12 of the exact value
 REPORT_DIGESTS = {
     "pc-table": (
         [["pc-table", "--d-min", "3", "--d-max", "1000"]],
@@ -583,9 +624,17 @@ REPORT_DIGESTS = {
         [["pc-table", "--d-min", "495", "--d-max", "600", "--exact"]],
         "94ddaba1ca701d8cb2cd56c7f199949c27cff8a156de3ff9fc86bf43deb786d1",
     ),
-    "hub-thresholds": (
-        list(_hub_runs()),
-        "1d76ca3651486ca076769735e04b9891cc051cdd640c594fd570ee7266d92b7c",
+    "hub-alpha-exact": (
+        list(_hub_runs("alpha-c", (50, 499, 500))),
+        "e32242ebfb1ba5b2d6d5b0eee06a07120350e5166556647ac0cb0274750b6623",
+    ),
+    "hub-alpha-log": (
+        list(_hub_runs("alpha-c", (501, 1000))),
+        "1bce0cae51caddbb1fd6c4b46837363a900aef279ecad9ab95c803bd3025cfe3",
+    ),
+    "hub-max-h": (
+        list(_hub_runs("max-h", (50, 499, 500, 501, 1000))),
+        "45a61161ed20d54fb7b96f24db8af0f6ded252ef8cb85f4062e8fa3af33382de",
     ),
     "audit-beta": (
         [["audit-beta", str(k), "--replicas", "20000"] for k in (3, 30, 501, 800)],

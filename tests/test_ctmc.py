@@ -243,7 +243,7 @@ class TestOffspringEmpirical:
         mean = float(emp.mean())
         second = sum(v * v * float(q) for v, q in zip(emp.support(), emp.probs))
         se = math.sqrt(max(second - mean * mean, 1e-12) / 100_000)
-        assert abs(mean - float(mean_X(2).fraction)) <= 3 * se
+        assert abs(mean - float(mean_X(2))) <= 3 * se
 
     def test_support(self):
         emp = offspring_empirical(4, 0.9, 1000, seed=8)
@@ -356,7 +356,7 @@ class TestEstimateSurvival:
     def test_hub_reach_matches_closed_form(self, d, k, alpha, h, p, level, closed_form, seed):
         # in hub units the hubs form a Galton-Watson process with the cayley
         # laws at retention q = p alpha (p beta_series(k-1))^(h-1)
-        q = p * alpha * (p * beta_series(k - 1).as_float()) ** (h - 1)
+        q = p * alpha * (p * float(beta_series(k - 1))) ** (h - 1)
         reach = reach_probability(d, q, level)
         assert reach == pytest.approx(closed_form, abs=1e-5)
         n = 20_000

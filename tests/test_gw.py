@@ -62,6 +62,15 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
 
+    def test_all_or_nothing_ends_are_exact(self):
+        # center - half rounds to a positive value (3.47e-18 at n = 100) for
+        # thousands of n, and center + half to one below 1
+        for n in range(1, 20_001):
+            low, high = wilson_interval(0, n)
+            assert low == 0.0 and 0.0 < high < 1.0
+            low, high = wilson_interval(n, n)
+            assert high == 1.0 and 0.0 < low < 1.0
+
 
 class TestSimulateGw:
     """Degenerate laws run through the block kernel of survival_mc."""

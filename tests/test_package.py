@@ -18,7 +18,6 @@ from rumorlab import (
     hub_path,
     max_h,
     offspring_empirical,
-    partial_exp_sum,
     path_traversal_empirical,
     survival_mc,
 )
@@ -57,8 +56,6 @@ BOUNDED_INTEGERS = {
     "beta_paper-d": (beta_paper, "d", 1),
     "beta_series-d": (beta_series, "d", 1),
     "beta_gap-d": (beta_gap, "d", 1),
-    "partial_exp_sum-m": (lambda v: partial_exp_sum(v, 3), "m", 1),
-    "partial_exp_sum-n": (lambda v: partial_exp_sum(2, v), "n", 0),
     "run_jobs-workers": (lambda v: run_jobs(abs, [], v), "workers", 1),
     "coupled_monotonicity_trial-horizon": (
         lambda v: coupled_monotonicity_trial(3, 0.5, 0.9, horizon=v), "horizon", 1

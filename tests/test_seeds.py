@@ -1,11 +1,22 @@
 import itertools
 import os
+import re
 import types
 
 import numpy as np
 import pytest
 
-from rumorlab import _seeds
+from rumorlab import (
+    _seeds,
+    cayley,
+    coupled_monotonicity_trial,
+    estimate_survival_ctmc,
+    estimate_survival_levels,
+    offspring_empirical,
+    path_traversal_empirical,
+    simulate_mt,
+    survival_mc,
+)
 from rumorlab._seeds import run_jobs, substream, substreams
 
 
@@ -83,3 +94,24 @@ def test_substream_rejects_floats(key):
 
 def test_substream_takes_numpy_integers():
     assert substream(np.int64(3), "gw", np.uint8(2)) == substream(3, "gw", 2)
+
+
+SEEDED_CALLS = {
+    "substream": lambda seed: substream(seed, "gw", 0),
+    "substreams": lambda seed: next(substreams(seed, "survival", indices=range(3))),
+    "substream_random": lambda seed: _seeds.substream_random(seed, "mt"),
+    "survival_mc": lambda seed: survival_mc(4, 0.9, 10, seed=seed),
+    "coupled_monotonicity_trial": lambda seed: coupled_monotonicity_trial(3, 0.5, 0.9, seed=seed),
+    "simulate_mt": lambda seed: simulate_mt(cayley(3), 0.9, 5, seed=seed),
+    "estimate_survival_ctmc": lambda seed: estimate_survival_ctmc(cayley(3), 0.9, 5, replicas=10, seed=seed),
+    "estimate_survival_levels": lambda seed: estimate_survival_levels(cayley(3), 0.9, [5], replicas=10, seed=seed),
+    "offspring_empirical": lambda seed: offspring_empirical(3, 0.9, 10, seed=seed),
+    "path_traversal_empirical": lambda seed: path_traversal_empirical(3, 10, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [2**127, -(2**127) - 1, -(2**200)])
+@pytest.mark.parametrize("entry", sorted(SEEDED_CALLS))
+def test_seed_outside_16_bytes_is_value_error(entry, seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer in [-2**127, 2**127), got {seed}")):
+        SEEDED_CALLS[entry](seed)

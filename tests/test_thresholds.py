@@ -42,9 +42,9 @@ def truncate4(x: float) -> str:
 
 class TestPCritical:
     def test_exact_fractions(self):
-        assert p_critical(3).value.fraction == F(32, 39)
-        assert p_critical(4).value.fraction == F(625, 944)
-        assert p_critical(11).value.fraction == F(35831808, 108788009)
+        assert p_critical(3).value == F(32, 39)
+        assert p_critical(4).value == F(625, 944)
+        assert p_critical(11).value == F(35831808, 108788009)
 
     def test_reference_table(self):
         got = [truncate4(p_critical(d).float_value) for d in range(3, 12)]
@@ -52,7 +52,7 @@ class TestPCritical:
 
     def test_d2_infeasible(self):
         report = p_critical(2)
-        assert report.value.fraction == F(9, 8)
+        assert report.value == F(9, 8)
         assert not report.feasible
 
     @pytest.mark.parametrize("d", [3, 7, 30])
@@ -62,13 +62,13 @@ class TestPCritical:
     def test_float_agrees_with_exact(self):
         for d in (3, 20, 100):
             report = p_critical(d)
-            assert report.float_value == pytest.approx(float(report.value.fraction), rel=1e-12)
+            assert report.float_value == pytest.approx(float(report.value), rel=1e-12)
 
     @pytest.mark.parametrize("d", [41, 100, 257, 499, 500])
     def test_exact_range_matches_term_sum(self, d):
         pc = 1 / mean_X_term_sum(d)
         report = p_critical(d)
-        assert report.value.fraction == pc
+        assert isinstance(report.value, F) and report.value == pc
         assert math.gcd(report.value.numerator, report.value.denominator) == 1
         assert report.float_value == float(pc)
         assert report.feasible
@@ -86,7 +86,7 @@ class TestPCritical:
 
     def test_log_mode_large_d(self):
         report = p_critical(10**4)
-        assert report.value.fraction is None
+        assert isinstance(report.value, float) and report.value == report.float_value
         assert 0 < report.float_value < 0.01
 
 
@@ -110,7 +110,7 @@ class TestPsiRoot:
 
     def test_exactly_critical_p(self):
         # p = p_c as an exact rational: the process is critical, psi = 1
-        pc = p_critical(3).value.fraction
+        pc = p_critical(3).value
         assert psi_root(3, pc).psi == 1.0
 
     def test_agrees_with_pmf_iteration(self):
@@ -162,7 +162,7 @@ class TestTheta:
 
     def test_positive_iff_supercritical(self):
         for d in (3, 5, 8):
-            pc = p_critical(d).value.fraction
+            pc = p_critical(d).value
             for ip in range(1, 101):
                 p = ip / 100
                 if F(p) <= pc:
@@ -251,11 +251,11 @@ class TestNearCriticalProperties:
 class TestAlphaCritical:
     @pytest.mark.parametrize("d,k", [(5, 3), (10, 4), (50, 6)])
     def test_h_one_equals_p_critical(self, d, k):
-        assert alpha_critical(d, k, 1).value.fraction == p_critical(d).value.fraction
+        assert alpha_critical(d, k, 1).value == p_critical(d).value
 
     def test_infeasible_example(self):
         report = alpha_critical(5, 3, 2)
-        assert report.value.fraction == 3 * F(324, 575)
+        assert report.value == 3 * F(324, 575)
         assert report.float_value == pytest.approx(1.690435, abs=1e-5)
         assert not report.feasible
 
@@ -273,7 +273,23 @@ class TestAlphaCritical:
         paper = alpha_critical(50, 4, 2, beta_form="paper")
         series = alpha_critical(50, 4, 2, beta_form="series")
         # series beta is larger, so its threshold is smaller
-        assert series.value.fraction < paper.value.fraction
+        assert series.value < paper.value
+
+    def test_value_is_exact_only_when_both_factors_are(self):
+        # p_c(d) and beta(k - 1) are Fractions up to EXACT_LIMIT = 500
+        assert isinstance(alpha_critical(500, 10, 3).value, F)
+        assert isinstance(alpha_critical(501, 10, 3).value, float)
+        assert isinstance(alpha_critical(1000, 600, 2).value, float)
+        exact = alpha_critical(1000, 600, 2, exact=True)
+        assert isinstance(exact.value, F) and exact.float_value == float(exact.value)
+        assert alpha_critical(1000, 600, 2).float_value == pytest.approx(exact.float_value, rel=1e-11)
+
+    @pytest.mark.parametrize("d,k,h", [(50, 4, 1000), (1000, 10, 1000), (1000, 600, 2000)])
+    def test_beyond_float_range_is_inf(self, d, k, h):
+        # an exact product past the float range keeps its Fraction; a float one is inf
+        report = alpha_critical(d, k, h)
+        assert report.float_value == math.inf and not report.feasible
+        assert report.value == math.inf or (isinstance(report.value, F) and report.value > 2**1024)
 
     def test_warns_when_k_not_below_d(self):
         with pytest.warns(UserWarning):
@@ -329,7 +345,7 @@ class TestAsymptoticHBound:
 
 class TestSubcriticalPredicate:
     def test_exact_boundary(self):
-        pc = p_critical(3).value.fraction
+        pc = p_critical(3).value
         assert is_subcritical(3, pc)
         assert not is_subcritical(3, pc + F(1, 10**9))
 
@@ -339,7 +355,7 @@ class TestSubcriticalPredicate:
 
     @pytest.mark.parametrize("d", list(range(3, 61)) + [500, 501, 1000, 3000])
     def test_matches_exact_comparison_around_p_c(self, d):
-        mean = mean_X(d, exact=True).fraction
+        mean = mean_X(d, exact=True)
         pc = 1 / mean
         below = math.nextafter(float(pc), 0.0)
         above = math.nextafter(below, 1.0)

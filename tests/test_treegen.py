@@ -88,7 +88,7 @@ class TestHubPathStructure:
         # stifling, which has probability beta_series(k - 1)
         for k in (3, 4):
             est = estimate_survival_ctmc(hub_path(6, k, 1.0, 2), 1.0, target_level=1, replicas=20_000, seed=k)
-            beta = beta_series(k - 1).as_float()
+            beta = float(beta_series(k - 1))
             assert covers(est, 1.0 - pgf_N_prime(6, 1.0, 1.0 - beta))
 
     def test_nonroot_hub_has_d_free_slots(self):
