@@ -7,8 +7,8 @@ simulator of the contact dynamics).
 """
 
 from .errors import NumericFault
-from .specfun import EXACT_LIMIT
 from .laws import (
+    EXACT_LIMIT,
     Pmf,
     beta_gap,
     beta_paper,

@@ -294,11 +294,6 @@ def estimate_survival_levels(
         raise ValueError("levels must be a nonempty list")
     check_at_least("target_level", min(levels), 1)
     unit = _resolve_level_unit(topology, level_unit)
-    if topology.kind == "hub_path" and topology.alpha * (topology.d + 1) <= 1:
-        raise ValueError(
-            "hub_path survival experiments require alpha > 1/(d+1); "
-            f"got alpha={topology.alpha}, d={topology.d}"
-        )
     top = max(levels)
     jobs = [
         (topology, p, top, event_cap, seed, lo, min(lo + _JOB, replicas), unit)

@@ -9,6 +9,11 @@ composition for every primed law.  ``law_*`` give exact rationals and
 functions are evaluated through their finite polynomial forms, which stay
 bounded and well-defined at every point of ``[0, 1]`` (including s = 0 with
 p = 1, where the closed gamma-function forms are singular).
+
+E(X), p_c = 1/E(X) and both traversal-probability forms come from one
+integer, Sigma_d = (d-1)! S(d, d+1) with S(m, n) = sum_{i<m} n^i/i!.  ``d``
+alone picks the arithmetic: exact Fractions up to ``EXACT_LIMIT`` (every d
+with ``exact``), and beyond it floats summed in log space.
 """
 
 from __future__ import annotations
@@ -22,18 +27,74 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import check_at_least, check_unit_interval
-from .specfun import (
-    _partial_exp_sum_scaled_int,
-    _use_exact,
-    log_ints,
-    log_partial_exp_sum,
-    log_sum_exp_walk,
-)
 
 _SUM_TOL = 1e-9
 #: first and last fixed-point widths of ``_mean_excess``'s series
 _EPS_BITS = 128
 _EPS_MAX_BITS = 4096
+#: largest d with exact rationals by default; beyond it, log-space floats
+#: unless ``exact`` asks for rationals
+EXACT_LIMIT = 500
+
+
+def _use_exact(d: int, exact: bool) -> bool:
+    """Exact rationals when asked for, or when ``d <= EXACT_LIMIT``."""
+    return exact or d <= EXACT_LIMIT
+
+
+def _partial_exp_sum_scaled_int(m: int, n: int) -> int:
+    """``(m-1)! * S(m, n)`` as an exact integer, via a Horner recurrence.
+
+    The coefficients ``(m-1)!/i!`` are built by the same descending product
+    that Horner consumes, so no division or gcd happens until the caller
+    normalizes the final Fraction.
+    """
+    acc = 1  # coefficient ladder starts at i = m-1
+    coeff = 1
+    for i in range(m - 2, -1, -1):
+        coeff *= i + 1
+        acc = acc * n + coeff
+    return acc
+
+
+@functools.lru_cache(maxsize=2)
+def _log_ints(size: int) -> np.ndarray:
+    logs = np.fromiter(map(math.log, range(1, size + 1)), dtype=float, count=size)
+    logs.flags.writeable = False
+    return logs
+
+
+def log_ints(n: int) -> np.ndarray:
+    """``log i`` for i = 1, ..., n as a read-only array, each bit-equal to
+    ``math.log(i)``.
+
+    numpy's vectorised ``log`` can differ from the C library's by one ulp
+    (on AVX-512 hosts it does at i = 9170), which would move log-mode values
+    off the scalar recurrences they reproduce.  Tables are built at powers
+    of two, and only the two latest are kept.
+    """
+    return _log_ints(1 << max(n - 1, 0).bit_length())[:n]
+
+
+def log_sum_exp_walk(start: float, steps: np.ndarray) -> float:
+    """``log sum_k exp(t_k)`` for the walk t_0 = start, t_k = t_(k-1) + steps[k-1].
+
+    The walk is one running sum and the fold one ``logaddexp`` per term,
+    s <- max(s, t) + log1p(exp(-|s - t|)) with the C library's ``exp`` and
+    ``log1p``: bit for bit the scalar recurrence, term after term.
+    """
+    walk = np.cumsum(np.concatenate(([start], steps)))
+    return float(np.logaddexp.accumulate(walk)[-1])
+
+
+def log_partial_exp_sum(m: int, n: int) -> float:
+    """``log S(m, n)`` by stable log-space accumulation (n >= 1).
+
+    The terms are t_i = sum_{j<=i} (log n - log j), folded in log space.
+    """
+    if n == 0:
+        return 0.0
+    return log_sum_exp_walk(0.0, math.log(n) - log_ints(m - 1))
 
 
 def _as_fraction(p) -> Fraction:
@@ -135,6 +196,12 @@ def mean_X(d: int, exact: bool = False) -> Fraction | float:
     if _use_exact(d, exact):
         return Fraction(d * _partial_exp_sum_scaled_int(d, d + 1), (d + 1) ** d)
     return math.exp(_log_mean_X(d))
+
+
+def _inverse_mean_X(d: int, exact: bool) -> Fraction | float:
+    """1/E(X), the exact reciprocal where ``mean_X`` is exact (it needs no
+    further gcd) and exp(-log E(X)) from the same log-space sum beyond."""
+    return 1 / mean_X(d, exact=True) if _use_exact(d, exact) else math.exp(-_log_mean_X(d))
 
 
 def _mean_excess(d: int, p) -> float:
@@ -252,7 +319,8 @@ def beta_paper(d: int, exact: bool = False) -> Fraction | float:
     Equals (d-1)! (S(d, d+1) - 1) / (d+1)^d.  See ``beta_series`` for the
     first-principles contact-sequence sum; the two differ by the final term
     (d-1)!/(d+1)^d, and downstream thresholds default to this published form.
-    A Fraction for d <= EXACT_LIMIT or with ``exact``, a float beyond.
+    A Fraction for d <= EXACT_LIMIT or with ``exact``.  Beyond, the float of
+    ``beta_series``: the gap is below e^-d beta, far below its rounding.
 
     d = 1 (a path vertex of degree 2) is admitted for the hub-tree k = 2
     degenerate case; the closed form gives exactly 0 there.
@@ -260,9 +328,7 @@ def beta_paper(d: int, exact: bool = False) -> Fraction | float:
     _check_d(d, 1)
     if _use_exact(d, exact):
         return Fraction(_partial_exp_sum_scaled_int(d, d + 1) - math.factorial(d - 1), (d + 1) ** d)
-    log_s = log_partial_exp_sum(d, d + 1)
-    log_s_minus_1 = log_s + math.log1p(-math.exp(-log_s))
-    return math.exp(math.lgamma(d) + log_s_minus_1 - d * math.log(d + 1))
+    return beta_series(d)
 
 
 def beta_series(d: int, exact: bool = False) -> Fraction | float:
@@ -295,7 +361,7 @@ def beta_gap(d: int) -> Fraction:
     return Fraction(math.factorial(d - 1), (d + 1) ** d)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=2)
 def _masses(d: int, root: bool) -> tuple[np.ndarray, np.ndarray]:
     """(n, P(V = n)) for n = 1, 2, ... as float arrays, with V = N if
     ``root`` else X.
@@ -304,7 +370,8 @@ def _masses(d: int, root: bool) -> tuple[np.ndarray, np.ndarray]:
     <= 1, so the ladder is stable for any d: P(X = n) = (n+1) g_n and
     P(N = n) = n g_(n-1).  P(X = 0) = g_0 = 1/(d+1) and P(N = 0) = 0 stay
     out: at p u = 1, ``_complement_sum`` would give an n = 0 term 0 * -inf.
-    The arrays are cached, so they are read-only.
+    The arrays are cached, so they are read-only.  A ladder holds 16 bytes
+    per unit of d, so the cache keeps only the two latest: X's and N's of one d.
     """
     g = np.cumprod(np.concatenate(([1.0 / (d + 1)], np.arange(d, 0, -1) / (d + 1))))
     n = np.arange(1.0, d + 2.0) if root else np.arange(1.0, d + 1.0)

@@ -24,15 +24,13 @@ from .laws import (
     _check_d,
     _check_p,
     _complement_sum,
-    _log_mean_X,
+    _inverse_mean_X,
     _masses,
     _mean_excess,
     beta_value,
     cpgf_N_prime,
     cpgf_X_prime,
-    mean_X,
 )
-from .specfun import _use_exact
 
 _RESIDUAL_BOUND = 1e-10
 _FIXED_POINT_MAX_EVALS = 10_000
@@ -82,7 +80,7 @@ def p_critical(d: int, exact: bool = False) -> ThresholdReport:
     value is exp(-log E(X)), from the same log-space sum as ``mean_X``.
     """
     _check_d(d)
-    value = 1 / mean_X(d, exact=True) if _use_exact(d, exact) else math.exp(-_log_mean_X(d))
+    value = _inverse_mean_X(d, exact)
     return ThresholdReport(
         value=value,
         float_value=float(value),

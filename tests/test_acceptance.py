@@ -18,8 +18,7 @@ import pytest
 
 import rumorlab as rl
 from rumorlab.cli import main as cli_main
-from rumorlab.laws import law_X_prime
-from rumorlab.specfun import log_partial_exp_sum
+from rumorlab.laws import law_X_prime, log_partial_exp_sum
 
 from test_specfun import gamma_recurrence_residual
 

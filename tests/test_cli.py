@@ -269,6 +269,14 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["level_unit"] == "hub"
 
+    def test_hub_path_alpha_below_one_over_d_plus_one(self, capsys):
+        code, _ = run_cli(
+            ["simulate", "--tree", "hub_path", "--d", "5", "--k", "3", "--alpha", "0.1",
+             "--h", "2", "--replicas", "2000", "--seed", "1"],
+            capsys,
+        )
+        assert code == 0
+
     def test_alpha_without_hub_path_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--tree", "cayley", "--d", "4", "--alpha", "0.5", "--seed", "1"])
@@ -630,7 +638,7 @@ REPORT_DIGESTS = {
     ),
     "hub-alpha-log": (
         list(_hub_runs("alpha-c", (501, 1000))),
-        "1bce0cae51caddbb1fd6c4b46837363a900aef279ecad9ab95c803bd3025cfe3",
+        "d012a0e564884344144b225810a3fb7c1e96caa11443552bbfdfc9663f3910fc",
     ),
     "hub-max-h": (
         list(_hub_runs("max-h", (50, 499, 500, 501, 1000))),
@@ -638,7 +646,7 @@ REPORT_DIGESTS = {
     ),
     "audit-beta": (
         [["audit-beta", str(k), "--replicas", "20000"] for k in (3, 30, 501, 800)],
-        "f514f5b3d7849f5f93a1e18ae4c45ed721b75b5f6282ae43e1ed4bb78f0e58b0",
+        "d553c9565177ac0283e646ed2ea1aea645f14f9a546f8a42537c3233eaa59428",
     ),
 }
 

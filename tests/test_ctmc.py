@@ -395,9 +395,15 @@ class TestEstimateSurvival:
         hi = estimate_survival_ctmc(cayley(3), 1.0, target_level=25, replicas=3000, seed=17)
         assert hi.estimate <= lo.estimate
 
-    def test_hub_tree_requires_supercritical_alpha(self):
-        with pytest.raises(ValueError):
-            estimate_survival_ctmc(hub_path(50, 4, 0.015, 2), 1.0, replicas=10)
+    def test_hub_tree_alpha_at_most_one_over_d_plus_one_runs(self):
+        # alpha ranges over (0, 1]: at alpha (d+1) <= 1 the runner still counts
+        # exactly the simulate_mt runs, on the same substreams, that reach the level
+        tree, n, seed = hub_path(5, 3, 0.1, 2), 2000, 28
+        est = estimate_survival_levels(tree, 1.0, [3], replicas=n, seed=seed)[0]
+        runs = [simulate_mt(tree, 1.0, 3, seed=substream(seed, "survival", r)) for r in range(n)]
+        reached = sum(o.reached_level >= 3 or o.stop_reason == "event_cap" for o in runs)
+        assert reached > 0
+        assert est.estimate == reached / n
 
     def test_subcritical_hub_tree_deep_levels(self):
         # alpha far below the (20, 4, 2) threshold: hub generations die out

@@ -168,6 +168,12 @@ class TestBeta:
         got = [beta_series(d) for d in range(501, 3001)]
         assert got == [math.exp(beta_series_log_loop(d)) for d in range(501, 3001)]
 
+    def test_log_mode_paper_form_is_the_series_walk(self):
+        # the forms differ by (d-1)!/(d+1)^d < e^-d beta, below any rounding
+        for d in [*range(501, 1201), 2000, 5000, 10**4]:
+            assert beta_paper(d) == beta_series(d)
+            assert beta_paper(d) == pytest.approx(float(beta_paper(d, exact=True)), rel=2e-13)
+
     def test_form_selector(self):
         assert beta_value(3, "paper") == F(24, 64)
         assert beta_value(3, "series") == F(26, 64)
@@ -260,6 +266,24 @@ class TestCpgfNPrime:
             cpgf_N_prime(3, 0.0, 0.5)
         with pytest.raises(ValueError):
             cpgf_N_prime(3, 0.5, 1.5)
+
+
+class TestMassLadderCache:
+    def test_keeps_only_the_two_ladders_of_one_d(self):
+        # a ladder costs 16 bytes per unit of d: sixteen of them at d = 10^5
+        # would hold 25.6 MB, the X and N ladders of one d hold 3.2 MB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for d in range(100_000, 100_008):
+                cpgf_X_prime(d, 0.5, 0.5)
+                cpgf_N_prime(d, 0.5, 0.5)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 4e6
+        info = laws._masses.cache_info()
+        assert info.maxsize == 2 and info.currsize == 2
 
 
 class TestThinnedLawsMatchBinomialSum:

@@ -71,3 +71,12 @@ def test_bounded_integer_one_below_its_bound_gets_one_message(entry):
     call, name, minimum = BOUNDED_INTEGERS[entry]
     with pytest.raises(ValueError, match=re.escape(f"{name} must be at least {minimum}, got {minimum - 1}")):
         call(minimum - 1)
+
+
+def test_readme_library_map_lists_every_public_module():
+    package = os.path.dirname(rumorlab.__file__)
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        listed = re.findall(r"^\| `rumorlab\.(\w+)` \|", f.read(), flags=re.M)
+    public = {name[:-3] for name in os.listdir(package) if name.endswith(".py") and not name.startswith("_")}
+    assert sorted(listed) == sorted(public)

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from rumorlab import specfun
-from rumorlab.laws import beta_paper, beta_series, mean_X
-from rumorlab.specfun import (
+from rumorlab import laws
+from rumorlab.laws import (
     EXACT_LIMIT,
     _partial_exp_sum_scaled_int,
+    beta_paper,
+    beta_series,
     log_ints,
     log_partial_exp_sum,
+    mean_X,
 )
 
 from oracles import log_partial_exp_sum_loop
@@ -82,7 +84,7 @@ class TestLogModeBitIdentity:
         # a table of 2^20 floats outlives p_critical(10^6) only until newer ones push it out
         for n in (3000, 70_000, 600_000, 20_000):
             assert log_ints(n).tolist() == [math.log(i) for i in range(1, n + 1)]
-            assert specfun._log_ints.cache_info().currsize <= 2
+            assert laws._log_ints.cache_info().currsize <= 2
 
 
 def gamma_recurrence_residual(m: int, n: int) -> int:
