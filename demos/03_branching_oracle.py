@@ -20,6 +20,8 @@ analytic = theta(d, p)
 mc = survival_mc(d, p, replicas=40_000, horizon=60, seed=2024)
 print(f"theta({d}, {p}) analytic      = {analytic:.4f}")
 print(f"GW Monte Carlo (40k replicas) = {mc.estimate:.4f}  CI ({mc.ci_low:.4f}, {mc.ci_high:.4f})")
+print(f"  {mc.cap_hits} replicas stopped at the cap of {mc.cap} spreaders, whose lines all die with")
+print(f"  probability at most psi^cap = {mc.psi_pow_cap:.1e}")
 print()
 
 print("Extinction probability, two independent routes (d = 3, p = 1):")

@@ -85,6 +85,17 @@ def _manifest(args: argparse.Namespace, started: float) -> dict:
     }
 
 
+def _finite(value):
+    """``value`` with every infinite or NaN float, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def _emit(args: argparse.Namespace, manifest: dict, rows: list[dict], payload: dict | None = None) -> None:
     """Write the report: JSON embeds the manifest; CSV carries it as a
     '#'-prefixed preamble above the header row (comma-delimited, UTF-8, LF).
@@ -97,9 +108,7 @@ def _emit(args: argparse.Namespace, manifest: dict, rows: list[dict], payload: d
             doc.update(payload)
         if rows:
             doc["rows"] = rows
-        # read back with every Infinity or NaN constant, at any depth, as None
-        doc = json.loads(json.dumps(doc, default=str), parse_constant=lambda _: None)
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False, default=str) + "\n"
     else:
         buf = io.StringIO()
         buf.write("# manifest: " + json.dumps(manifest, sort_keys=True, default=str) + "\n")
@@ -380,7 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=float)
     p.add_argument("--replicas", type=int, default=10_000)
     p.add_argument("--horizon", type=int, default=gw.DEFAULT_HORIZON)
-    p.add_argument("--cap", type=int, default=gw.DEFAULT_POPULATION_CAP)
+    p.add_argument(
+        "--cap", type=int,
+        help="stop a replica at this population (default: the smallest c with psi^c <= 0.1/replicas, "
+        f"and {gw.DEFAULT_POPULATION_CAP:,} for a subcritical law or a larger c)",
+    )
     p.set_defaults(func=cmd_gw)
 
     return parser

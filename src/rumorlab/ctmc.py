@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from ._seeds import run_jobs, substream, substream_random, substreams
 from .errors import check_at_least
-from .gw import CappedEstimate, EstimateCI, wilson_interval
+from .gw import EstimateCI, wilson_interval
 from .laws import Pmf, _check_d, _check_p, pmf_from_counts
 from .treegen import TreeTopology
 
@@ -60,9 +60,11 @@ class SimOutcome:
 
 
 @dataclass(frozen=True)
-class SurvivalEstimate(CappedEstimate):
-    """Level-reach estimate; cap-hit replicas are counted as reaching."""
+class SurvivalEstimate(EstimateCI):
+    """Level-reach estimate; the ``cap_hits`` replicas that hit the event cap
+    are counted as reaching."""
 
+    cap_hits: int = 0
     target_level: int = 0
     level_unit: str = "graph"
 

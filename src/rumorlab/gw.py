@@ -8,12 +8,18 @@ block at once, each as a multinomial split of its population over the
 offspring support, which is exact and O(support) per replica and generation
 however large the population grows.  The laws come from the float builders
 in ``laws``, so the engine runs in seconds for d in the hundreds.
+
+A replica stops once its population reaches a cap and counts as surviving.
+By default the cap is the smallest c with psi^c <= 0.1 / replicas, psi the
+extinction probability of the sampled offspring masses: c spreaders found c
+independent lines that all die with probability psi^c, so stopping there
+moves the expected estimate by at most a tenth of one replica.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +32,14 @@ from .thresholds import survival_fixed_point
 Z95 = 1.959963984540054
 
 DEFAULT_HORIZON = 60
+#: the cap of a subcritical law, or where the rule's cap would be larger
 DEFAULT_POPULATION_CAP = 10_000_000
+
+#: the default cap keeps the expected number of capped replicas that would
+#: have died below this
+_CAP_DEATHS = 0.1
+#: tolerance of the cap rule's extinction root, added to psi to round it up
+_PSI_TOL = 1e-12
 
 #: replicas per block; block b draws from substream(seed, "gw", b), so the
 #: blocks, not the workers, fix every draw
@@ -47,13 +60,21 @@ class EstimateCI:
 
 @dataclass(frozen=True)
 class CappedEstimate(EstimateCI):
-    """Estimate that counts replicas stopped by a cap as successes.
+    """GW estimate that counts replicas stopped by the population cap as
+    successes.
 
-    ``cap_hits`` says how many replicas that was, so the upward bias the cap
-    introduces is visible in every report.
+    ``cap_hits`` says how many replicas that was and ``cap`` the population
+    at which they stopped.  ``psi_pow_cap`` = psi^cap bounds the chance that
+    a capped replica would still have died (its cap spreaders found that
+    many independent lines), so the upward bias the cap introduces is
+    visible in every report: at most ``replicas * psi_pow_cap`` replicas in
+    expectation.  Equality compares outcomes: two runs that stop no replica
+    at either cap are equal whatever their caps.
     """
 
     cap_hits: int = 0
+    cap: int = field(default=DEFAULT_POPULATION_CAP, compare=False)
+    psi_pow_cap: float = field(default=1.0, compare=False)
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
@@ -100,7 +121,7 @@ def survival_mc(
     p: float,
     replicas: int,
     horizon: int = DEFAULT_HORIZON,
-    cap: int = DEFAULT_POPULATION_CAP,
+    cap: int | None = None,
     seed: int = 0,
     workers: int = 1,
 ) -> CappedEstimate:
@@ -108,22 +129,33 @@ def survival_mc(
 
     The cap is checked before each generation: a replica whose population
     has reached ``cap`` stops there, counts as surviving and is reported in
-    ``cap_hits``.  Replicas run in blocks of ``_BLOCK``; block b draws from
-    the substream (seed, "gw", b) and workers take whole blocks, so results
-    are independent of scheduling and of the worker count.
+    ``cap_hits``.  With no ``cap``, it is the smallest c >= 1 with
+    psi^c <= 0.1 / replicas, so the expected estimate moves by at most a
+    tenth of one replica; psi is the extinction probability of the float
+    offspring masses the kernel samples, from ``_survival_root`` rounded up
+    by its tolerance, never from ``psi_root``.  A subcritical law, or a c
+    above ``DEFAULT_POPULATION_CAP``, takes that cap instead.  The cap
+    depends only on the law and ``replicas``.  Replicas run in blocks of
+    ``_BLOCK``; block b draws from the substream (seed, "gw", b) and workers
+    take whole blocks, so results are independent of scheduling and of the
+    worker count.
     """
     check_at_least("replicas", replicas, 1)
     check_at_least("horizon", horizon, 1)
-    check_at_least("cap", cap, 1)
+    if cap is not None:
+        check_at_least("cap", cap, 1)
     init_pvals = law_N_prime_float(d, p)
     off_pvals = law_X_prime_float(d, p)
     off_values = np.arange(off_pvals.size)
+    init_pvals /= init_pvals.sum()
+    off_pvals /= off_pvals.sum()
+    psi = min(1.0 - _survival_root(off_pvals, _PSI_TOL) + _PSI_TOL, 1.0)
+    if cap is None:
+        cap = _cap_for(psi, replicas)
     # a population below the cap has fewer than cap * d children, which must
     # fit the int64 counts of the multinomial step
     if cap > np.iinfo(np.int64).max // d:
         raise ValueError(f"cap must be at most {np.iinfo(np.int64).max // d} for d={d}, got {cap}")
-    init_pvals /= init_pvals.sum()
-    off_pvals /= off_pvals.sum()
     jobs = [
         (seed, b, min(_BLOCK, replicas - lo), init_pvals, off_values, off_pvals, horizon, cap)
         for b, lo in enumerate(range(0, replicas, _BLOCK))
@@ -132,22 +164,48 @@ def survival_mc(
     survived = sum(s for s, _ in parts)
     cap_hits = sum(c for _, c in parts)
     low, high = wilson_interval(survived, replicas)
-    return CappedEstimate(survived / replicas, low, high, replicas, seed, cap_hits=cap_hits)
+    return CappedEstimate(
+        survived / replicas, low, high, replicas, seed,
+        cap_hits=cap_hits, cap=cap, psi_pow_cap=psi**cap,
+    )
+
+
+def _cap_for(psi: float, replicas: int) -> int:
+    """Smallest c >= 1 with psi^c <= _CAP_DEATHS / replicas, or
+    ``DEFAULT_POPULATION_CAP`` if psi = 1 or c would exceed it."""
+    bound = _CAP_DEATHS / replicas
+    if psi >= 1.0:
+        return DEFAULT_POPULATION_CAP
+    c = max(1, math.ceil(math.log(bound) / math.log(psi)))
+    # the logarithms may round either way: settle c on the powers themselves
+    while c > 1 and psi ** (c - 1) <= bound:
+        c -= 1
+    while psi**c > bound:
+        c += 1
+    return min(c, DEFAULT_POPULATION_CAP)
+
+
+def _survival_root(masses: np.ndarray, tol: float) -> float:
+    """Survival root u = 1 - psi of the offspring masses P(0), P(1), ...
+
+    The survival complement 1 - G(1 - u) = sum_k P(k) (1 - (1 - u)^k) is
+    summed term by term (``laws._complement_sum`` at p = 1) and solved by
+    ``thresholds.survival_fixed_point``.  No closed-form pgf enters.
+    """
+    k = np.arange(masses.size)
+    law = k[1:], masses[1:]
+    u, _ = survival_fixed_point(lambda v: _complement_sum(law, 1.0, v), tol)
+    return u
 
 
 def extinction_by_iteration(offspring_law: Pmf, tol: float = 1e-12) -> float:
     """Extinction probability, the smallest fixed point of s = G(s), from the raw pmf.
 
-    The survival complement 1 - G(1 - u) = sum_k P(k) (1 - (1 - u)^k) is
-    summed term by term from the masses given (``laws._complement_sum`` at
-    p = 1) and solved by ``thresholds.survival_fixed_point``.  No closed-form
-    pgf enters, so this is an oracle independent of ``psi_root``.
+    ``_survival_root`` solves it from the masses alone, so this is an oracle
+    independent of ``psi_root``.
     """
-    values = np.arange(offspring_law.support_min, offspring_law.support_max + 1)
-    probs = offspring_law.to_floats()
-    law = values[values > 0], probs[values > 0]
-    u, _ = survival_fixed_point(lambda v: _complement_sum(law, 1.0, v), tol)
-    return 1.0 - u
+    masses = np.concatenate((np.zeros(offspring_law.support_min), offspring_law.to_floats()))
+    return 1.0 - _survival_root(masses, tol)
 
 
 def coupled_monotonicity_trial(

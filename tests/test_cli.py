@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from rumorlab import cli
 from rumorlab.cli import build_parser, main
 from rumorlab.errors import NumericFault
 from rumorlab.laws import beta_paper, law_X_prime
@@ -591,17 +592,40 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [[command, *QUICK_RUNS[command]] for command in sorted(QUICK_RUNS)]
-    + [["alpha-c", "50", "2", "2"], ["alpha-c", "50", "4", "1000"], ["theta", "2", "0.5", "--method", "all", "--replicas", "100"]],
-    ids="-".join,
-)
+# every command once, an infinite alpha_c, and a theta = 0 run
+JSON_RUNS = [[command, *QUICK_RUNS[command]] for command in sorted(QUICK_RUNS)] + [
+    ["alpha-c", "50", "2", "2"], ["alpha-c", "50", "4", "1000"], ["theta", "2", "0.5", "--method", "all", "--replicas", "100"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS, ids="-".join)
 def test_json_report_is_strict_json(capsys, argv):
     # RFC 8259 has no Infinity or NaN: a non-finite float is written as null
     code, out = run_cli(argv + ["--seed", "1", "--format", "json"], capsys)
     assert code == 0
     json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS, ids="-".join)
+def test_json_report_matches_round_trip(capsys, monkeypatch, argv):
+    # the report's bytes equal those of a dumps/loads round trip that reads
+    # every Infinity or NaN constant back as null
+    emitted = []
+
+    def emit(args, manifest, rows, payload=None):
+        emitted.append((manifest, rows, payload))
+        real_emit(args, manifest, rows, payload)
+
+    real_emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", emit)
+    code, out = run_cli(argv + ["--seed", "1", "--format", "json"], capsys)
+    assert code == 0
+    ((manifest, rows, payload),) = emitted
+    doc = {"manifest": manifest, **(payload or {})}
+    if rows:
+        doc["rows"] = rows
+    doc = json.loads(json.dumps(doc, default=str), parse_constant=lambda _: None)
+    assert out == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _hub_runs(command, ds):

@@ -7,6 +7,7 @@ import pytest
 
 from rumorlab.gw import (
     _BLOCK,
+    DEFAULT_POPULATION_CAP,
     EstimateCI,
     _survival_block,
     coupled_monotonicity_trial,
@@ -15,7 +16,7 @@ from rumorlab.gw import (
     wilson_interval,
 )
 from rumorlab.laws import Pmf, law_X, law_X_prime, tv_distance
-from rumorlab.thresholds import psi_root, theta
+from rumorlab.thresholds import p_critical, psi_root, theta
 
 from oracles import sample_offspring
 
@@ -168,15 +169,15 @@ class TestSurvivalMc:
         est = survival_mc(4, 0.9, replicas=500, cap=1, seed=3)
         assert est.cap_hits == round(est.estimate * est.replicas) > 0
         # five generations cannot grow past the default cap
-        assert survival_mc(4, 0.9, replicas=500, horizon=5, seed=3).cap_hits == 0
+        assert survival_mc(4, 0.9, replicas=500, horizon=5, cap=DEFAULT_POPULATION_CAP, seed=3).cap_hits == 0
         # where no replica can reach the cap (4^5 * 5 < 10^4), it changes nothing
         assert survival_mc(4, 0.9, replicas=500, horizon=5, cap=10_000, seed=3) == (
-            survival_mc(4, 0.9, replicas=500, horizon=5, seed=3)
+            survival_mc(4, 0.9, replicas=500, horizon=5, cap=DEFAULT_POPULATION_CAP, seed=3)
         )
         # a low cap stops replicas early, so their later draws differ, but the
         # estimate moves by no more than the Monte Carlo noise
         capped = survival_mc(4, 0.9, replicas=500, cap=1000, seed=3, workers=2)
-        uncapped = survival_mc(4, 0.9, replicas=500, seed=3)
+        uncapped = survival_mc(4, 0.9, replicas=500, cap=DEFAULT_POPULATION_CAP, seed=3)
         assert abs(capped.estimate - uncapped.estimate) <= 3 * math.hypot(se_of(capped), se_of(uncapped))
         assert capped.cap_hits > uncapped.cap_hits
 
@@ -185,6 +186,32 @@ class TestSurvivalMc:
         assert isinstance(est, EstimateCI)
         assert est.ci_low <= est.estimate <= est.ci_high
         assert est.method == "wilson"
+
+
+class TestDefaultCap:
+    """With no cap, a replica stops at the smallest c with psi^c <= 0.1 / replicas."""
+
+    @pytest.mark.parametrize(
+        "d,p,replicas",
+        [(4, 0.9, 10_000), (150, 0.9, 200), (10, p_critical(10).float_value * 1.015, 1_000)],
+        ids=["d4", "d150", "near-pc10"],
+    )
+    def test_smallest_cap_within_bound(self, d, p, replicas):
+        # psi from psi_root, the closed-form root that the engine's rule never calls
+        psi = psi_root(d, p).psi
+        est = survival_mc(d, p, replicas, seed=1)
+        bound = 0.1 / replicas
+        assert psi**est.cap <= bound < psi ** (est.cap - 1)
+        assert est.psi_pow_cap == pytest.approx(psi**est.cap, rel=1e-6)
+
+    def test_subcritical_law_keeps_default_cap(self):
+        est = survival_mc(3, 0.3, 1_000, seed=1)
+        assert (est.cap, est.psi_pow_cap) == (DEFAULT_POPULATION_CAP, 1.0)
+
+    def test_report_is_worker_independent(self, pool_only):
+        reports = [survival_mc(4, 0.9, 3_000, seed=5, workers=w).__dict__ for w in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["cap"] < DEFAULT_POPULATION_CAP
 
 
 class TestExtinctionIteration:
