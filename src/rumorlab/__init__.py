@@ -6,6 +6,7 @@ stochastic oracle (branching-process Monte Carlo and a clockless
 simulator of the contact dynamics).
 """
 
+from ._seeds import EstimateCI, wilson_interval
 from .errors import NumericFault
 from .laws import (
     EXACT_LIMIT,
@@ -37,11 +38,9 @@ from .thresholds import (
 )
 from .gw import (
     CappedEstimate,
-    EstimateCI,
     coupled_monotonicity_trial,
     extinction_by_iteration,
     survival_mc,
-    wilson_interval,
 )
 from .treegen import TreeTopology, cayley, hub_path
 from .ctmc import (

@@ -1,4 +1,5 @@
-"""Deterministic substreams and the replica-parallel runner.
+"""Deterministic substreams, the replica-parallel runner, and the Wilson
+interval that both Monte Carlo engines report.
 
 Every stochastic component derives its randomness from a master seed in
 [-2**127, 2**127) plus a structured path (replica or block index, purpose
@@ -15,10 +16,12 @@ depend on the worker count, so where a job runs changes no draw.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 import os
 import random
 import time
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import check_at_least
@@ -33,6 +36,9 @@ _INLINE_S = 0.1
 
 #: pool chunks per worker: few round trips, still some load balancing
 _CHUNKS_PER_WORKER = 4
+
+#: two-sided 95% normal quantile used by the Wilson score interval
+Z95 = 1.959963984540054
 
 
 def _part(part: int | str) -> bytes:
@@ -99,3 +105,29 @@ def run_jobs(fn: Callable, jobs: list, workers: int) -> list:
     chunksize = -(-len(rest) // (n * _CHUNKS_PER_WORKER))
     with ProcessPoolExecutor(max_workers=n) as pool:
         return results + list(pool.map(fn, rest, chunksize=chunksize))
+
+
+@dataclass(frozen=True)
+class EstimateCI:
+    """Monte Carlo proportion with a 95% Wilson score interval."""
+
+    estimate: float
+    ci_low: float
+    ci_high: float
+    replicas: int
+    seed: int
+    method: str = "wilson"
+
+
+def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion.  The ends are
+    exactly 0 at 0 successes and exactly 1 at n, where rounding would
+    otherwise leave them a hair inside."""
+    check_at_least("n", n, 1)
+    phat = successes / n
+    denom = 1.0 + z * z / n
+    center = (phat + z * z / (2 * n)) / denom
+    half = (z / denom) * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == n else min(1.0, center + half)
+    return low, high

@@ -12,9 +12,11 @@ draws no waiting times.
 The engine materializes only informed vertices and explores spreaders depth
 first from a stack of their depths: a popped spreader runs its whole contact
 race and pushes the children it made spreaders.  A run stops at the first
-spreader created at the target level.  A spreader's depth fixes whether it is
-a hub or a path vertex.  Child subtrees on a tree are exchangeable, so whether
-a hub's child is a leaf is drawn when the child is made.
+spreader created at the target level.  A spreader's depth picks its row of
+the topology's role table (``treegen``): its degree and which of its contacts
+can make a child spreader.  That table is all the engine knows of the tree's
+shape.  Child subtrees on a tree are exchangeable, so whether a hub's child
+is a leaf is drawn when the child is made.
 
 No uniform is drawn for an outcome that is already decided.  A leaf's one
 neighbor is its informer, so its whole race is one stifling contact: that
@@ -29,9 +31,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from ._seeds import run_jobs, substream, substream_random, substreams
+from ._seeds import EstimateCI, run_jobs, substream, substream_random, substreams, wilson_interval
 from .errors import check_at_least
-from .gw import EstimateCI, wilson_interval
 from .laws import Pmf, _check_d, _check_p, pmf_from_counts
 from .treegen import TreeTopology
 
@@ -77,28 +78,23 @@ def _resolve_level_unit(topology: TreeTopology, level_unit: str | None) -> str:
     return level_unit
 
 
-def _explore(rand, topology: TreeTopology, p: float, target_level: int, event_cap: int, hub_unit: bool):
+def _explore(rand, roles, alpha, p: float, target_level: int, event_cap: int, hub_unit: bool):
     """One run of the dynamics from a root spreader, drawing from ``rand``.
 
     Returns ``(reached_level, events, informed, stop_reason)``; the
-    arguments are taken as checked.  A spreader's depth fixes its role: on
-    a hub_path tree the vertices at depths divisible by h are hubs and the
-    others path vertices, so a stack entry is the depth alone.  A popped
-    spreader works out once what all its contacts share: its degree, its
-    free slots, which slots can make a child spreader, whether the child's
-    role is drawn, and the level a child and a leaf count at (0 where they
-    count at none).  A contact then only draws, tests the free slots and
-    checks the level and the cap.
+    arguments are taken as checked.  ``roles`` is the topology's
+    ``role_table()``: a spreader at ``depth`` takes row ``depth % h``, so a
+    stack entry is the depth alone, and a depth divisible by h is hub
+    generation ``depth // h``.  Every spreader takes one path: it unpacks its
+    row once, its free slots are its degree less its informer's slot (the
+    root has none), and ``alpha`` is drawn against only where the row says.
+    A contact then only draws, tests the free slots and checks the level
+    and the cap.
     """
-    d = topology.d
-    is_hub_path = topology.kind == "hub_path"
-    k, alpha, h = (topology.k, topology.alpha, topology.h) if is_hub_path else (0, 1.0, 1)
+    h = len(roles)
     thin = p < 1.0  # at p = 1 every contacted ignorant spreads
-    # degrees and free-slot counts as floats: exact, and CPython's float-only
-    # arithmetic and comparisons are faster than mixed float-int ones
-    hub_deg, path_deg = float(d + 1), float(k)
 
-    stack = [0]  # depths of the unexplored hub and path spreaders
+    stack = [0]  # depths of the unexplored spreaders
     events = 0
     informed = 1
     max_level = 0
@@ -106,21 +102,8 @@ def _explore(rand, topology: TreeTopology, p: float, target_level: int, event_ca
     while stack:
         depth = stack.pop()
         child = depth + 1
-        if depth % h:
-            # a path vertex: only the slot [0, 1) toward the next hub, while
-            # it is fresh, makes a child; every other contact makes a leaf
-            deg = path_deg
-            free = deg - 1.0
-            onward = 1.0
-            onward_after = 0.0
-            role_draw = False
-        else:
-            # a hub: any slot can make a child, and on a hub_path tree the
-            # alpha draw decides whether it is one or a leaf
-            deg = hub_deg
-            free = deg - 1.0 if depth else deg
-            onward = onward_after = deg
-            role_draw = is_hub_path
+        deg, onward, onward_after, role_draw = roles[depth % h]
+        free = deg - 1.0 if depth else deg
         if hub_unit:
             leaf_level = 0
             child_level = 0 if child % h else child // h
@@ -190,7 +173,8 @@ def simulate_mt(
     check_at_least("event_cap", event_cap, 1)
     unit = _resolve_level_unit(topology, level_unit)
     rand = substream_random(seed, "mt").random
-    return SimOutcome(*_explore(rand, topology, p, target_level, event_cap, unit == "hub"), unit)
+    roles = topology.role_table()
+    return SimOutcome(*_explore(rand, roles, topology.alpha, p, target_level, event_cap, unit == "hub"), unit)
 
 
 def offspring_empirical(d: int, p: float, replicas: int, seed: int = 0) -> Pmf:
@@ -256,13 +240,14 @@ def _survival_chunk(args) -> tuple[Counter, Counter]:
     ``substream(seed, "survival", r)``, on one reseeded generator."""
     (topology, p, top, event_cap, seed, lo, hi, unit) = args
     hub_unit = unit == "hub"
+    roles = topology.role_table()
     rng = random.Random()
     rand = rng.random
     ended = Counter()
     capped = Counter()
     for replica_seed in substreams(seed, "survival", indices=range(lo, hi)):
         rng.seed(substream(replica_seed, "mt"))
-        reached, _, _, stop_reason = _explore(rand, topology, p, top, event_cap, hub_unit)
+        reached, _, _, stop_reason = _explore(rand, roles, topology.alpha, p, top, event_cap, hub_unit)
         ended[reached] += 1
         if stop_reason == "event_cap":
             capped[reached] += 1

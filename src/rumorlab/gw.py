@@ -23,13 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._seeds import run_jobs, substream
+from ._seeds import EstimateCI, run_jobs, substream, wilson_interval
 from .errors import check_at_least
-from .laws import Pmf, _complement_sum, law_N, law_N_prime_float, law_X, law_X_prime_float
+from .laws import Pmf, _check_d, _complement_sum, _masses, law_N_prime_float, law_X_prime_float
 from .thresholds import survival_fixed_point
-
-#: two-sided 95% normal quantile used by the Wilson score interval
-Z95 = 1.959963984540054
 
 DEFAULT_HORIZON = 60
 #: the cap of a subcritical law, or where the rule's cap would be larger
@@ -44,18 +41,6 @@ _PSI_TOL = 1e-12
 #: replicas per block; block b draws from substream(seed, "gw", b), so the
 #: blocks, not the workers, fix every draw
 _BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class EstimateCI:
-    """Monte Carlo proportion with a 95% Wilson score interval."""
-
-    estimate: float
-    ci_low: float
-    ci_high: float
-    replicas: int
-    seed: int
-    method: str = "wilson"
 
 
 @dataclass(frozen=True)
@@ -75,26 +60,6 @@ class CappedEstimate(EstimateCI):
     cap_hits: int = 0
     cap: int = field(default=DEFAULT_POPULATION_CAP, compare=False)
     psi_pow_cap: float = field(default=1.0, compare=False)
-
-
-def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.  The ends are
-    exactly 0 at 0 successes and exactly 1 at n, where rounding would
-    otherwise leave them a hair inside."""
-    check_at_least("n", n, 1)
-    phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
-    low = 0.0 if successes == 0 else max(0.0, center - half)
-    high = 1.0 if successes == n else min(1.0, center + half)
-    return low, high
-
-
-def _support_and_pvals(law: Pmf) -> tuple[np.ndarray, np.ndarray]:
-    values = np.arange(law.support_min, law.support_max + 1)
-    pvals = law.to_floats()
-    return values, pvals / pvals.sum()
 
 
 def _survival_block(args) -> tuple[int, int]:
@@ -229,13 +194,16 @@ def coupled_monotonicity_trial(
         raise ValueError(f"need 0 < p1 <= p2 <= 1, got p1={p1}, p2={p2}")
     check_at_least("horizon", horizon, 1)
     check_at_least("population_guard", population_guard, 1)
+    _check_d(d)
     rng = np.random.default_rng([substream(seed, "coupling")])
-    n_values, n_pvals = _support_and_pvals(law_N(d))
-    x_values, x_pvals = _support_and_pvals(law_X(d))
-    n_cdf = np.cumsum(n_pvals)
-    x_cdf = np.cumsum(x_pvals)
+    # float masses of N and X on {0, 1, ...}, as law_*_prime_float builds them;
+    # the last value takes every uniform past the cdf's second-to-last entry,
+    # so a sum that rounds below 1 cannot draw past the support
+    n_masses = np.concatenate(([0.0], _masses(d, root=True)[1]))
+    x_masses = np.concatenate(([1.0 / (d + 1)], _masses(d, root=False)[1]))
+    n_cdf, x_cdf = (np.cumsum(m / m.sum())[:-1] for m in (n_masses, x_masses))
 
-    n = int(n_values[np.searchsorted(n_cdf, rng.random(), side="right")])
+    n = int(np.searchsorted(n_cdf, rng.random(), side="right"))
     u = rng.random(n)
     z1 = int(np.count_nonzero(u <= p1))
     z2 = int(np.count_nonzero(u <= p2))
@@ -246,7 +214,7 @@ def coupled_monotonicity_trial(
             return True
         if z2 > population_guard:
             return True
-        x = x_values[np.searchsorted(x_cdf, rng.random(z2), side="right")]
+        x = np.searchsorted(x_cdf, rng.random(z2), side="right")
         total = int(x.sum())
         owner = np.repeat(np.arange(z2), x)
         u = rng.random(total)

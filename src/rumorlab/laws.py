@@ -152,13 +152,6 @@ class Pmf:
     def to_floats(self) -> np.ndarray:
         return np.array([float(q) for q in self.probs], dtype=float)
 
-    def pgf(self, s: float) -> float:
-        """Evaluate ``E[s^V]`` directly from the masses (reference path)."""
-        acc = 0.0
-        for q in reversed([float(x) for x in self.probs]):
-            acc = acc * s + q
-        return acc * s ** self.support_min if self.support_min else acc
-
 
 def tv_distance(a: Pmf | Sequence[float], b: Pmf | Sequence[float]) -> float:
     """Total-variation distance between two finite distributions."""

@@ -1,4 +1,5 @@
-"""The two tree families.
+"""The two tree families and the role table that is all the simulator knows
+of their shape.
 
 ``cayley``: the infinite homogeneous tree where every vertex has degree d+1.
 ``hub_path``: hubs of degree d+1; each free hub neighbor independently starts
@@ -6,8 +7,9 @@ an h-edge path of degree-k vertices leading to the next hub (probability
 alpha) or is a leaf (probability 1 - alpha).  With alpha = 1 and h = 1 the
 construction collapses to the Cayley tree.
 
-A topology is only a parameter set: the simulator in ``ctmc`` draws the role
-of each vertex it informs (hub, path or leaf) from its replica stream.
+A topology is a parameter set.  ``role_table`` turns it into one row per
+depth modulo h, which the simulator in ``ctmc`` reads for each spreader it
+explores; it draws whether a hub's child is a leaf from its replica stream.
 """
 
 from __future__ import annotations
@@ -46,6 +48,24 @@ class TreeTopology:
                 )
         elif self.k is not None or self.alpha is not None or self.h is not None:
             raise ValueError("cayley trees take no k/alpha/h parameters")
+
+    def role_table(self) -> tuple[tuple[float, float, float, bool], ...]:
+        """One row ``(degree, onward, onward_after, role_draw)`` per depth
+        modulo h; a spreader at ``depth`` has row ``depth % h``, hubs first.
+
+        A contact lands on a slot in [0, degree).  A fresh slot below
+        ``onward`` holds a vertex that can become a child spreader, and after
+        the first contact there the bound is ``onward_after``; any other
+        fresh slot holds a leaf.  With ``role_draw`` an alpha draw decides
+        whether a hub's child is a spreader or a leaf.  A path vertex's one
+        onward neighbor, toward the next hub, is slot [0, 1).  The counts are
+        floats: exact, and faster than ints in the simulator's comparisons.
+        """
+        hub_deg = float(self.d + 1)
+        if self.kind == "cayley":
+            return ((hub_deg, hub_deg, hub_deg, False),)
+        path = (float(self.k), 1.0, 0.0, False)
+        return ((hub_deg, hub_deg, hub_deg, True),) + (path,) * (self.h - 1)
 
 
 def cayley(d: int) -> TreeTopology:

@@ -1,12 +1,14 @@
 """Independent cross-check oracles used only by the tests.
 
 Each one reaches a quantity of the library by a different route: E(X) as
-a sum of term ratios, the printed form of the N' law, brute-force
-enumeration of contact sequences for the traversal probability, the
-binomial sum for the thinned laws, and two samplers of the X' law.  The
-scalar log-space loops at the end are the plain forms that the library's
-array kernels must reproduce bit for bit; the scalar complement sum is the
-one they reproduce to summation order.
+a sum of term ratios, the printed form of the N' law, a pgf summed from a
+law's masses, brute-force enumeration of contact sequences for the
+traversal probability, the binomial sum for the thinned laws, two samplers
+of the X' law, and the incomplete-gamma recurrence that the integer behind
+S(m, n) must satisfy exactly.  The scalar log-space loops at the end are
+the plain forms that the library's array kernels must reproduce bit for
+bit; the scalar complement sum is the one they reproduce to summation
+order.
 """
 
 from __future__ import annotations
@@ -16,8 +18,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from rumorlab.gw import _support_and_pvals
-from rumorlab.laws import _as_fraction, _check_d, _check_p, Pmf, law_X, law_X_prime
+from rumorlab.laws import (
+    _as_fraction,
+    _check_d,
+    _check_p,
+    _partial_exp_sum_scaled_int,
+    Pmf,
+    law_X,
+    law_X_prime,
+)
 
 
 def mean_X_term_sum(d: int) -> Fraction:
@@ -73,6 +82,14 @@ def thinned_binomial_sum(base: Pmf, p) -> tuple:
     return tuple(out)
 
 
+def pmf_pgf(pmf: Pmf, s: float) -> float:
+    """E[s^V] by Horner's rule over the float masses of ``pmf``."""
+    acc = 0.0
+    for q in reversed(pmf.to_floats()):
+        acc = acc * s + q
+    return float(acc * s ** pmf.support_min)
+
+
 def enumerate_traversal_probability(d: int) -> Fraction:
     """Brute-force oracle for beta(d): exhaust all contact sequences.
 
@@ -99,6 +116,12 @@ def enumerate_traversal_probability(d: int) -> Fraction:
     return total
 
 
+def _support_and_pvals(law: Pmf) -> tuple[np.ndarray, np.ndarray]:
+    values = np.arange(law.support_min, law.support_max + 1)
+    pvals = law.to_floats()
+    return values, pvals / pvals.sum()
+
+
 def sample_offspring(d: int, p: float, size: int, seed: int, mode: str = "cdf") -> np.ndarray:
     """Draw X' samples either by inverse CDF or by binomial thinning of X.
 
@@ -116,6 +139,11 @@ def sample_offspring(d: int, p: float, size: int, seed: int, mode: str = "cdf") 
         x = values[np.searchsorted(cdf, rng.random(size), side="right")]
         return rng.binomial(x, p)
     raise ValueError(f"unknown sampling mode {mode!r}")
+
+
+def gamma_recurrence_residual(m: int, n: int) -> int:
+    """Gamma(m+1, n) - m Gamma(m, n) - n^m e^(-n), scaled by e^n: exactly 0."""
+    return _partial_exp_sum_scaled_int(m + 1, n) - m * _partial_exp_sum_scaled_int(m, n) - n**m
 
 
 def _log_add(log_sum: float, log_term: float) -> float:

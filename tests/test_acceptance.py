@@ -20,7 +20,7 @@ import rumorlab as rl
 from rumorlab.cli import main as cli_main
 from rumorlab.laws import law_X_prime, log_partial_exp_sum
 
-from test_specfun import gamma_recurrence_residual
+from oracles import gamma_recurrence_residual
 
 F = Fraction
 

@@ -261,6 +261,11 @@ class TestMonotoneCoupling:
     def test_extreme_gap(self, seed):
         assert coupled_monotonicity_trial(3, 0.01, 1.0, horizon=15, seed=seed)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_d(self, seed):
+        # d = 3,000 samples from the float mass ladders in well under a second
+        assert coupled_monotonicity_trial(3000, 0.02, 0.5, horizon=15, seed=seed, population_guard=10_000)
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             coupled_monotonicity_trial(3, 0.9, 0.5)

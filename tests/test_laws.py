@@ -34,6 +34,7 @@ from oracles import (
     enumerate_traversal_probability,
     law_N_prime_printed,
     mean_X_term_sum,
+    pmf_pgf,
     thinned_binomial_sum,
 )
 
@@ -205,7 +206,7 @@ class TestPgfXPrime:
         pmf = law_X_prime(d, p)
         for j in range(20):
             s = j / 19
-            assert pgf_X_prime(d, p, s) == pytest.approx(pmf.pgf(s), abs=1e-12)
+            assert pgf_X_prime(d, p, s) == pytest.approx(pmf_pgf(pmf, s), abs=1e-12)
 
     @pytest.mark.parametrize("d,p", [(3, 1.0), (5, 0.6)])
     def test_convex_and_nondecreasing(self, d, p):
@@ -399,7 +400,7 @@ class TestPgfNPrime:
         pmf = law_N_prime(d, p)
         for j in range(20):
             s = j / 19
-            assert pgf_N_prime(d, p, s) == pytest.approx(pmf.pgf(s), abs=1e-12)
+            assert pgf_N_prime(d, p, s) == pytest.approx(pmf_pgf(pmf, s), abs=1e-12)
 
 
 class TestPmf:

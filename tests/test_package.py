@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -40,6 +41,14 @@ def test_cli_start_up_imports_no_process_pool():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_dynamics_simulator_imports_nothing_from_the_gw_engine():
+    # the two stochastic oracles share only the numpy-free runner module
+    with open(rumorlab.ctmc.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "gw" not in imported and "_seeds" in imported
 
 
 BOUNDED_INTEGERS = {

@@ -14,7 +14,7 @@ from rumorlab.laws import (
     mean_X,
 )
 
-from oracles import log_partial_exp_sum_loop
+from oracles import gamma_recurrence_residual, log_partial_exp_sum_loop
 
 
 def brute_partial_exp_sum(m: int, n: int) -> Fraction:
@@ -85,11 +85,6 @@ class TestLogModeBitIdentity:
         for n in (3000, 70_000, 600_000, 20_000):
             assert log_ints(n).tolist() == [math.log(i) for i in range(1, n + 1)]
             assert laws._log_ints.cache_info().currsize <= 2
-
-
-def gamma_recurrence_residual(m: int, n: int) -> int:
-    """Gamma(m+1, n) - m Gamma(m, n) - n^m e^(-n), scaled by e^n: exactly 0."""
-    return _partial_exp_sum_scaled_int(m + 1, n) - m * _partial_exp_sum_scaled_int(m, n) - n**m
 
 
 class TestScaledIncompleteGamma:

@@ -1,5 +1,6 @@
-"""The tree families: parameter checks, and the child-role law that the
-simulator draws as it goes, checked through ``simulate_mt`` itself."""
+"""The tree families: parameter checks, the role table, and the child-role
+law that the simulator draws as it goes, checked through ``simulate_mt``
+itself."""
 
 import pytest
 
@@ -50,6 +51,19 @@ class TestTopology:
     def test_warns_when_k_not_below_d(self):
         with pytest.warns(UserWarning):
             hub_path(4, 4, 0.5, 2)
+
+
+class TestRoleTable:
+    def test_cayley_has_one_hub_row(self):
+        assert cayley(4).role_table() == ((5.0, 5.0, 5.0, False),)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 5])
+    def test_hub_path_has_a_hub_row_then_path_rows(self, h):
+        table = hub_path(6, 4, 0.5, h).role_table()
+        assert len(table) == h
+        assert table[0] == (7.0, 7.0, 7.0, True)
+        assert table[1:] == ((4.0, 1.0, 0.0, False),) * (h - 1)
+        assert all(type(slots) is float for row in table for slots in row[:3])
 
 
 class TestCayleyChildren:
