@@ -119,12 +119,13 @@ class EstimateCI:
     method: str = "wilson"
 
 
-def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.  The ends are
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.  The ends are
     exactly 0 at 0 successes and exactly 1 at n, where rounding would
     otherwise leave them a hair inside."""
     check_at_least("n", n, 1)
     phat = successes / n
+    z = Z95
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))

@@ -25,8 +25,7 @@ import numpy as np
 
 from ._seeds import EstimateCI, run_jobs, substream, wilson_interval
 from .errors import check_at_least
-from .laws import Pmf, _check_d, _complement_sum, _masses, law_N_prime_float, law_X_prime_float
-from .thresholds import survival_fixed_point
+from .laws import _SURVIVAL_TOL, Pmf, _check_d, _masses, _survival_root, law_N_prime_float, law_X_prime_float
 
 DEFAULT_HORIZON = 60
 #: the cap of a subcritical law, or where the rule's cap would be larger
@@ -35,8 +34,6 @@ DEFAULT_POPULATION_CAP = 10_000_000
 #: the default cap keeps the expected number of capped replicas that would
 #: have died below this
 _CAP_DEATHS = 0.1
-#: tolerance of the cap rule's extinction root, added to psi to round it up
-_PSI_TOL = 1e-12
 
 #: replicas per block; block b draws from substream(seed, "gw", b), so the
 #: blocks, not the workers, fix every draw
@@ -97,8 +94,8 @@ def survival_mc(
     ``cap_hits``.  With no ``cap``, it is the smallest c >= 1 with
     psi^c <= 0.1 / replicas, so the expected estimate moves by at most a
     tenth of one replica; psi is the extinction probability of the float
-    offspring masses the kernel samples, from ``_survival_root`` rounded up
-    by its tolerance, never from ``psi_root``.  A subcritical law, or a c
+    offspring masses the kernel samples, from ``laws._survival_root`` rounded
+    up by its tolerance, never from ``psi_root``.  A subcritical law, or a c
     above ``DEFAULT_POPULATION_CAP``, takes that cap instead.  The cap
     depends only on the law and ``replicas``.  Replicas run in blocks of
     ``_BLOCK``; block b draws from the substream (seed, "gw", b) and workers
@@ -114,7 +111,7 @@ def survival_mc(
     off_values = np.arange(off_pvals.size)
     init_pvals /= init_pvals.sum()
     off_pvals /= off_pvals.sum()
-    psi = min(1.0 - _survival_root(off_pvals, _PSI_TOL) + _PSI_TOL, 1.0)
+    psi = min(1.0 - _survival_root((off_values[1:], off_pvals[1:]), 1.0) + _SURVIVAL_TOL, 1.0)
     if cap is None:
         cap = _cap_for(psi, replicas)
     # a population below the cap has fewer than cap * d children, which must
@@ -150,27 +147,15 @@ def _cap_for(psi: float, replicas: int) -> int:
     return min(c, DEFAULT_POPULATION_CAP)
 
 
-def _survival_root(masses: np.ndarray, tol: float) -> float:
-    """Survival root u = 1 - psi of the offspring masses P(0), P(1), ...
-
-    The survival complement 1 - G(1 - u) = sum_k P(k) (1 - (1 - u)^k) is
-    summed term by term (``laws._complement_sum`` at p = 1) and solved by
-    ``thresholds.survival_fixed_point``.  No closed-form pgf enters.
-    """
-    k = np.arange(masses.size)
-    law = k[1:], masses[1:]
-    u, _ = survival_fixed_point(lambda v: _complement_sum(law, 1.0, v), tol)
-    return u
-
-
-def extinction_by_iteration(offspring_law: Pmf, tol: float = 1e-12) -> float:
+def extinction_by_iteration(offspring_law: Pmf) -> float:
     """Extinction probability, the smallest fixed point of s = G(s), from the raw pmf.
 
-    ``_survival_root`` solves it from the masses alone, so this is an oracle
-    independent of ``psi_root``.
+    ``laws._survival_root`` solves it from the masses alone, at p = 1, so no
+    closed-form pgf enters and this is an oracle independent of ``psi_root``.
     """
     masses = np.concatenate((np.zeros(offspring_law.support_min), offspring_law.to_floats()))
-    return 1.0 - _survival_root(masses, tol)
+    k = np.arange(masses.size)
+    return 1.0 - _survival_root((k[1:], masses[1:]), 1.0)
 
 
 def coupled_monotonicity_trial(
@@ -179,16 +164,17 @@ def coupled_monotonicity_trial(
     p2: float,
     horizon: int = 30,
     seed: int = 0,
-    population_guard: int = DEFAULT_POPULATION_CAP,
+    population_guard: int = 100_000,
 ) -> bool:
     """Drive two branching processes (p1 <= p2) from one uniform stream.
 
     Both processes share every contact draw X and every thinning uniform U;
     process i keeps a contact when U <= p_i.  Returns True iff the dominated
     process never outnumbers the dominating one through ``horizon``
-    generations (which the coupling guarantees pathwise).  If the dominating
-    population exceeds ``population_guard`` the trial stops early with the
-    domination verified so far.
+    generations (which the coupling guarantees pathwise).  If a generation
+    would draw more than ``population_guard`` contacts, the trial stops early
+    with the domination verified so far, so a trial holds O(population_guard
+    + d) numbers however large d is.
     """
     if not 0 < p1 <= p2 <= 1:
         raise ValueError(f"need 0 < p1 <= p2 <= 1, got p1={p1}, p2={p2}")
@@ -212,10 +198,10 @@ def coupled_monotonicity_trial(
     for _ in range(horizon):
         if z2 == 0:
             return True
-        if z2 > population_guard:
-            return True
         x = np.searchsorted(x_cdf, rng.random(z2), side="right")
         total = int(x.sum())
+        if total > population_guard:
+            return True
         owner = np.repeat(np.arange(z2), x)
         u = rng.random(total)
         kept1 = np.bincount(owner[u <= p1], minlength=z2)

@@ -8,7 +8,9 @@ composition for every primed law.  ``law_*`` give exact rationals and
 ``law_*_float`` float masses for the Monte Carlo engine.  The generating
 functions are evaluated through their finite polynomial forms, which stay
 bounded and well-defined at every point of ``[0, 1]`` (including s = 0 with
-p = 1, where the closed gamma-function forms are singular).
+p = 1, where the closed gamma-function forms are singular).  One secant
+routine, ``_survival_root``, solves u = 1 - G_{V'}(1 - u) on a mass ladder
+for ``psi_root``'s cross-check and for both roots of the GW engine.
 
 E(X), p_c = 1/E(X) and both traversal-probability forms come from one
 integer, Sigma_d = (d-1)! S(d, d+1) with S(m, n) = sum_{i<m} n^i/i!.  ``d``
@@ -26,9 +28,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import check_at_least, check_unit_interval
+from .errors import NumericFault, check_at_least, check_unit_interval
 
 _SUM_TOL = 1e-9
+#: ``_survival_root`` stops once its secant steps' geometric tail is below this
+_SURVIVAL_TOL = 1e-12
+_SURVIVAL_MAX_EVALS = 10_000
 #: first and last fixed-point widths of ``_mean_excess``'s series
 _EPS_BITS = 128
 _EPS_MAX_BITS = 4096
@@ -384,6 +389,35 @@ def _complement_sum(law: tuple[np.ndarray, np.ndarray], p: float, u: float) -> f
     return -float(mass.dot(np.expm1(n * log_base)))
 
 
+def _survival_root(law: tuple[np.ndarray, np.ndarray], p: float) -> float:
+    """Largest fixed point u of H(u) = 1 - G_{V'}(1 - u) on [0, 1], for the
+    (n, P(V=n)) arrays ``law``, with H the ``_complement_sum``.
+
+    1 - u is the smallest fixed point of G_{V'}, the extinction probability.
+    f(u) = H(u) - u is concave, negative above the root and zero at it, so
+    secant steps on f from u = 1 and its image H(1) stay above the root and
+    approach it superlinearly, where plain iteration u <- H(u) slows to the
+    rate G'(1 - u), which tends to 1 near criticality.  The steps stop once
+    their geometric tail step * r / (1 - r), with r the ratio of the last
+    two steps, is below ``_SURVIVAL_TOL``.
+    """
+    u0, f0 = 1.0, _complement_sum(law, p, 1.0) - 1.0
+    u1 = 1.0 + f0
+    prev_step = 0.0  # no ratio before the first secant step
+    for _ in range(2, _SURVIVAL_MAX_EVALS + 1):
+        f1 = _complement_sum(law, p, u1) - u1
+        if f1 >= 0.0 or f1 == f0:  # at the root to rounding
+            return u1
+        u2 = max(u1 - f1 * (u1 - u0) / (f1 - f0), 0.0)
+        step = u1 - u2
+        if step < prev_step:
+            rate = step / prev_step
+            if step * rate / (1.0 - rate) < _SURVIVAL_TOL:
+                return u2
+        u0, f0, u1, prev_step = u1, f1, u2, step
+    raise NumericFault(f"fixed-point iteration did not converge in {_SURVIVAL_MAX_EVALS} steps")
+
+
 def _pgf(law: tuple[np.ndarray, np.ndarray], p: float, s: float) -> float:
     """sum_n P(V=n) (1 - p + p s)^n for the (n, P(V=n)) arrays ``law``,
     i.e. G_{V'}(s) less its mass P(V=0) at n = 0."""
@@ -432,10 +466,10 @@ def cpgf_N_prime(d: int, p: float, u: float) -> float:
     return _complement_sum(_masses(d, root=True), p, u)
 
 
-def pmf_from_counts(counts: Iterable[int], support_min: int = 0) -> Pmf:
-    """Empirical Pmf from raw outcome counts."""
+def pmf_from_counts(counts: Iterable[int]) -> Pmf:
+    """Empirical Pmf on {0, 1, ...} from raw outcome counts."""
     counts = list(counts)
     n = sum(counts)
     if n <= 0:
         raise ValueError("no observations")
-    return Pmf(support_min, tuple(c / n for c in counts))
+    return Pmf(0, tuple(c / n for c in counts))

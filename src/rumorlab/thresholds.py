@@ -15,7 +15,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -27,13 +26,13 @@ from .laws import (
     _inverse_mean_X,
     _masses,
     _mean_excess,
+    _survival_root,
     beta_value,
     cpgf_N_prime,
     cpgf_X_prime,
 )
 
 _RESIDUAL_BOUND = 1e-10
-_FIXED_POINT_MAX_EVALS = 10_000
 #: Newton steps from u = 0 take 3-16 for d up to 10^6; more means a fault
 _NEWTON_MAX_STEPS = 30
 
@@ -89,36 +88,6 @@ def p_critical(d: int, exact: bool = False) -> ThresholdReport:
     )
 
 
-def survival_fixed_point(H: Callable[[float], float], tol: float = 1e-12) -> tuple[float, int]:
-    """Largest fixed point u of H(u) = 1 - G(1 - u) on [0, 1], for a pgf G.
-
-    1 - u is the smallest fixed point of G, the extinction probability.
-    f(u) = H(u) - u is concave, negative above the root and zero at it, so
-    secant steps on f from u = 1 and its image H(1) stay above the root and
-    approach it superlinearly, where plain iteration u <- H(u) slows to the
-    rate G'(1 - u), which tends to 1 near criticality.  The steps stop once
-    their geometric tail step * r / (1 - r), with r the ratio of the last
-    two steps, is below ``tol``.  Returns u and the number of H calls.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    u0, f0 = 1.0, H(1.0) - 1.0
-    u1 = 1.0 + f0
-    prev_step = 0.0  # no ratio before the first secant step
-    for evals in range(2, _FIXED_POINT_MAX_EVALS + 1):
-        f1 = H(u1) - u1
-        if f1 >= 0.0 or f1 == f0:  # at the root to rounding
-            return u1, evals
-        u2 = max(u1 - f1 * (u1 - u0) / (f1 - f0), 0.0)
-        step = u1 - u2
-        if step < prev_step:
-            rate = step / prev_step
-            if step * rate / (1.0 - rate) < tol:
-                return u2, evals
-        u0, f0, u1, prev_step = u1, f1, u2, step
-    raise NumericFault(f"fixed-point iteration did not converge in {_FIXED_POINT_MAX_EVALS} steps")
-
-
 def psi_root(d: int, p: float) -> RootResult:
     """Smallest non-negative root of G_{X'}(s) = s.
 
@@ -133,8 +102,8 @@ def psi_root(d: int, p: float) -> RootResult:
     Newton steps from u = 0 rise monotonically to the root; they stop at the
     first step <= 1e-15 u (a non-positive one comes only from rounding) and
     are counted in ``iterations``.  More than ``_NEWTON_MAX_STEPS`` steps, or
-    a residual or a gap to ``survival_fixed_point`` beyond 1e-10, raise
-    NumericFault.
+    a residual or a gap to the secant root ``laws._survival_root`` of the same
+    masses beyond 1e-10, raise NumericFault.
     """
     _check_d(d)
     _check_p(p)
@@ -157,7 +126,7 @@ def psi_root(d: int, p: float) -> RootResult:
     if residual > _RESIDUAL_BOUND:
         raise NumericFault(f"survival root residual {residual} exceeds bound")
 
-    u_iter, _ = survival_fixed_point(lambda v: cpgf_X_prime(d, p, v))
+    u_iter = _survival_root((n, mass), p)
     if abs(u_iter - u) > _RESIDUAL_BOUND:
         raise NumericFault(
             f"Newton ({1.0 - u}) and fixed-point ({1.0 - u_iter}) roots disagree for d={d}, p={p}"

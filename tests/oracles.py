@@ -4,8 +4,9 @@ Each one reaches a quantity of the library by a different route: E(X) as
 a sum of term ratios, the printed form of the N' law, a pgf summed from a
 law's masses, brute-force enumeration of contact sequences for the
 traversal probability, the binomial sum for the thinned laws, two samplers
-of the X' law, and the incomplete-gamma recurrence that the integer behind
-S(m, n) must satisfy exactly.  The scalar log-space loops at the end are
+of the X' law, the level-reach probability of a Cayley tree from iterated
+pgfs, and the incomplete-gamma recurrence that the integer behind S(m, n)
+must satisfy exactly.  The scalar log-space loops at the end are
 the plain forms that the library's array kernels must reproduce bit for
 bit; the scalar complement sum is the one they reproduce to summation
 order.
@@ -26,7 +27,14 @@ from rumorlab.laws import (
     Pmf,
     law_X,
     law_X_prime,
+    pgf_N_prime,
+    pgf_X_prime,
 )
+
+
+def covers(est, value) -> bool:
+    """Whether the CI of the estimate ``est`` contains ``value``."""
+    return est.ci_low <= value <= est.ci_high
 
 
 def mean_X_term_sum(d: int) -> Fraction:
@@ -139,6 +147,16 @@ def sample_offspring(d: int, p: float, size: int, seed: int, mode: str = "cdf") 
         x = values[np.searchsorted(cdf, rng.random(size), side="right")]
         return rng.binomial(x, p)
     raise ValueError(f"unknown sampling mode {mode!r}")
+
+
+def reach_probability(d: int, p: float, level: int) -> float:
+    """P(a spreader at graph level ``level``) on cayley(d): every non-root
+    spreader has d free neighbors, so a subtree dies out within m
+    generations with probability G_{X'} iterated m times from 0."""
+    extinct = 0.0
+    for _ in range(level - 1):
+        extinct = pgf_X_prime(d, p, extinct)
+    return 1.0 - pgf_N_prime(d, p, extinct)
 
 
 def gamma_recurrence_residual(m: int, n: int) -> int:

@@ -134,7 +134,7 @@ def test_criterion_6_psi_theta_consistency():
             p = ip * 0.05
             root = rl.psi_root(d, p)
             assert root.residual <= 1e-10
-            oracle = rl.extinction_by_iteration(law_X_prime(d, p), tol=1e-12)
+            oracle = rl.extinction_by_iteration(law_X_prime(d, p))
             worst_psi = max(worst_psi, abs(root.psi - oracle))
             if F(p) <= pc:
                 assert rl.theta(d, p) == 0.0

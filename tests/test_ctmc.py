@@ -26,7 +26,7 @@ from rumorlab.gw import EstimateCI
 from rumorlab.laws import beta_series, law_X, mean_X, tv_distance
 from rumorlab.treegen import cayley, hub_path
 
-from test_treegen import reach_probability
+from oracles import reach_probability
 
 F = Fraction
 

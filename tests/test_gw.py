@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -223,11 +224,7 @@ class TestExtinctionIteration:
 
     def test_matches_bisection_root(self):
         psi = psi_root(3, 1.0).psi
-        assert abs(extinction_by_iteration(law_X(3), tol=1e-12) - psi) <= 1e-10
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            extinction_by_iteration(DELTA_0, tol=0)
+        assert abs(extinction_by_iteration(law_X(3)) - psi) <= 1e-10
 
 
 class TestOffspringSampling:
@@ -265,6 +262,18 @@ class TestMonotoneCoupling:
     def test_large_d(self, seed):
         # d = 3,000 samples from the float mass ladders in well under a second
         assert coupled_monotonicity_trial(3000, 0.02, 0.5, horizon=15, seed=seed, population_guard=10_000)
+
+    @pytest.mark.parametrize("d", [1000, 3000])
+    def test_default_guard_bounds_memory(self, d):
+        # one generation near 10^6 contacts would allocate tens of MB; the
+        # default guard stops the trial before that generation is drawn
+        tracemalloc.start()
+        try:
+            assert coupled_monotonicity_trial(d, 0.5, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

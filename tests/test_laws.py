@@ -420,7 +420,7 @@ class TestPmf:
         assert pmf.p(5) == 0
 
     def test_from_counts(self):
-        pmf = pmf_from_counts([1, 3], support_min=0)
+        pmf = pmf_from_counts([1, 3])
         assert pmf.probs == (0.25, 0.75)
 
     def test_tv_distance(self):

@@ -43,12 +43,33 @@ def test_cli_start_up_imports_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
-def test_dynamics_simulator_imports_nothing_from_the_gw_engine():
-    # the two stochastic oracles share only the numpy-free runner module
-    with open(rumorlab.ctmc.__file__, encoding="utf-8") as f:
+#: the three oracles (closed form, GW engine, simulated dynamics) must agree
+#: without sharing code, so none of them imports another
+FORBIDDEN_IMPORTS = {
+    "gw": {"thresholds", "ctmc"},
+    "ctmc": {"gw", "thresholds"},
+    "thresholds": {"gw", "ctmc"},
+}
+
+
+def _imported_modules(module: str) -> set[str]:
+    """Last name of every module that ``rumorlab.<module>`` imports."""
+    with open(os.path.join(os.path.dirname(rumorlab.__file__), module + ".py"), encoding="utf-8") as f:
         tree = ast.parse(f.read())
-    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert "gw" not in imported and "_seeds" in imported
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.rsplit(".", 1)[-1])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names
+
+
+def test_the_three_oracles_import_none_of_each_other():
+    imported = {module: _imported_modules(module) for module in FORBIDDEN_IMPORTS}
+    assert {m: imported[m] & FORBIDDEN_IMPORTS[m] for m in imported} == dict.fromkeys(imported, set())
+    # both stochastic oracles take their seeds and their job runner from _seeds
+    assert "_seeds" in imported["gw"] and "_seeds" in imported["ctmc"]
 
 
 BOUNDED_INTEGERS = {

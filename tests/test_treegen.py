@@ -5,26 +5,14 @@ itself."""
 import pytest
 
 from rumorlab.ctmc import estimate_survival_ctmc, simulate_mt
-from rumorlab.laws import beta_series, law_N, pgf_N_prime, pgf_X_prime, tv_distance
+from rumorlab.laws import beta_series, law_N, pgf_N_prime, tv_distance
 from rumorlab.treegen import TreeTopology, cayley, hub_path
 
-
-def covers(est, value):
-    return est.ci_low <= value <= est.ci_high
+from oracles import covers, reach_probability
 
 
 def outcome(out):
     return out.events_processed, out.informed_total, out.stop_reason
-
-
-def reach_probability(d, p, level):
-    """P(a spreader at graph level ``level``) on cayley(d): every non-root
-    spreader has d free neighbors, so a subtree dies out within m
-    generations with probability G_{X'} iterated m times from 0."""
-    extinct = 0.0
-    for _ in range(level - 1):
-        extinct = pgf_X_prime(d, p, extinct)
-    return 1.0 - pgf_N_prime(d, p, extinct)
 
 
 class TestTopology:
