@@ -65,7 +65,7 @@ def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
         "still left after a short inline start",
     )
     exact = argparse.ArgumentParser(add_help=False)
-    exact.add_argument("--exact", action="store_true", help="exact rationals past d = 500 too (log-space floats by default)")
+    exact.add_argument("--exact", action="store_true", help=f"exact rationals past d = {laws.EXACT_LIMIT} too (log-space floats by default)")
     return common, threads, exact
 
 

@@ -39,6 +39,9 @@ _CAP_DEATHS = 0.1
 #: blocks, not the workers, fix every draw
 _BLOCK = 1024
 
+#: a coupling trial stops before a generation that would draw more contacts
+_COUPLING_GUARD = 100_000
+
 
 @dataclass(frozen=True)
 class CappedEstimate(EstimateCI):
@@ -164,7 +167,6 @@ def coupled_monotonicity_trial(
     p2: float,
     horizon: int = 30,
     seed: int = 0,
-    population_guard: int = 100_000,
 ) -> bool:
     """Drive two branching processes (p1 <= p2) from one uniform stream.
 
@@ -172,14 +174,13 @@ def coupled_monotonicity_trial(
     process i keeps a contact when U <= p_i.  Returns True iff the dominated
     process never outnumbers the dominating one through ``horizon``
     generations (which the coupling guarantees pathwise).  If a generation
-    would draw more than ``population_guard`` contacts, the trial stops early
-    with the domination verified so far, so a trial holds O(population_guard
-    + d) numbers however large d is.
+    would draw more than ``_COUPLING_GUARD`` = 10^5 contacts, the trial stops
+    early with the domination verified so far, so a trial holds
+    O(_COUPLING_GUARD + d) numbers however large d is.
     """
     if not 0 < p1 <= p2 <= 1:
         raise ValueError(f"need 0 < p1 <= p2 <= 1, got p1={p1}, p2={p2}")
     check_at_least("horizon", horizon, 1)
-    check_at_least("population_guard", population_guard, 1)
     _check_d(d)
     rng = np.random.default_rng([substream(seed, "coupling")])
     # float masses of N and X on {0, 1, ...}, as law_*_prime_float builds them;
@@ -200,7 +201,7 @@ def coupled_monotonicity_trial(
             return True
         x = np.searchsorted(x_cdf, rng.random(z2), side="right")
         total = int(x.sum())
-        if total > population_guard:
+        if total > _COUPLING_GUARD:
             return True
         owner = np.repeat(np.arange(z2), x)
         u = rng.random(total)

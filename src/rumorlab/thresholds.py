@@ -42,10 +42,10 @@ class ThresholdReport:
     """A critical value with exact, float, and asymptotic views.
 
     ``value`` is a Fraction where the inputs are held exactly and a float
-    otherwise (math.inf past the float range); None when the threshold is
-    infinite."""
+    otherwise; an infinite threshold, or one past the float range, is
+    math.inf."""
 
-    value: Fraction | float | None
+    value: Fraction | float
     float_value: float
     asymptotic_value: float | None
     feasible: bool
@@ -145,7 +145,7 @@ def theta(d: int, p: float) -> float:
     return cpgf_N_prime(d, p, u) if u > 0.0 else 0.0
 
 
-def theta_double_sum(d: int, p: float, psi: float | None = None) -> float:
+def theta_double_sum(d: int, p: float) -> float:
     """The printed double-sum form of theta, regrouped to avoid 1/(1-p).
 
     Combining (p psi/(1-p))^i with (1-p)^k gives (p psi)^i (1-p)^(k-i), which
@@ -157,8 +157,7 @@ def theta_double_sum(d: int, p: float, psi: float | None = None) -> float:
     """
     _check_d(d)
     _check_p(p)
-    if psi is None:
-        psi = psi_root(d, p).psi
+    psi = psi_root(d, p).psi
     q = 1.0 - p
     x = p * psi
     a = [1.0]
@@ -186,7 +185,8 @@ def alpha_critical(
     first-principles series ('series'); see the beta audit.  Values >= 1 are
     reported with feasible = False (the rumor dies for every alpha).  The
     product is a Fraction when p_c and beta both are, and a float otherwise;
-    past the float range its float view is inf.
+    past the float range its float view is inf.  Paper-form beta(1) = 0
+    (k = 2) reaches no hub through a path, so for h >= 2 the value is inf.
     """
     _check_d(d, minimum=3)
     check_at_least("k", k, 2)
@@ -197,20 +197,11 @@ def alpha_critical(
         )
     pc = p_critical(d, exact=exact).value
     beta = beta_value(k - 1, form=beta_form, exact=exact) if h > 1 else 1
-    if beta == 0:
-        # paper-form beta(1) = 0 (k = 2): no hub is ever reached through
-        # a path, so the threshold is infinite for h >= 2.
-        return ThresholdReport(
-            value=None,
-            float_value=math.inf,
-            asymptotic_value=None,
-            feasible=False,
-        )
-    value = math.inf  # stays if a float power or product overflows
+    value = math.inf  # stays if beta = 0 or a float power or product overflows
     try:
         value = pc * beta ** (1 - h)
         float_value = float(value)
-    except OverflowError:  # past the float range; an exact value keeps its Fraction
+    except (ZeroDivisionError, OverflowError):  # an exact value keeps its Fraction
         float_value = math.inf
     return ThresholdReport(
         value=value,
@@ -230,12 +221,9 @@ def max_h(d: int, k: int, beta_form: str = "paper", exact: bool = False) -> int:
     _check_d(d, minimum=3)
     check_at_least("k", k, 2)
     pc = p_critical(d, exact=exact).value
-    if not pc < 1:
-        raise ValueError(f"p_c({d}) >= 1: no feasible h exists")
     beta = beta_value(k - 1, form=beta_form, exact=exact)
-    if beta == 0:
-        return 1  # paper-form beta(1) = 0: only h = 1 is feasible
     # alpha_c(h) < 1  <=>  p_c < beta^(h-1); beta < 1 so the power decreases
+    # (paper-form beta(1) = 0 leaves only h = 1)
     h = 1
     power = beta
     while pc < power:

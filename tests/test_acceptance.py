@@ -139,7 +139,7 @@ def test_criterion_6_psi_theta_consistency():
             if F(p) <= pc:
                 assert rl.theta(d, p) == 0.0
             if p <= 0.999:
-                gap = abs(rl.theta_double_sum(d, p, psi=root.psi) - (1.0 - rl.pgf_N_prime(d, p, root.psi)))
+                gap = abs(rl.theta_double_sum(d, p) - (1.0 - rl.pgf_N_prime(d, p, root.psi)))
                 worst_theta = max(worst_theta, gap)
         gap999 = abs(rl.theta_double_sum(d, 0.999) - rl.theta(d, 0.999))
         worst_theta = max(worst_theta, gap999)

@@ -350,8 +350,9 @@ class TestEstimateSurvival:
             (50, 4, 0.5, 2, 1.0, 20, 0.58367, 9201),
             (20, 3, 1.0, 2, 0.8, 10, 0.42582, 9202),
             (10, 4, 0.7, 2, 0.9, 8, 0.02297, 9203),
+            (50, 3, 1.0, 3, 1.0, 10, 0.56099, 9204),
         ],
-        ids=["hub_leaves_p1", "path_leaves_thinned", "near_critical"],
+        ids=["hub_leaves_p1", "path_leaves_thinned", "near_critical", "supercritical_h3"],
     )
     def test_hub_reach_matches_closed_form(self, d, k, alpha, h, p, level, closed_form, seed):
         # in hub units the hubs form a Galton-Watson process with the cayley

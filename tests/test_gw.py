@@ -261,12 +261,12 @@ class TestMonotoneCoupling:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_large_d(self, seed):
         # d = 3,000 samples from the float mass ladders in well under a second
-        assert coupled_monotonicity_trial(3000, 0.02, 0.5, horizon=15, seed=seed, population_guard=10_000)
+        assert coupled_monotonicity_trial(3000, 0.02, 0.5, horizon=15, seed=seed)
 
     @pytest.mark.parametrize("d", [1000, 3000])
     def test_default_guard_bounds_memory(self, d):
         # one generation near 10^6 contacts would allocate tens of MB; the
-        # default guard stops the trial before that generation is drawn
+        # contact guard stops the trial before that generation is drawn
         tracemalloc.start()
         try:
             assert coupled_monotonicity_trial(d, 0.5, 0.9)

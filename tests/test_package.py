@@ -90,9 +90,6 @@ BOUNDED_INTEGERS = {
     "coupled_monotonicity_trial-horizon": (
         lambda v: coupled_monotonicity_trial(3, 0.5, 0.9, horizon=v), "horizon", 1
     ),
-    "coupled_monotonicity_trial-population_guard": (
-        lambda v: coupled_monotonicity_trial(3, 0.5, 0.9, population_guard=v), "population_guard", 1
-    ),
 }
 
 

@@ -158,7 +158,7 @@ class TestTheta:
     def test_double_sum_large_d(self, d):
         for p in (0.3, 0.9):
             psi = psi_root(d, p).psi
-            assert theta_double_sum(d, p, psi=psi) == pytest.approx(1.0 - pgf_N_prime(d, p, psi), abs=1e-10)
+            assert theta_double_sum(d, p) == pytest.approx(1.0 - pgf_N_prime(d, p, psi), abs=1e-10)
 
     def test_positive_iff_supercritical(self):
         for d in (3, 5, 8):
@@ -265,7 +265,7 @@ class TestAlphaCritical:
 
     def test_k2_paper_form_is_infinite_beyond_h1(self):
         report = alpha_critical(5, 2, 2)
-        assert report.value is None
+        assert report.value == math.inf
         assert report.float_value == math.inf
         assert not report.feasible
 
