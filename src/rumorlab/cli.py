@@ -261,7 +261,7 @@ def cmd_audit_beta(args) -> tuple[list[dict], dict | None]:
 
 def cmd_offspring(args) -> tuple[list[dict], dict | None]:
     empirical = ctmc.offspring_empirical(args.d, args.p, args.replicas, seed=args.seed)
-    analytic = laws.Pmf(0, tuple(laws.law_X_prime_float(args.d, args.p)))
+    analytic = laws.Pmf(tuple(laws.law_X_prime_float(args.d, args.p)))
     tv = laws.tv_distance(empirical, analytic)
     rows = [
         {"i": i, "empirical": float(empirical.p(i)), "analytic": float(analytic.p(i))}
@@ -307,8 +307,7 @@ def cmd_simulate(args) -> tuple[list[dict], dict | None]:
 
 def cmd_gw(args) -> tuple[list[dict], dict | None]:
     est = gw.survival_mc(
-        args.d, args.p, args.replicas, horizon=args.horizon, cap=args.cap,
-        seed=args.seed, workers=args.threads,
+        args.d, args.p, args.replicas, horizon=args.horizon, seed=args.seed, workers=args.threads,
     )
     payload = est.__dict__
     rows = [
@@ -389,11 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=float)
     p.add_argument("--replicas", type=int, default=10_000)
     p.add_argument("--horizon", type=int, default=gw.DEFAULT_HORIZON)
-    p.add_argument(
-        "--cap", type=int,
-        help="stop a replica at this population (default: the smallest c with psi^c <= 0.1/replicas, "
-        f"and {gw.DEFAULT_POPULATION_CAP:,} for a subcritical law or a larger c)",
-    )
     p.set_defaults(func=cmd_gw)
 
     return parser

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from ._seeds import EstimateCI, run_jobs, substream, substream_random, substreams, wilson_interval
 from .errors import check_at_least
-from .laws import Pmf, _check_d, _check_p, pmf_from_counts
+from .laws import Pmf, _check_d, _check_p
 from .treegen import TreeTopology
 
 DEFAULT_EVENT_CAP = 10 ** 8
@@ -200,7 +200,7 @@ def offspring_empirical(d: int, p: float, replicas: int, seed: int = 0) -> Pmf:
                 if rand() < p:
                     made += 1
             counts[made] += 1
-    return pmf_from_counts(counts)
+    return Pmf(tuple(c / replicas for c in counts))
 
 
 def path_traversal_empirical(k: int, replicas: int, seed: int = 0) -> EstimateCI:

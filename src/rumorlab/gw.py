@@ -10,8 +10,8 @@ however large the population grows.  The laws come from the float builders
 in ``laws``, so the engine runs in seconds for d in the hundreds.
 
 A replica stops once its population reaches a cap and counts as surviving.
-By default the cap is the smallest c with psi^c <= 0.1 / replicas, psi the
-extinction probability of the sampled offspring masses: c spreaders found c
+The cap is the smallest c with psi^c <= 0.1 / replicas, psi the extinction
+probability of the sampled offspring masses: c spreaders found c
 independent lines that all die with probability psi^c, so stopping there
 moves the expected estimate by at most a tenth of one replica.
 """
@@ -31,8 +31,8 @@ DEFAULT_HORIZON = 60
 #: the cap of a subcritical law, or where the rule's cap would be larger
 DEFAULT_POPULATION_CAP = 10_000_000
 
-#: the default cap keeps the expected number of capped replicas that would
-#: have died below this
+#: the cap keeps the expected number of capped replicas that would have
+#: died below this
 _CAP_DEATHS = 0.1
 
 #: replicas per block; block b draws from substream(seed, "gw", b), so the
@@ -86,7 +86,6 @@ def survival_mc(
     p: float,
     replicas: int,
     horizon: int = DEFAULT_HORIZON,
-    cap: int | None = None,
     seed: int = 0,
     workers: int = 1,
 ) -> CappedEstimate:
@@ -94,11 +93,11 @@ def survival_mc(
 
     The cap is checked before each generation: a replica whose population
     has reached ``cap`` stops there, counts as surviving and is reported in
-    ``cap_hits``.  With no ``cap``, it is the smallest c >= 1 with
-    psi^c <= 0.1 / replicas, so the expected estimate moves by at most a
-    tenth of one replica; psi is the extinction probability of the float
-    offspring masses the kernel samples, from ``laws._survival_root`` rounded
-    up by its tolerance, never from ``psi_root``.  A subcritical law, or a c
+    ``cap_hits``.  The cap is the smallest c >= 1 with psi^c <= 0.1 /
+    replicas, so the expected estimate moves by at most a tenth of one
+    replica; psi is the extinction probability of the float offspring masses
+    the kernel samples, from ``laws._survival_root`` rounded up by its
+    tolerance, never from ``psi_root``.  A subcritical law, or a c
     above ``DEFAULT_POPULATION_CAP``, takes that cap instead.  The cap
     depends only on the law and ``replicas``.  Replicas run in blocks of
     ``_BLOCK``; block b draws from the substream (seed, "gw", b) and workers
@@ -107,20 +106,13 @@ def survival_mc(
     """
     check_at_least("replicas", replicas, 1)
     check_at_least("horizon", horizon, 1)
-    if cap is not None:
-        check_at_least("cap", cap, 1)
     init_pvals = law_N_prime_float(d, p)
     off_pvals = law_X_prime_float(d, p)
     off_values = np.arange(off_pvals.size)
     init_pvals /= init_pvals.sum()
     off_pvals /= off_pvals.sum()
-    psi = min(1.0 - _survival_root((off_values[1:], off_pvals[1:]), 1.0) + _SURVIVAL_TOL, 1.0)
-    if cap is None:
-        cap = _cap_for(psi, replicas)
-    # a population below the cap has fewer than cap * d children, which must
-    # fit the int64 counts of the multinomial step
-    if cap > np.iinfo(np.int64).max // d:
-        raise ValueError(f"cap must be at most {np.iinfo(np.int64).max // d} for d={d}, got {cap}")
+    psi = min(1.0 - _survival_root((off_values, off_pvals), 1.0) + _SURVIVAL_TOL, 1.0)
+    cap = _cap_for(psi, replicas)
     jobs = [
         (seed, b, min(_BLOCK, replicas - lo), init_pvals, off_values, off_pvals, horizon, cap)
         for b, lo in enumerate(range(0, replicas, _BLOCK))
@@ -156,9 +148,8 @@ def extinction_by_iteration(offspring_law: Pmf) -> float:
     ``laws._survival_root`` solves it from the masses alone, at p = 1, so no
     closed-form pgf enters and this is an oracle independent of ``psi_root``.
     """
-    masses = np.concatenate((np.zeros(offspring_law.support_min), offspring_law.to_floats()))
-    k = np.arange(masses.size)
-    return 1.0 - _survival_root((k[1:], masses[1:]), 1.0)
+    masses = offspring_law.to_floats()
+    return 1.0 - _survival_root((np.arange(masses.size), masses), 1.0)
 
 
 def coupled_monotonicity_trial(
@@ -183,12 +174,10 @@ def coupled_monotonicity_trial(
     check_at_least("horizon", horizon, 1)
     _check_d(d)
     rng = np.random.default_rng([substream(seed, "coupling")])
-    # float masses of N and X on {0, 1, ...}, as law_*_prime_float builds them;
-    # the last value takes every uniform past the cdf's second-to-last entry,
-    # so a sum that rounds below 1 cannot draw past the support
-    n_masses = np.concatenate(([0.0], _masses(d, root=True)[1]))
-    x_masses = np.concatenate(([1.0 / (d + 1)], _masses(d, root=False)[1]))
-    n_cdf, x_cdf = (np.cumsum(m / m.sum())[:-1] for m in (n_masses, x_masses))
+    # cdfs of the float masses of N and X that law_*_prime_float thin; the
+    # last value takes every uniform past the cdf's second-to-last entry, so
+    # a sum that rounds below 1 cannot draw past the support
+    n_cdf, x_cdf = (np.cumsum(m / m.sum())[:-1] for _, m in (_masses(d, True), _masses(d, False)))
 
     n = int(np.searchsorted(n_cdf, rng.random(), side="right"))
     u = rng.random(n)

@@ -5,11 +5,12 @@
 thin every successful contact by the spread probability ``p``, so
 G_{X'}(s) = G_X(1 - p + p s); one routine, ``_thin``, expands that
 composition for every primed law.  ``law_*`` give exact rationals and
-``law_*_float`` float masses for the Monte Carlo engine.  The generating
-functions are evaluated through their finite polynomial forms, which stay
-bounded and well-defined at every point of ``[0, 1]`` (including s = 0 with
-p = 1, where the closed gamma-function forms are singular).  One secant
-routine, ``_survival_root``, solves u = 1 - G_{V'}(1 - u) on a mass ladder
+``law_*_float`` float masses for the Monte Carlo engine; every law is one
+table of P(V = n) from n = 0.  The generating functions are evaluated
+through their finite polynomial forms, which stay bounded and well-defined
+at every point of ``[0, 1]`` (including s = 0 with p = 1, where the closed
+gamma-function forms are singular).  One secant
+routine, ``_survival_root``, solves u = 1 - G_{V'}(1 - u) on a mass table
 for ``psi_root``'s cross-check and for both roots of the GW engine.
 
 E(X), p_c = 1/E(X) and both traversal-probability forms come from one
@@ -24,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,11 +103,6 @@ def log_partial_exp_sum(m: int, n: int) -> float:
     return log_sum_exp_walk(0.0, math.log(n) - log_ints(m - 1))
 
 
-def _as_fraction(p) -> Fraction:
-    """Exact rational view of a probability (floats use their binary value)."""
-    return p if isinstance(p, Fraction) else Fraction(p)
-
-
 def _check_d(d: int, minimum: int = 2) -> None:
     check_at_least("d", d, minimum)
 
@@ -117,9 +113,9 @@ def _check_p(p) -> None:
 
 @dataclass(frozen=True)
 class Pmf:
-    """Probability mass function on a contiguous integer support."""
+    """Probability mass function: ``probs[n]`` = P(V = n) for n = 0, 1, ...,
+    len(probs) - 1."""
 
-    support_min: int
     probs: tuple
 
     def __post_init__(self) -> None:
@@ -138,17 +134,13 @@ class Pmf:
     def is_exact(self) -> bool:
         return all(isinstance(q, (Fraction, int)) for q in self.probs)
 
-    @property
-    def support_max(self) -> int:
-        return self.support_min + len(self.probs) - 1
-
     def support(self) -> range:
-        return range(self.support_min, self.support_max + 1)
+        return range(len(self.probs))
 
     def p(self, value: int):
         """Mass at ``value`` (zero outside the support)."""
-        if self.support_min <= value <= self.support_max:
-            return self.probs[value - self.support_min]
+        if 0 <= value < len(self.probs):
+            return self.probs[value]
         return Fraction(0) if self.is_exact else 0.0
 
     def mean(self):
@@ -162,9 +154,7 @@ def tv_distance(a: Pmf | Sequence[float], b: Pmf | Sequence[float]) -> float:
     """Total-variation distance between two finite distributions."""
 
     def as_map(x) -> dict[int, float]:
-        if isinstance(x, Pmf):
-            return {v: float(q) for v, q in zip(x.support(), x.probs)}
-        return dict(enumerate(float(q) for q in x))
+        return dict(enumerate(float(q) for q in (x.probs if isinstance(x, Pmf) else x)))
 
     ma, mb = as_map(a), as_map(b)
     keys = set(ma) | set(mb)
@@ -178,7 +168,7 @@ def law_X(d: int) -> Pmf:
         Fraction(math.comb(d, i) * math.factorial(i + 1), (d + 1) ** (i + 1))
         for i in range(d + 1)
     )
-    return Pmf(0, probs)
+    return Pmf(probs)
 
 
 def _log_mean_X(d: int) -> float:
@@ -215,7 +205,7 @@ def _mean_excess(d: int, p) -> float:
     0.  Only p E(X) = 1 exactly never settles; past ``_EPS_MAX_BITS`` the
     exact rational decides.
     """
-    pf = _as_fraction(p)
+    pf = Fraction(p)
     num, den = pf.numerator, pf.denominator
     bits = _EPS_BITS
     while bits <= _EPS_MAX_BITS:
@@ -236,13 +226,14 @@ def _mean_excess(d: int, p) -> float:
 
 
 def law_N(d: int) -> Pmf:
-    """Exact law of N on {1, ..., d+1}: P(N=i) = i! C(d+1,i) i / (d+1)^(i+1)."""
+    """Exact law of N on {0, ..., d+1}: P(N=i) = i! C(d+1,i) i / (d+1)^(i+1),
+    so P(N=0) = 0."""
     _check_d(d)
     probs = tuple(
         Fraction(math.factorial(i) * math.comb(d + 1, i) * i, (d + 1) ** (i + 1))
-        for i in range(1, d + 2)
+        for i in range(d + 2)
     )
-    return Pmf(1, probs)
+    return Pmf(probs)
 
 
 def mean_N(d: int) -> Fraction:
@@ -275,7 +266,7 @@ def law_X_prime(d: int, p) -> Pmf:
     _check_d(d)
     _check_p(p)
     masses = np.array(law_X(d).probs, dtype=object)
-    return Pmf(0, tuple(_thin(masses, _as_fraction(p))))
+    return Pmf(tuple(_thin(masses, Fraction(p))))
 
 
 def law_N_prime(d: int, p) -> Pmf:
@@ -286,13 +277,13 @@ def law_N_prime(d: int, p) -> Pmf:
     """
     _check_d(d)
     _check_p(p)
-    masses = np.array((0,) + law_N(d).probs, dtype=object)
-    return Pmf(0, tuple(_thin(masses, _as_fraction(p))))
+    masses = np.array(law_N(d).probs, dtype=object)
+    return Pmf(tuple(_thin(masses, Fraction(p))))
 
 
 def law_X_prime_float(d: int, p: float) -> np.ndarray:
-    """Masses of X' on {0, ..., d} as floats, thinned from the ``_masses``
-    ladder with P(X=0) = 1/(d+1) in front.
+    """Masses of X' on {0, ..., d} as floats, thinned from X's cached
+    ``_masses`` table.
 
     The Monte Carlo engines use this form: it costs O(d^2) float operations
     and O(d) memory where ``law_X_prime`` costs O(d^2) big-rational ones,
@@ -300,15 +291,15 @@ def law_X_prime_float(d: int, p: float) -> np.ndarray:
     """
     _check_d(d)
     _check_p(p)
-    return _thin(np.concatenate(([1.0 / (d + 1)], _masses(d, root=False)[1])), float(p))
+    return _thin(_masses(d, root=False)[1], float(p))
 
 
 def law_N_prime_float(d: int, p: float) -> np.ndarray:
-    """Masses of N' on {0, ..., d+1} as floats, built like ``law_X_prime_float``
-    with P(N=0) = 0 in front."""
+    """Masses of N' on {0, ..., d+1} as floats, thinned from N's cached
+    ``_masses`` table like ``law_X_prime_float``."""
     _check_d(d)
     _check_p(p)
-    return _thin(np.concatenate(([0.0], _masses(d, root=True)[1])), float(p))
+    return _thin(_masses(d, root=True)[1], float(p))
 
 
 def beta_paper(d: int, exact: bool = False) -> Fraction | float:
@@ -361,32 +352,32 @@ def beta_gap(d: int) -> Fraction:
 
 @functools.lru_cache(maxsize=2)
 def _masses(d: int, root: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(n, P(V = n)) for n = 1, 2, ... as float arrays, with V = N if
+    """(n, P(V = n)) for n = 0, 1, ... as float arrays, with V = N if
     ``root`` else X.
 
     Both come from g_n = d! / ((d-n)! (d+1)^(n+1)), a product of factors
-    <= 1, so the ladder is stable for any d: P(X = n) = (n+1) g_n and
-    P(N = n) = n g_(n-1).  P(X = 0) = g_0 = 1/(d+1) and P(N = 0) = 0 stay
-    out: at p u = 1, ``_complement_sum`` would give an n = 0 term 0 * -inf.
-    The arrays are cached, so they are read-only.  A ladder holds 16 bytes
+    <= 1, so the table is stable for any d: P(X = n) = (n+1) g_n, so
+    P(X = 0) = g_0 = 1/(d+1), and P(N = n) = n g_(n-1) with P(N = 0) = 0.
+    The arrays are cached, so they are read-only.  A table holds 16 bytes
     per unit of d, so the cache keeps only the two latest: X's and N's of one d.
     """
     g = np.cumprod(np.concatenate(([1.0 / (d + 1)], np.arange(d, 0, -1) / (d + 1))))
-    n = np.arange(1.0, d + 2.0) if root else np.arange(1.0, d + 1.0)
-    mass = n * g if root else (n + 1) * g[1:]
+    n = np.arange(d + 2.0) if root else np.arange(d + 1.0)
+    mass = n * np.concatenate(([0.0], g)) if root else (n + 1) * g
     n.flags.writeable = mass.flags.writeable = False
     return n, mass
 
 
 def _complement_sum(law: tuple[np.ndarray, np.ndarray], p: float, u: float) -> float:
-    """sum_n P(V=n) (1 - (1 - p u)^n) for the (n, P(V=n)) arrays ``law``,
-    i.e. 1 - G_{V'}(1 - u).
+    """sum_{n>=1} P(V=n) (1 - (1 - p u)^n) for the (n, P(V=n)) arrays ``law``
+    from n = 0, i.e. 1 - G_{V'}(1 - u).
 
     Every term is positive and keeps full relative precision (log1p/expm1).
+    The n = 0 term, always 0, is skipped: at p u = 1 it would be 0 * -inf.
     """
     n, mass = law
     log_base = math.log1p(-p * u) if p * u < 1 else -math.inf
-    return -float(mass.dot(np.expm1(n * log_base)))
+    return -float(mass[1:].dot(np.expm1(n[1:] * log_base)))
 
 
 def _survival_root(law: tuple[np.ndarray, np.ndarray], p: float) -> float:
@@ -419,10 +410,10 @@ def _survival_root(law: tuple[np.ndarray, np.ndarray], p: float) -> float:
 
 
 def _pgf(law: tuple[np.ndarray, np.ndarray], p: float, s: float) -> float:
-    """sum_n P(V=n) (1 - p + p s)^n for the (n, P(V=n)) arrays ``law``,
-    i.e. G_{V'}(s) less its mass P(V=0) at n = 0."""
+    """G_{V'}(s) = sum_n P(V=n) (1 - p + p s)^n for the (n, P(V=n)) arrays
+    ``law`` from n = 0: P(V=0) plus the dot product of the rest."""
     n, mass = law
-    return float(mass.dot((s * p + 1.0 - p) ** n))
+    return float(mass[0] + mass[1:].dot((s * p + 1.0 - p) ** n[1:]))
 
 
 def pgf_X_prime(d: int, p: float, s: float) -> float:
@@ -430,7 +421,7 @@ def pgf_X_prime(d: int, p: float, s: float) -> float:
     _check_d(d)
     _check_p(p)
     check_unit_interval("s", s)
-    return 1.0 / (d + 1) + _pgf(_masses(d, root=False), p, s)
+    return _pgf(_masses(d, root=False), p, s)
 
 
 def pgf_N_prime(d: int, p: float, s: float) -> float:
@@ -465,11 +456,3 @@ def cpgf_N_prime(d: int, p: float, u: float) -> float:
     check_unit_interval("u", u)
     return _complement_sum(_masses(d, root=True), p, u)
 
-
-def pmf_from_counts(counts: Iterable[int]) -> Pmf:
-    """Empirical Pmf on {0, 1, ...} from raw outcome counts."""
-    counts = list(counts)
-    n = sum(counts)
-    if n <= 0:
-        raise ValueError("no observations")
-    return Pmf(0, tuple(c / n for c in counts))

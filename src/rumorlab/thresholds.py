@@ -111,8 +111,9 @@ def psi_root(d: int, p: float) -> RootResult:
     if eps <= 0.0:
         return RootResult(psi=1.0, u=0.0, iterations=0, residual=0.0)
     n, mass = _masses(d, root=False)
-    j, tails = n[:-1], np.cumsum(mass[:0:-1])[::-1]  # P(X > j), j = 1..d-1
-    j_tails, powers = j * tails, j - 1.0
+    j, tails = n[:-1], np.cumsum(mass[:0:-1])[::-1]  # P(X > j), j = 0..d-1
+    # the slope's j = 0 term is 0; left in, it would move the dot's rounding
+    j_tails, powers = j[1:] * tails[1:], j[1:] - 1.0
     u = 0.0
     for steps in range(1, _NEWTON_MAX_STEPS + 1):
         slope = float(j_tails.dot(np.exp(powers * math.log1p(-p * u))))

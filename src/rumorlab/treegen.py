@@ -14,6 +14,7 @@ explores; it draws whether a hub's child is a leaf from its replica stream.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -44,7 +45,7 @@ class TreeTopology:
             if self.k >= self.d:
                 warnings.warn(
                     f"hub_path analysis assumes k < d; got k={self.k}, d={self.d}",
-                    stacklevel=2,
+                    stacklevel=3,  # past the generated __init__, to its caller
                 )
         elif self.k is not None or self.alpha is not None or self.h is not None:
             raise ValueError("cayley trees take no k/alpha/h parameters")
@@ -68,9 +69,7 @@ class TreeTopology:
         return ((hub_deg, hub_deg, hub_deg, True),) + (path,) * (self.h - 1)
 
 
-def cayley(d: int) -> TreeTopology:
-    return TreeTopology("cayley", d)
-
-
-def hub_path(d: int, k: int, alpha: float, h: int) -> TreeTopology:
-    return TreeTopology("hub_path", d, k=k, alpha=alpha, h=h)
+#: ``cayley(d)`` and ``hub_path(d, k, alpha, h)``; as partials they add no
+#: frame, so the k >= d warning names their caller's line
+cayley = functools.partial(TreeTopology, "cayley")
+hub_path = functools.partial(TreeTopology, "hub_path")

@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from rumorlab.laws import (
-    _as_fraction,
     _check_d,
     _check_p,
     _partial_exp_sum_scaled_int,
@@ -62,7 +61,7 @@ def law_N_prime_printed(d: int, p) -> Pmf:
     _check_p(p)
     if p == 1:
         raise ValueError("printed form is undefined at p = 1; use law_N_prime")
-    pf = _as_fraction(p)
+    pf = Fraction(p)
     ratio = pf / (1 - pf)
     probs = []
     for i in range(d + 2):
@@ -76,14 +75,14 @@ def law_N_prime_printed(d: int, p) -> Pmf:
                 * ((1 - pf) / (d + 1)) ** k
             )
         probs.append(ratio ** i * inner / (d + 1))
-    return Pmf(0, tuple(probs))
+    return Pmf(tuple(probs))
 
 
 def thinned_binomial_sum(base: Pmf, p) -> tuple:
-    """Masses of the law ``base`` thinned by p on {0, ..., support_max}:
+    """Masses of the law ``base`` thinned by p on its support {0, ..., n}:
     P'(i) = sum_k C(k, i) p^i (1-p)^(k-i) P(k), one exact term at a time."""
-    pf = _as_fraction(p)
-    out = [Fraction(0)] * (base.support_max + 1)
+    pf = Fraction(p)
+    out = [Fraction(0)] * len(base.probs)
     for k, mass in zip(base.support(), base.probs):
         for i in range(k + 1):
             out[i] += math.comb(k, i) * pf ** i * (1 - pf) ** (k - i) * mass
@@ -95,7 +94,7 @@ def pmf_pgf(pmf: Pmf, s: float) -> float:
     acc = 0.0
     for q in reversed(pmf.to_floats()):
         acc = acc * s + q
-    return float(acc * s ** pmf.support_min)
+    return float(acc)
 
 
 def enumerate_traversal_probability(d: int) -> Fraction:
@@ -125,7 +124,7 @@ def enumerate_traversal_probability(d: int) -> Fraction:
 
 
 def _support_and_pvals(law: Pmf) -> tuple[np.ndarray, np.ndarray]:
-    values = np.arange(law.support_min, law.support_max + 1)
+    values = np.arange(len(law.probs))
     pvals = law.to_floats()
     return values, pvals / pvals.sum()
 

@@ -354,6 +354,13 @@ class TestSimulate:
             main(["simulate", "--tree", "cayley", "--d", "3", "--level-sweep", "5", "--seed", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("sweep", ["5:3:1", "0:3:1", "1:3:0"])
+    def test_sweep_bounds_are_usage_errors(self, capsys, sweep):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--tree", "cayley", "--d", "3", "--level-sweep", sweep, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--level-sweep expects 1 <= MIN <= MAX and STEP >= 1" in capsys.readouterr().err
+
 
 class TestGwCommand:
     def test_report(self, capsys):
@@ -366,7 +373,7 @@ class TestGwCommand:
         assert doc["method"] == "wilson"
         assert 0 <= doc["cap_hits"] <= doc["estimate"] * doc["replicas"]
 
-    @pytest.mark.parametrize("flag", ["--horizon", "--cap", "--event-cap"])
+    @pytest.mark.parametrize("flag", ["--horizon", "--event-cap"])
     def test_nonpositive_limit_is_usage_error(self, flag):
         command = ["simulate", "--d", "4", "--p", "0.9"] if flag == "--event-cap" else ["gw", "4", "0.9"]
         with pytest.raises(SystemExit) as exc:
@@ -542,7 +549,7 @@ FLAGS = {
         "--tree", "--d", "--k", "--alpha", "--h", "--p", "--level", "--level-sweep",
         "--level-unit", "--replicas", "--event-cap",
     },
-    "gw": _COMMON | _THREADS | {"--replicas", "--horizon", "--cap"},
+    "gw": _COMMON | _THREADS | {"--replicas", "--horizon"},
 }
 
 QUICK_RUNS = {
@@ -570,8 +577,9 @@ class TestFlagSurface:
         [
             ["psi", "3", "1.0", "--threads", "2"], ["gw", "4", "0.9", "--exact"], ["audit-beta", "3", "--float"],
             ["pc-table", "--float"], ["alpha-c", "5", "3", "1", "--float"], ["max-h", "5", "3", "--float"],
+            ["gw", "4", "0.9", "--cap", "5"],
         ],
-        ids=["psi-threads", "gw-exact", "audit-beta-float", "pc-table-float", "alpha-c-float", "max-h-float"],
+        ids=["psi-threads", "gw-exact", "audit-beta-float", "pc-table-float", "alpha-c-float", "max-h-float", "gw-cap"],
     )
     def test_flag_the_command_ignores_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -671,6 +679,23 @@ REPORT_DIGESTS = {
     "audit-beta": (
         [["audit-beta", str(k), "--replicas", "20000"] for k in (3, 30, 501, 800)],
         "d553c9565177ac0283e646ed2ea1aea645f14f9a546f8a42537c3233eaa59428",
+    ),
+    # the reports that read the offspring mass tables
+    "gw": (
+        [["gw", "4", "0.9", "--replicas", "2000"]],
+        "0ed4203d97cf10c009507f55def33cfe2acaf20421c0903c08d024d856e0c3d5",
+    ),
+    "theta": (
+        [["theta", "10", "0.3509", "--method", "all", "--replicas", "2000"], ["theta", "1000", "0.0262"]],
+        "16e3c7b3d831017fe32615a3fb7c415d744f91c3f291ecbeb57fe74466a0206a",
+    ),
+    "psi": (
+        [["psi", "4", "0.9"], ["psi", "100000", "0.0026"]],
+        "1e96a9a06efa498a9aa579efbe9110b49fcb45a222e7df1e37a21dddeb12418c",
+    ),
+    "offspring": (
+        [["offspring", "5", "0.7", "--replicas", "20000"]],
+        "3bbc207614140e32d9aec22a984e1f01114793f25dac8f8de4a2de33cbec4a64",
     ),
 }
 

@@ -247,8 +247,7 @@ class TestOffspringEmpirical:
 
     def test_support(self):
         emp = offspring_empirical(4, 0.9, 1000, seed=8)
-        assert emp.support_min == 0
-        assert emp.support_max == 4
+        assert len(emp.probs) == 5
 
     def test_deterministic(self):
         a = offspring_empirical(3, 0.7, 5000, seed=9)

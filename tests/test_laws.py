@@ -24,7 +24,6 @@ from rumorlab.laws import (
     mean_X,
     pgf_N_prime,
     pgf_X_prime,
-    pmf_from_counts,
     tv_distance,
 )
 
@@ -333,8 +332,7 @@ class TestThinnedFloatBlocks:
 class TestLawN:
     def test_d2(self):
         pmf = law_N(2)
-        assert pmf.support_min == 1
-        assert pmf.probs == (F(1, 3), F(4, 9), F(2, 9))
+        assert pmf.probs == (F(0), F(1, 3), F(4, 9), F(2, 9))
 
     @pytest.mark.parametrize("d", [2, 3, 9, 33])
     def test_mass_at_one(self, d):
@@ -348,7 +346,6 @@ class TestLawN:
 class TestLawNPrime:
     def test_p_one_extends_law_N(self):
         pmf = law_N_prime(2, 1)
-        assert pmf.support_min == 0
         assert pmf.probs == (F(0), F(1, 3), F(4, 9), F(2, 9))
 
     def test_zero_mass_example(self):
@@ -406,22 +403,18 @@ class TestPgfNPrime:
 class TestPmf:
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
-            Pmf(0, (F(3, 2), F(-1, 2)))
+            Pmf((F(3, 2), F(-1, 2)))
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
-            Pmf(0, (F(1, 2), F(1, 3)))
+            Pmf((F(1, 2), F(1, 3)))
         with pytest.raises(ValueError):
-            Pmf(0, (0.5, 0.4))
+            Pmf((0.5, 0.4))
 
     def test_p_outside_support(self):
         pmf = law_X(2)
         assert pmf.p(-1) == 0
         assert pmf.p(5) == 0
-
-    def test_from_counts(self):
-        pmf = pmf_from_counts([1, 3])
-        assert pmf.probs == (0.25, 0.75)
 
     def test_tv_distance(self):
         assert tv_distance(law_X(2), law_X(2)) == 0

@@ -124,7 +124,7 @@ class TestPsiRoot:
     def test_just_above_critical(self, d, k):
         p = p_critical(d).float_value * (1 + 10.0 ** -k)
         assert theta(d, p) > 0.0
-        law = Pmf(0, tuple(law_X_prime_float(d, p)))
+        law = Pmf(tuple(law_X_prime_float(d, p)))
         assert abs(psi_root(d, p).psi - extinction_by_iteration(law)) <= 1e-10
 
     def test_root_closer_to_one_than_old_bracket(self):
@@ -244,7 +244,7 @@ class TestNearCriticalProperties:
     @given(d=st.integers(3, 1000), k=st.integers(1, 8))
     def test_psi_root_agrees_with_iteration(self, d, k):
         p = just_above_critical(d, k)
-        law = Pmf(0, tuple(law_X_prime_float(d, p)))
+        law = Pmf(tuple(law_X_prime_float(d, p)))
         assert abs(psi_root(d, p).psi - extinction_by_iteration(law)) <= 1e-10
 
 

@@ -37,8 +37,11 @@ class TestTopology:
             cayley(1)
 
     def test_warns_when_k_not_below_d(self):
-        with pytest.warns(UserWarning):
-            hub_path(4, 4, 0.5, 2)
+        # the warning names this file's line, not the dataclass's __init__
+        for build in (lambda: hub_path(4, 4, 0.5, 2), lambda: TreeTopology("hub_path", 4, 4, 0.5, 2)):
+            with pytest.warns(UserWarning) as record:
+                build()
+            assert record[0].filename == __file__
 
 
 class TestRoleTable:
