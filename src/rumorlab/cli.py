@@ -180,10 +180,7 @@ def cmd_theta(args) -> tuple[list[dict], dict | None]:
             payload["analytic"] = value
             rows.append({"method": "analytic", "estimate": value, "ci_low": "", "ci_high": ""})
         elif method == "gw_mc":
-            est = gw.survival_mc(
-                args.d, args.p, args.replicas, horizon=args.horizon,
-                seed=args.seed, workers=args.threads,
-            )
+            est = gw.survival_mc(args.d, args.p, args.replicas, seed=args.seed, workers=args.threads)
             payload["gw_mc"] = est.__dict__
             rows.append({"method": "gw_mc", "estimate": est.estimate, "ci_low": est.ci_low, "ci_high": est.ci_high})
         else:
@@ -306,9 +303,7 @@ def cmd_simulate(args) -> tuple[list[dict], dict | None]:
 
 
 def cmd_gw(args) -> tuple[list[dict], dict | None]:
-    est = gw.survival_mc(
-        args.d, args.p, args.replicas, horizon=args.horizon, seed=args.seed, workers=args.threads,
-    )
+    est = gw.survival_mc(args.d, args.p, args.replicas, seed=args.seed, workers=args.threads)
     payload = est.__dict__
     rows = [
         {"estimate": est.estimate, "ci_low": est.ci_low, "ci_high": est.ci_high,
@@ -335,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=float)
     p.add_argument("--method", choices=("analytic", "gw_mc", "ctmc_mc", "all"), default="analytic")
     p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--horizon", type=int, default=gw.DEFAULT_HORIZON)
     p.add_argument("--level", type=int, default=ctmc.DEFAULT_LEVEL_CAYLEY)
     p.set_defaults(func=cmd_theta)
 
@@ -387,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
     p.add_argument("p", type=float)
     p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--horizon", type=int, default=gw.DEFAULT_HORIZON)
     p.set_defaults(func=cmd_gw)
 
     return parser

@@ -9,11 +9,13 @@ offspring support, which is exact and O(support) per replica and generation
 however large the population grows.  The laws come from the float builders
 in ``laws``, so the engine runs in seconds for d in the hundreds.
 
-A replica stops once its population reaches a cap and counts as surviving.
-The cap is the smallest c with psi^c <= 0.1 / replicas, psi the extinction
-probability of the sampled offspring masses: c spreaders found c
-independent lines that all die with probability psi^c, so stopping there
-moves the expected estimate by at most a tenth of one replica.
+Each replica runs until it dies out or reaches a cap, where it counts as
+surviving, so the estimate targets theta.  The cap is the smallest c with
+psi^c <= 0.1 / replicas, psi the extinction probability of the sampled
+offspring masses: c spreaders found c independent lines that all die with
+probability psi^c, so stopping there moves the expected estimate by at most
+a tenth of one replica.  ``_GENERATION_GUARD`` bounds the time of a run near
+p_c; a replica it stops counts as surviving and is reported as unresolved.
 """
 
 from __future__ import annotations
@@ -27,13 +29,16 @@ from ._seeds import EstimateCI, run_jobs, substream, wilson_interval
 from .errors import check_at_least
 from .laws import _SURVIVAL_TOL, Pmf, _check_d, _masses, _survival_root, law_N_prime_float, law_X_prime_float
 
-DEFAULT_HORIZON = 60
 #: the cap of a subcritical law, or where the rule's cap would be larger
 DEFAULT_POPULATION_CAP = 10_000_000
 
 #: the cap keeps the expected number of capped replicas that would have
 #: died below this
 _CAP_DEATHS = 0.1
+
+#: a replica still alive below the cap after this many generations stops,
+#: counts as surviving and is reported as unresolved
+_GENERATION_GUARD = 10_000
 
 #: replicas per block; block b draws from substream(seed, "gw", b), so the
 #: blocks, not the workers, fix every draw
@@ -45,67 +50,73 @@ _COUPLING_GUARD = 100_000
 
 @dataclass(frozen=True)
 class CappedEstimate(EstimateCI):
-    """GW estimate that counts replicas stopped by the population cap as
-    successes.
+    """GW estimate of theta that counts replicas stopped by the population
+    cap or by the generation guard as successes.
 
-    ``cap_hits`` says how many replicas that was and ``cap`` the population
-    at which they stopped.  ``psi_pow_cap`` = psi^cap bounds the chance that
-    a capped replica would still have died (its cap spreaders found that
-    many independent lines), so the upward bias the cap introduces is
-    visible in every report: at most ``replicas * psi_pow_cap`` replicas in
-    expectation.  Equality compares outcomes: two runs that stop no replica
-    at either cap are equal whatever their caps.
+    ``cap_hits`` says how many replicas the cap stopped and ``cap`` the
+    population at which they stopped.  ``psi_pow_cap`` = psi^cap bounds the
+    chance that a capped replica would still have died (its cap spreaders
+    found that many independent lines).  ``unresolved`` counts the replicas
+    still alive below the cap after ``_GENERATION_GUARD`` generations.  So
+    the upward bias of the estimate is visible in every report: at most
+    ``replicas * psi_pow_cap + unresolved`` replicas in expectation.
+    Equality compares outcomes: two runs that stop no replica at either cap
+    are equal whatever their caps.
     """
 
     cap_hits: int = 0
+    unresolved: int = 0
     cap: int = field(default=DEFAULT_POPULATION_CAP, compare=False)
     psi_pow_cap: float = field(default=1.0, compare=False)
 
 
-def _survival_block(args) -> tuple[int, int]:
-    """(survivors, cap hits) among the ``n`` replicas of block ``b``."""
-    seed, b, n, init_pvals, off_values, off_pvals, horizon, cap = args
+def _survival_block(args) -> tuple[int, int, int]:
+    """(survivors, cap hits, unresolved) among the ``n`` replicas of block
+    ``b``; the survivors include both other counts."""
+    seed, b, n, init_pvals, off_values, off_pvals, cap = args
     rng = np.random.default_rng(substream(seed, "gw", b))
     z = rng.choice(init_pvals.size, size=n, p=init_pvals)
     z = z[z > 0]
     cap_hits = 0
-    for _ in range(horizon):
+    for generation in range(_GENERATION_GUARD + 1):
         at_cap = z >= cap
         if at_cap.any():
             cap_hits += int(np.count_nonzero(at_cap))
             z = z[~at_cap]
-        if z.size == 0:
+        if z.size == 0 or generation == _GENERATION_GUARD:
             break
         z = rng.multinomial(z, off_pvals) @ off_values
         z = z[z > 0]
-    return z.size + cap_hits, cap_hits
+    return z.size + cap_hits, cap_hits, z.size
 
 
 def survival_mc(
     d: int,
     p: float,
     replicas: int,
-    horizon: int = DEFAULT_HORIZON,
     seed: int = 0,
     workers: int = 1,
 ) -> CappedEstimate:
-    """Wilson 95% CI on P(Z_horizon >= 1) for the rumor branching process.
+    """Wilson 95% CI on theta, the survival probability of the rumor
+    branching process.
 
-    The cap is checked before each generation: a replica whose population
-    has reached ``cap`` stops there, counts as surviving and is reported in
+    Each replica runs until it dies out or reaches the cap.  The cap is
+    checked before each generation: a replica whose population has reached
+    ``cap`` stops there, counts as surviving and is reported in
     ``cap_hits``.  The cap is the smallest c >= 1 with psi^c <= 0.1 /
     replicas, so the expected estimate moves by at most a tenth of one
     replica; psi is the extinction probability of the float offspring masses
     the kernel samples, from ``laws._survival_root`` rounded up by its
     tolerance, never from ``psi_root``.  A subcritical law, or a c
     above ``DEFAULT_POPULATION_CAP``, takes that cap instead.  The cap
-    depends only on the law and ``replicas``.  Replicas run in blocks of
+    depends only on the law and ``replicas``.  A replica still alive below
+    the cap after ``_GENERATION_GUARD`` generations counts as surviving and
+    is reported in ``unresolved``.  Replicas run in blocks of
     ``_BLOCK``; block b draws from the substream (seed, "gw", b) and workers
     take whole blocks, so results are independent of scheduling and of the
     worker count.
     """
     check_at_least("replicas", replicas, 1)
-    check_at_least("horizon", horizon, 1)
     init_pvals = law_N_prime_float(d, p)
     off_pvals = law_X_prime_float(d, p)
     off_values = np.arange(off_pvals.size)
@@ -114,16 +125,15 @@ def survival_mc(
     psi = min(1.0 - _survival_root((off_values, off_pvals), 1.0) + _SURVIVAL_TOL, 1.0)
     cap = _cap_for(psi, replicas)
     jobs = [
-        (seed, b, min(_BLOCK, replicas - lo), init_pvals, off_values, off_pvals, horizon, cap)
+        (seed, b, min(_BLOCK, replicas - lo), init_pvals, off_values, off_pvals, cap)
         for b, lo in enumerate(range(0, replicas, _BLOCK))
     ]
     parts = run_jobs(_survival_block, jobs, workers)
-    survived = sum(s for s, _ in parts)
-    cap_hits = sum(c for _, c in parts)
+    survived, cap_hits, unresolved = (sum(column) for column in zip(*parts))
     low, high = wilson_interval(survived, replicas)
     return CappedEstimate(
         survived / replicas, low, high, replicas, seed,
-        cap_hits=cap_hits, cap=cap, psi_pow_cap=psi**cap,
+        cap_hits=cap_hits, unresolved=unresolved, cap=cap, psi_pow_cap=psi**cap,
     )
 
 

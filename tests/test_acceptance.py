@@ -156,7 +156,7 @@ def test_criterion_7_triple_cross_validation():
     budget = Budget(600.0)
     d, p = 4, 0.9
     analytic = rl.theta(d, p)
-    gw_est = rl.survival_mc(d, p, replicas=10**5, horizon=60, seed=701)
+    gw_est = rl.survival_mc(d, p, replicas=10**5, seed=701)
     ctmc_est = rl.estimate_survival_ctmc(
         rl.cayley(d), p, target_level=30, replicas=10**5, seed=702
     )

@@ -373,11 +373,10 @@ class TestGwCommand:
         assert doc["method"] == "wilson"
         assert 0 <= doc["cap_hits"] <= doc["estimate"] * doc["replicas"]
 
-    @pytest.mark.parametrize("flag", ["--horizon", "--event-cap"])
+    @pytest.mark.parametrize("flag", ["--event-cap"])
     def test_nonpositive_limit_is_usage_error(self, flag):
-        command = ["simulate", "--d", "4", "--p", "0.9"] if flag == "--event-cap" else ["gw", "4", "0.9"]
         with pytest.raises(SystemExit) as exc:
-            main(command + [flag, "0", "--replicas", "10", "--seed", "1"])
+            main(["simulate", "--d", "4", "--p", "0.9", flag, "0", "--replicas", "10", "--seed", "1"])
         assert exc.value.code == 2
 
     def test_theta_gw_mc_reports_cap_hits(self, capsys):
@@ -539,7 +538,7 @@ _MODE = {"--exact"}
 # --exact only where exact rationals are printed
 FLAGS = {
     "pc-table": _COMMON | _MODE | {"--d-min", "--d-max"},
-    "theta": _COMMON | _THREADS | {"--method", "--replicas", "--horizon", "--level"},
+    "theta": _COMMON | _THREADS | {"--method", "--replicas", "--level"},
     "psi": _COMMON,
     "alpha-c": _COMMON | _MODE | {"--beta-form"},
     "max-h": _COMMON | _MODE | {"--beta-form"},
@@ -549,7 +548,7 @@ FLAGS = {
         "--tree", "--d", "--k", "--alpha", "--h", "--p", "--level", "--level-sweep",
         "--level-unit", "--replicas", "--event-cap",
     },
-    "gw": _COMMON | _THREADS | {"--replicas", "--horizon"},
+    "gw": _COMMON | _THREADS | {"--replicas"},
 }
 
 QUICK_RUNS = {
@@ -577,9 +576,10 @@ class TestFlagSurface:
         [
             ["psi", "3", "1.0", "--threads", "2"], ["gw", "4", "0.9", "--exact"], ["audit-beta", "3", "--float"],
             ["pc-table", "--float"], ["alpha-c", "5", "3", "1", "--float"], ["max-h", "5", "3", "--float"],
-            ["gw", "4", "0.9", "--cap", "5"],
+            ["gw", "4", "0.9", "--cap", "5"], ["gw", "4", "0.9", "--horizon", "60"],
         ],
-        ids=["psi-threads", "gw-exact", "audit-beta-float", "pc-table-float", "alpha-c-float", "max-h-float", "gw-cap"],
+        ids=["psi-threads", "gw-exact", "audit-beta-float", "pc-table-float", "alpha-c-float", "max-h-float", "gw-cap",
+             "gw-horizon"],
     )
     def test_flag_the_command_ignores_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -683,11 +683,11 @@ REPORT_DIGESTS = {
     # the reports that read the offspring mass tables
     "gw": (
         [["gw", "4", "0.9", "--replicas", "2000"]],
-        "0ed4203d97cf10c009507f55def33cfe2acaf20421c0903c08d024d856e0c3d5",
+        "92201f43c37a43ae1f27ee9dd800f94f97bbd4d922bb84ae77d61d25d16a4383",
     ),
     "theta": (
         [["theta", "10", "0.3509", "--method", "all", "--replicas", "2000"], ["theta", "1000", "0.0262"]],
-        "16e3c7b3d831017fe32615a3fb7c415d744f91c3f291ecbeb57fe74466a0206a",
+        "5c3ceb15d2f503667891e2c77c84f9583ad8dae89dc3c8901fee67c6e4982448",
     ),
     "psi": (
         [["psi", "4", "0.9"], ["psi", "100000", "0.0026"]],

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rumorlab import gw
 from rumorlab.gw import (
     _BLOCK,
     DEFAULT_POPULATION_CAP,
@@ -27,8 +28,8 @@ F = Fraction
 DELTA_0 = Pmf((F(1),))
 
 
-def run_block(init, off, seed, horizon=60, cap=10**7, n=100):
-    """(survivors, cap hits) of one block of the survival_mc kernel.
+def run_block(init, off, seed, cap=10**7, n=100):
+    """(survivors, cap hits, unresolved) of one block of the survival_mc kernel.
 
     ``init`` and ``off`` are the masses of the initial and offspring laws
     on {0, 1, ...}.
@@ -36,7 +37,7 @@ def run_block(init, off, seed, horizon=60, cap=10**7, n=100):
     init_pvals = np.asarray(init, dtype=float)
     off_pvals = np.asarray(off, dtype=float)
     off_values = np.arange(off_pvals.size)
-    return _survival_block((seed, 0, n, init_pvals, off_values, off_pvals, horizon, cap))
+    return _survival_block((seed, 0, n, init_pvals, off_values, off_pvals, cap))
 
 
 def se_of(est):
@@ -80,21 +81,22 @@ class TestSimulateGw:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_delta0_offspring_dies_immediately(self, seed):
-        assert run_block([0, 1], [1], seed, horizon=1) == (0, 0)
+        assert run_block([0, 1], [1], seed) == (0, 0, 0)
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_deterministic_line_survives(self, seed):
-        assert run_block([0, 1], [0, 1], seed, horizon=500) == (100, 0)
+    def test_deterministic_line_survives(self, seed, monkeypatch):
+        # a line of one spreader never dies out nor grows: the generation
+        # guard stops it, and it counts as an unresolved survivor
+        monkeypatch.setattr(gw, "_GENERATION_GUARD", 50)
+        assert run_block([0, 1], [0, 1], seed) == (100, 0, 100)
 
     def test_zero_initial_is_extinct_at_generation_zero(self):
         # a cap of one would stop any replica that started with a spreader
-        assert run_block([1], [0, 0, 1], 3, cap=1) == (0, 0)
+        assert run_block([1], [0, 0, 1], 3, cap=1) == (0, 0, 0)
 
     def test_cap_counts_as_survival(self):
         # deterministic doubling passes a cap of 1000 after ten generations
-        assert run_block([0, 1], [0, 0, 1], 5, horizon=200, cap=1000) == (100, 100)
-        # ... and survives uncapped when the horizon ends first
-        assert run_block([0, 1], [0, 0, 1], 5, horizon=9, cap=1000) == (100, 0)
+        assert run_block([0, 1], [0, 0, 1], 5, cap=1000) == (100, 100, 0)
 
     def test_bitwise_determinism(self):
         a = survival_mc(4, 0.9, replicas=300, seed=123)
@@ -103,7 +105,7 @@ class TestSimulateGw:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            survival_mc(4, 0.9, replicas=10, horizon=0)
+            survival_mc(4, 0.9, replicas=0)
 
 
 class TestSurvivalMc:
@@ -118,7 +120,7 @@ class TestSurvivalMc:
         assert abs(est.estimate - target) <= 3 * se
 
     def test_matches_analytic_theta_p_one(self):
-        est = survival_mc(3, 1.0, replicas=20_000, horizon=60, seed=23)
+        est = survival_mc(3, 1.0, replicas=20_000, seed=23)
         target = theta(3, 1.0)
         se = math.sqrt(max(est.estimate * (1 - est.estimate), 1e-12) / est.replicas)
         assert abs(est.estimate - target) <= 3 * se
@@ -137,8 +139,10 @@ class TestSurvivalMc:
 
     def test_pool_matches_inline(self, pool_only):
         inline = survival_mc(3, 0.9, replicas=2_000, seed=9, workers=1)
-        assert survival_mc(3, 0.9, replicas=2_000, seed=9, workers=2) == inline
-        assert survival_mc(3, 0.9, replicas=2_000, seed=9, workers=3) == inline
+        for workers in (2, 3):
+            pooled = survival_mc(3, 0.9, replicas=2_000, seed=9, workers=workers)
+            assert pooled == inline
+            assert (pooled.cap_hits, pooled.unresolved) == (inline.cap_hits, inline.unresolved)
 
     def test_unbiased_across_seeds(self):
         target = theta(4, 0.9)
@@ -154,13 +158,16 @@ class TestSurvivalMc:
         assert time.perf_counter() - start < 10.0
         assert abs(est.estimate - theta(500, 0.5)) <= 5 * se_of(est)
 
-    def test_horizon_monotone(self):
-        short = survival_mc(4, 0.9, replicas=10_000, horizon=20, seed=5)
-        long = survival_mc(4, 0.9, replicas=10_000, horizon=60, seed=5)
-        assert long.estimate <= short.estimate
-        # and the two differ by at most the combined MC noise
-        se = math.sqrt(2 * short.estimate * (1 - short.estimate) / short.replicas)
-        assert short.estimate - long.estimate <= 3 * se + 1e-9
+    @pytest.mark.parametrize(
+        "d,p,replicas", [(10, 0.3509, 4_000), (1000, 0.0262, 20_000)], ids=["d10", "d1000"],
+    )
+    def test_near_critical_targets_theta(self, d, p, replicas):
+        # p = p_c(d)(1 + 9e-4) and p_c(d)(1 + 4e-3), where the fraction of
+        # replicas still alive after 60 generations lies 11 and 19 SE above
+        # theta at this seed, so only a run to extinction or the cap passes
+        est = survival_mc(d, p, replicas, seed=1)
+        assert est.unresolved == 0
+        assert abs(est.estimate - theta(d, p)) <= 4 * se_of(est)
 
     def test_estimate_ci_shape(self):
         est = survival_mc(3, 1.0, replicas=500, seed=2)
