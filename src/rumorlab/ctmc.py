@@ -23,6 +23,8 @@ neighbor is its informer, so its whole race is one stifling contact: that
 event is counted when the leaf is made (after the level check that counts
 the leaf in graph units), and the leaf is never stacked.  At p = 1 every
 contacted ignorant spreads, so the thinning uniform is drawn only for p < 1.
+The offspring law and the path-traversal probability are read off one
+census of a single spreader's race on one row, drawn by these same rules.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._seeds import EstimateCI, run_jobs, substream, substream_random, substreams, wilson_interval
-from .errors import check_at_least
-from .laws import Pmf, _check_d, _check_p
-from .treegen import TreeTopology
+from .errors import _check_p, check_at_least
+from .laws import Pmf
+from .treegen import TreeTopology, cayley, hub_path
 
 DEFAULT_EVENT_CAP = 10 ** 8
 
@@ -163,10 +165,9 @@ def simulate_mt(
 
     Per contact a replica draws the neighbor uniform, then the thinning
     uniform only if p < 1, then the alpha uniform only for a child spreader
-    of a hub on a hub_path tree.  Leaves take no draw: a leaf's one contact
-    counts in ``events_processed`` as soon as the leaf is made, so a run
-    stopped at a level or at the cap includes the contacts of leaves made
-    before the stop.
+    of a hub on a hub_path tree.  A leaf's one contact takes no draw and
+    counts in ``events_processed`` as soon as the leaf is made, so a stopped
+    run includes the contacts of leaves made before the stop.
     """
     _check_p(p)
     check_at_least("target_level", target_level, 1)
@@ -177,56 +178,57 @@ def simulate_mt(
     return SimOutcome(*_explore(rand, roles, topology.alpha, p, target_level, event_cap, unit == "hub"), unit)
 
 
-def offspring_empirical(d: int, p: float, replicas: int, seed: int = 0) -> Pmf:
-    """Empirical law of the spreaders generated by one non-root spreader.
+def _census(row, alpha, p: float, replicas: int, seed: int, stream: str) -> list[int]:
+    """Counts, by the child spreaders made, of ``replicas`` contact races of a
+    non-root spreader on the role-table ``row``, drawn as in ``_explore``; a
+    race also stops once ``onward`` is 0.  The races run in chunks of
+    ``_CHUNK``, and the chunk from replica c draws from (seed, stream, c)."""
+    deg, onward_first, onward_after, role_draw = row
+    thin = p < 1.0
+    counts = [0] * int(deg)
+    for chunk_start in range(0, replicas, _CHUNK):
+        rand = substream_random(seed, stream, chunk_start).random
+        for _ in range(min(_CHUNK, replicas - chunk_start)):
+            free, onward, made = deg - 1.0, onward_first, 0  # the informer takes one slot
+            while True:
+                u = rand() * deg
+                if u >= free:
+                    break
+                free -= 1.0
+                if u >= onward:
+                    if thin:
+                        rand()  # a leaf's thinning uniform, drawn as in ``_explore``
+                    continue
+                onward = onward_after
+                if not (thin and rand() >= p or role_draw and rand() >= alpha):
+                    made += 1
+                if not onward:
+                    break
+            counts[made] += 1
+    return counts
 
-    Harness: a single spreader with one non-ignorant neighbor (its informer)
-    and d ignorant neighbors, run until it stifles.  Only contact order
-    matters for the count, so no clocks are drawn.
-    """
-    _check_d(d)
+
+def offspring_empirical(d: int, p: float, replicas: int, seed: int = 0) -> Pmf:
+    """Empirical law of the spreaders generated by one non-root spreader:
+    the census of the one row of ``cayley(d)``, whose informer takes one of
+    its d + 1 slots and whose other d neighbors are ignorant."""
+    topology = cayley(d)
     _check_p(p)
     check_at_least("replicas", replicas, 1)
-    counts = [0] * (d + 1)
-    deg, fresh = float(d + 1), float(d)  # float slot counts, as in ``_explore``
-    for chunk_start in range(0, replicas, _CHUNK):
-        rng = substream_random(seed, "offspring", chunk_start)
-        rand = rng.random
-        for _ in range(chunk_start, min(chunk_start + _CHUNK, replicas)):
-            free = fresh
-            made = 0
-            while rand() * deg < free:
-                free -= 1.0
-                if rand() < p:
-                    made += 1
-            counts[made] += 1
+    counts = _census(topology.role_table()[0], topology.alpha, p, replicas, seed, "offspring")
     return Pmf(tuple(c / replicas for c in counts))
 
 
 def path_traversal_empirical(k: int, replicas: int, seed: int = 0) -> EstimateCI:
     """Probability that a degree-k spreader contacts one designated ignorant
-    neighbor before stifling (1 informer, k-1 ignorants, p = 1).
-
-    This is the empirical decision procedure for the two closed forms of the
-    traversal probability evaluated at k-1.
-    """
+    neighbor before stifling (1 informer, k-1 ignorants, p = 1): the share of
+    1s in the census of the path row of ``hub_path(k + 1, k, 1.0, 2)``, whose
+    onward slot is that neighbor (any hub degree above k gives that row).
+    It decides between the two closed forms of beta evaluated at k-1."""
     check_at_least("k", k, 2)
     check_at_least("replicas", replicas, 1)
-    hits = 0
-    deg, fresh = float(k), float(k - 1)  # float slot counts, as in ``_explore``
-    for chunk_start in range(0, replicas, _CHUNK):
-        rng = substream_random(seed, "traversal", chunk_start)
-        rand = rng.random
-        for _ in range(chunk_start, min(chunk_start + _CHUNK, replicas)):
-            free = fresh
-            while True:
-                u = rand() * deg
-                if u >= free:
-                    break  # stifled before touching the designated neighbor
-                if u < 1.0:
-                    hits += 1  # the designated neighbor occupies slot [0, 1)
-                    break
-                free -= 1.0
+    topology = hub_path(k + 1, k, 1.0, 2)
+    hits = _census(topology.role_table()[1], topology.alpha, 1.0, replicas, seed, "traversal")[1]
     low, high = wilson_interval(hits, replicas)
     return EstimateCI(hits / replicas, low, high, replicas, seed)
 
@@ -243,8 +245,7 @@ def _survival_chunk(args) -> tuple[Counter, Counter]:
     roles = topology.role_table()
     rng = random.Random()
     rand = rng.random
-    ended = Counter()
-    capped = Counter()
+    ended, capped = Counter(), Counter()
     for replica_seed in substreams(seed, "survival", indices=range(lo, hi)):
         rng.seed(substream(replica_seed, "mt"))
         reached, _, _, stop_reason = _explore(rand, roles, topology.alpha, p, top, event_cap, hub_unit)
@@ -296,18 +297,9 @@ def estimate_survival_levels(
         cap_hits = sum(n for reached_level, n in capped.items() if reached_level < level)
         reached = sum(n for reached_level, n in ended.items() if reached_level >= level) + cap_hits
         low, high = wilson_interval(reached, replicas)
-        estimates.append(
-            SurvivalEstimate(
-                estimate=reached / replicas,
-                ci_low=low,
-                ci_high=high,
-                replicas=replicas,
-                seed=seed,
-                cap_hits=cap_hits,
-                target_level=level,
-                level_unit=unit,
-            )
-        )
+        estimates.append(SurvivalEstimate(
+            reached / replicas, low, high, replicas, seed, cap_hits=cap_hits, target_level=level, level_unit=unit,
+        ))
     return estimates
 
 

@@ -24,3 +24,11 @@ def check_unit_interval(name: str, value, open_low: bool = False) -> None:
     ``open_low``.  NaN lies in neither."""
     if not (0 < value if open_low else 0 <= value) or not value <= 1:
         raise ValueError(f"{name} must lie in {'(' if open_low else '['}0, 1], got {value}")
+
+
+def _check_d(d: int, minimum: int = 2) -> None:
+    check_at_least("d", d, minimum)
+
+
+def _check_p(p) -> None:
+    check_unit_interval("p", p, open_low=True)

@@ -4,10 +4,11 @@ oracle, and the shared-uniform monotone coupling.
 The embedded branching process has initial count distributed as N' and
 offspring distributed as X'.  ``survival_mc`` runs replicas in fixed-size
 blocks.  One generation step draws the offspring of every live replica of a
-block at once, each as a multinomial split of its population over the
-offspring support, which is exact and O(support) per replica and generation
-however large the population grows.  The laws come from the float builders
-in ``laws``, so the engine runs in seconds for d in the hundreds.
+block, each as a multinomial split of its population over the offspring
+support, which is exact and O(support) per replica and generation however
+large the population grows.  It draws at most ``_DRAW_CELLS`` counts (or
+one replica's) at a time.  The laws come from the float builders in
+``laws``, so the engine runs in seconds for d in the hundreds.
 
 Each replica runs until it dies out or reaches a cap, where it counts as
 surviving, so the estimate targets theta.  The cap is the smallest c with
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeds import EstimateCI, run_jobs, substream, wilson_interval
-from .errors import check_at_least
-from .laws import _SURVIVAL_TOL, Pmf, _check_d, _masses, _survival_root, law_N_prime_float, law_X_prime_float
+from .errors import _check_d, check_at_least
+from .laws import _SURVIVAL_TOL, Pmf, _masses, _survival_root, law_N_prime_float, law_X_prime_float
 
 #: the cap of a subcritical law, or where the rule's cap would be larger
 DEFAULT_POPULATION_CAP = 10_000_000
@@ -43,6 +44,10 @@ _GENERATION_GUARD = 10_000
 #: replicas per block; block b draws from substream(seed, "gw", b), so the
 #: blocks, not the workers, fix every draw
 _BLOCK = 1024
+
+#: cells of one multinomial draw (live replicas x support); a generation
+#: past it draws in row slices, which take the same draws as one call
+_DRAW_CELLS = 1 << 16
 
 #: a coupling trial stops before a generation that would draw more contacts
 _COUPLING_GUARD = 100_000
@@ -75,6 +80,7 @@ def _survival_block(args) -> tuple[int, int, int]:
     ``b``; the survivors include both other counts."""
     seed, b, n, init_pvals, off_values, off_pvals, cap = args
     rng = np.random.default_rng(substream(seed, "gw", b))
+    rows = max(1, _DRAW_CELLS // off_pvals.size)
     z = rng.choice(init_pvals.size, size=n, p=init_pvals)
     z = z[z > 0]
     cap_hits = 0
@@ -85,7 +91,10 @@ def _survival_block(args) -> tuple[int, int, int]:
             z = z[~at_cap]
         if z.size == 0 or generation == _GENERATION_GUARD:
             break
-        z = rng.multinomial(z, off_pvals) @ off_values
+        if z.size <= rows:
+            z = rng.multinomial(z, off_pvals) @ off_values
+        else:
+            z = np.concatenate([rng.multinomial(z[i : i + rows], off_pvals) @ off_values for i in range(0, z.size, rows)])
         z = z[z > 0]
     return z.size + cap_hits, cap_hits, z.size
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericFault, check_at_least, check_unit_interval
+from .errors import NumericFault, _check_d, _check_p, check_unit_interval
 
 _SUM_TOL = 1e-9
 #: ``_survival_root`` stops once its secant steps' geometric tail is below this
@@ -101,14 +101,6 @@ def log_partial_exp_sum(m: int, n: int) -> float:
     if n == 0:
         return 0.0
     return log_sum_exp_walk(0.0, math.log(n) - log_ints(m - 1))
-
-
-def _check_d(d: int, minimum: int = 2) -> None:
-    check_at_least("d", d, minimum)
-
-
-def _check_p(p) -> None:
-    check_unit_interval("p", p, open_low=True)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericFault, check_at_least
+from .errors import NumericFault, _check_d, _check_p, check_at_least
 from .laws import (
-    _check_d,
-    _check_p,
     _complement_sum,
     _inverse_mean_X,
     _masses,

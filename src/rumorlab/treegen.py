@@ -18,8 +18,7 @@ import functools
 import warnings
 from dataclasses import dataclass
 
-from .errors import check_at_least, check_unit_interval
-from .laws import _check_d
+from .errors import _check_d, check_at_least, check_unit_interval
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from rumorlab.errors import _check_d, _check_p
 from rumorlab.laws import (
-    _check_d,
-    _check_p,
     _partial_exp_sum_scaled_int,
     Pmf,
     law_X,

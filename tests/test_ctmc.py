@@ -23,7 +23,7 @@ from rumorlab.ctmc import (
     simulate_mt,
 )
 from rumorlab.gw import EstimateCI
-from rumorlab.laws import beta_series, law_X, mean_X, tv_distance
+from rumorlab.laws import beta_series, law_X, law_X_prime, mean_X, tv_distance
 from rumorlab.treegen import cayley, hub_path
 
 from oracles import reach_probability
@@ -282,6 +282,23 @@ class TestPathTraversal:
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             path_traversal_empirical(1, 100)
+
+
+class TestCensusRows:
+    """The census on the hub_path rows that neither experiment reads: the
+    alpha draw of a hub row and the thinned path row."""
+
+    def test_non_root_hub_row_is_x_thinned_by_p_alpha(self):
+        topology = hub_path(10, 3, 0.6, 2)
+        counts = ctmc._census(topology.role_table()[0], topology.alpha, 0.8, 200_000, 2201, "census")
+        assert tv_distance([c / 200_000 for c in counts], law_X_prime(10, F(12, 25))) < 0.01
+
+    def test_thinned_path_row_makes_a_child_with_p_beta(self):
+        topology = hub_path(10, 5, 0.6, 3)
+        counts = ctmc._census(topology.role_table()[1], topology.alpha, 0.8, 200_000, 2202, "census")
+        assert counts[2:] == [0, 0, 0]  # one onward slot
+        target = 0.8 * beta_series(4)
+        assert abs(counts[1] / 200_000 - target) <= 4 * mc_se(target, 200_000)
 
 
 class TestEstimateSurvival:

@@ -169,6 +169,26 @@ class TestSurvivalMc:
         assert est.unresolved == 0
         assert abs(est.estimate - theta(d, p)) <= 4 * se_of(est)
 
+    def test_block_memory_is_bounded_at_large_d(self):
+        # one multinomial call over a block's live replicas would hold a
+        # live x 3,001 int64 matrix at d = 3,000 (about 15 MB here); row
+        # slices under _DRAW_CELLS hold a small part of it
+        p = 1.05 * p_critical(3000).float_value
+        tracemalloc.start()
+        try:
+            survival_mc(3000, p, 1_024, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_row_slices_draw_as_one_call(self, monkeypatch):
+        # numpy's multinomial takes the same draws for row slices as for one
+        # call over all rows, so slicing leaves every estimate unchanged
+        whole = survival_mc(4, 0.9, 10_000, seed=3)
+        monkeypatch.setattr(gw, "_DRAW_CELLS", 7 * 5)  # 7 rows of the 5-point support
+        assert survival_mc(4, 0.9, 10_000, seed=3).__dict__ == whole.__dict__
+
     def test_estimate_ci_shape(self):
         est = survival_mc(3, 1.0, replicas=500, seed=2)
         assert isinstance(est, EstimateCI)

@@ -52,12 +52,15 @@ FORBIDDEN_IMPORTS = {
 }
 
 
+def _parse(module: str) -> ast.Module:
+    with open(os.path.join(os.path.dirname(rumorlab.__file__), module + ".py"), encoding="utf-8") as f:
+        return ast.parse(f.read())
+
+
 def _imported_modules(module: str) -> set[str]:
     """Last name of every module that ``rumorlab.<module>`` imports."""
-    with open(os.path.join(os.path.dirname(rumorlab.__file__), module + ".py"), encoding="utf-8") as f:
-        tree = ast.parse(f.read())
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_parse(module)):
         if isinstance(node, ast.ImportFrom) and node.module:
             names.add(node.module.rsplit(".", 1)[-1])
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -70,6 +73,24 @@ def test_the_three_oracles_import_none_of_each_other():
     assert {m: imported[m] & FORBIDDEN_IMPORTS[m] for m in imported} == dict.fromkeys(imported, set())
     # both stochastic oracles take their seeds and their job runner from _seeds
     assert "_seeds" in imported["gw"] and "_seeds" in imported["ctmc"]
+
+
+def test_argument_checks_live_in_errors():
+    package = os.path.dirname(rumorlab.__file__)
+    checks = {}
+    for module in sorted(name[:-3] for name in os.listdir(package) if name.endswith(".py")):
+        for node in ast.walk(_parse(module)):
+            if isinstance(node, ast.FunctionDef) and "check" in node.name:
+                checks.setdefault(module, set()).add(node.name)
+    assert checks == {"errors": {"check_at_least", "check_unit_interval", "_check_d", "_check_p"}}
+    # so the simulator takes only the Pmf type from laws, and the topologies
+    # take nothing from it
+    from_laws = {module: set() for module in ("ctmc", "treegen")}
+    for module, names in from_laws.items():
+        for node in ast.walk(_parse(module)):
+            if isinstance(node, ast.ImportFrom) and node.module == "laws":
+                names.update(alias.name for alias in node.names)
+    assert from_laws == {"ctmc": {"Pmf"}, "treegen": set()}
 
 
 BOUNDED_INTEGERS = {
