@@ -39,6 +39,6 @@ print()
 print("Monotone coupling: both processes thin the same uniforms, so the")
 print("lower-p population can never exceed the higher-p one.")
 violations = sum(
-    not coupled_monotonicity_trial(4, 0.5, 0.9, horizon=15, seed=s) for s in range(2_000)
+    not coupled_monotonicity_trial(4, 0.5, 0.9, seed=s) for s in range(2_000)
 )
 print(f"  domination violations over 2000 coupled runs: {violations}")

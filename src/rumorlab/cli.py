@@ -262,7 +262,7 @@ def cmd_offspring(args) -> tuple[list[dict], dict | None]:
     tv = laws.tv_distance(empirical, analytic)
     rows = [
         {"i": i, "empirical": float(empirical.p(i)), "analytic": float(analytic.p(i))}
-        for i in analytic.support()
+        for i in empirical.support()
     ]
     payload = {"tv_distance": tv, "empirical_mean": float(empirical.mean()), "analytic_mean": float(analytic.mean())}
     return rows, payload

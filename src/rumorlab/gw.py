@@ -8,7 +8,7 @@ block, each as a multinomial split of its population over the offspring
 support, which is exact and O(support) per replica and generation however
 large the population grows.  It draws at most ``_DRAW_CELLS`` counts (or
 one replica's) at a time.  The laws come from the float builders in
-``laws``, so the engine runs in seconds for d in the hundreds.
+``laws``, whose support ends at X's last normal mass, O(sqrt(d)) long.
 
 Each replica runs until it dies out or reaches a cap, where it counts as
 surviving, so the estimate targets theta.  The cap is the smallest c with
@@ -51,6 +51,8 @@ _DRAW_CELLS = 1 << 16
 
 #: a coupling trial stops before a generation that would draw more contacts
 _COUPLING_GUARD = 100_000
+#: generations of offspring a coupling trial compares
+_COUPLING_HORIZON = 15
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def survival_mc(
     off_values = np.arange(off_pvals.size)
     init_pvals /= init_pvals.sum()
     off_pvals /= off_pvals.sum()
-    psi = min(1.0 - _survival_root((off_values, off_pvals), 1.0) + _SURVIVAL_TOL, 1.0)
+    psi = min(1.0 - _survival_root(off_pvals, 1.0) + _SURVIVAL_TOL, 1.0)
     cap = _cap_for(psi, replicas)
     jobs = [
         (seed, b, min(_BLOCK, replicas - lo), init_pvals, off_values, off_pvals, cap)
@@ -167,36 +169,28 @@ def extinction_by_iteration(offspring_law: Pmf) -> float:
     ``laws._survival_root`` solves it from the masses alone, at p = 1, so no
     closed-form pgf enters and this is an oracle independent of ``psi_root``.
     """
-    masses = offspring_law.to_floats()
-    return 1.0 - _survival_root((np.arange(masses.size), masses), 1.0)
+    return 1.0 - _survival_root(offspring_law.to_floats(), 1.0)
 
 
-def coupled_monotonicity_trial(
-    d: int,
-    p1: float,
-    p2: float,
-    horizon: int = 30,
-    seed: int = 0,
-) -> bool:
+def coupled_monotonicity_trial(d: int, p1: float, p2: float, seed: int = 0) -> bool:
     """Drive two branching processes (p1 <= p2) from one uniform stream.
 
     Both processes share every contact draw X and every thinning uniform U;
     process i keeps a contact when U <= p_i.  Returns True iff the dominated
-    process never outnumbers the dominating one through ``horizon``
+    process never outnumbers the dominating one through ``_COUPLING_HORIZON``
     generations (which the coupling guarantees pathwise).  If a generation
     would draw more than ``_COUPLING_GUARD`` = 10^5 contacts, the trial stops
     early with the domination verified so far, so a trial holds
-    O(_COUPLING_GUARD + d) numbers however large d is.
+    O(_COUPLING_GUARD + sqrt(d)) numbers however large d is.
     """
     if not 0 < p1 <= p2 <= 1:
         raise ValueError(f"need 0 < p1 <= p2 <= 1, got p1={p1}, p2={p2}")
-    check_at_least("horizon", horizon, 1)
     _check_d(d)
     rng = np.random.default_rng([substream(seed, "coupling")])
     # cdfs of the float masses of N and X that law_*_prime_float thin; the
     # last value takes every uniform past the cdf's second-to-last entry, so
     # a sum that rounds below 1 cannot draw past the support
-    n_cdf, x_cdf = (np.cumsum(m / m.sum())[:-1] for _, m in (_masses(d, True), _masses(d, False)))
+    n_cdf, x_cdf = (np.cumsum(m / m.sum())[:-1] for m in (_masses(d, True), _masses(d, False)))
 
     n = int(np.searchsorted(n_cdf, rng.random(), side="right"))
     u = rng.random(n)
@@ -204,7 +198,7 @@ def coupled_monotonicity_trial(
     z2 = int(np.count_nonzero(u <= p2))
     if z1 > z2:
         return False
-    for _ in range(horizon):
+    for _ in range(_COUPLING_HORIZON):
         if z2 == 0:
             return True
         x = np.searchsorted(x_cdf, rng.random(z2), side="right")

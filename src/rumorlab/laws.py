@@ -274,24 +274,24 @@ def law_N_prime(d: int, p) -> Pmf:
 
 
 def law_X_prime_float(d: int, p: float) -> np.ndarray:
-    """Masses of X' on {0, ..., d} as floats, thinned from X's cached
-    ``_masses`` table.
+    """Masses of X' on {0, ..., m} as floats, thinned from X's cached
+    ``_masses`` table, which ends at X's last normal mass, m = O(sqrt(d)).
 
-    The Monte Carlo engines use this form: it costs O(d^2) float operations
-    and O(d) memory where ``law_X_prime`` costs O(d^2) big-rational ones,
+    The Monte Carlo engines use this form: it costs O(m^2) float operations
+    and O(m) memory where ``law_X_prime`` costs O(d^2) big-rational ones,
     and it agrees with the exact law to about 1e-16 in total variation.
     """
     _check_d(d)
     _check_p(p)
-    return _thin(_masses(d, root=False)[1], float(p))
+    return _thin(_masses(d, root=False), float(p))
 
 
 def law_N_prime_float(d: int, p: float) -> np.ndarray:
-    """Masses of N' on {0, ..., d+1} as floats, thinned from N's cached
+    """Masses of N' on {0, ..., m} as floats, thinned from N's cached
     ``_masses`` table like ``law_X_prime_float``."""
     _check_d(d)
     _check_p(p)
-    return _thin(_masses(d, root=True)[1], float(p))
+    return _thin(_masses(d, root=True), float(p))
 
 
 def beta_paper(d: int, exact: bool = False) -> Fraction | float:
@@ -343,38 +343,44 @@ def beta_gap(d: int) -> Fraction:
 
 
 @functools.lru_cache(maxsize=2)
-def _masses(d: int, root: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(n, P(V = n)) for n = 0, 1, ... as float arrays, with V = N if
-    ``root`` else X.
+def _masses(d: int, root: bool) -> np.ndarray:
+    """P(V = n) for n = 0, 1, ... through the table's last normal mass, as
+    one read-only float array, with V = N if ``root`` else X.
 
     Both come from g_n = d! / ((d-n)! (d+1)^(n+1)), a product of factors
     <= 1, so the table is stable for any d: P(X = n) = (n+1) g_n, so
     P(X = 0) = g_0 = 1/(d+1), and P(N = n) = n g_(n-1) with P(N = 0) = 0.
-    The arrays are cached, so they are read-only.  A table holds 16 bytes
-    per unit of d, so the cache keeps only the two latest: X's and N's of one d.
+    Past d = 711 the true masses fall below the smallest normal float,
+    tiny = e^-708.40, and the cumprod would leave fake subnormals there, so
+    the table ends at its last mass >= tiny.  Only the first
+    L = min(d, isqrt(1417 (d+1)) + 2) factors are built: log(1 - k/(d+1))
+    <= -k/(d+1) gives log g_n <= -log(d+1) - n(n+1)/(2(d+1)), so a mass
+    >= tiny needs n(n-1) < 1417 (d+1), and the table holds at most about
+    37.6 sqrt(d) entries.
     """
-    g = np.cumprod(np.concatenate(([1.0 / (d + 1)], np.arange(d, 0, -1) / (d + 1))))
-    n = np.arange(d + 2.0) if root else np.arange(d + 1.0)
+    steps = min(d, math.isqrt(1417 * (d + 1)) + 2)
+    g = np.cumprod(np.concatenate(([1.0 / (d + 1)], np.arange(d, d - steps, -1) / (d + 1))))
+    n = np.arange(steps + 2.0) if root else np.arange(steps + 1.0)
     mass = n * np.concatenate(([0.0], g)) if root else (n + 1) * g
-    n.flags.writeable = mass.flags.writeable = False
-    return n, mass
+    mass = mass[: np.flatnonzero(mass >= np.finfo(float).tiny)[-1] + 1]
+    mass.flags.writeable = False
+    return mass
 
 
-def _complement_sum(law: tuple[np.ndarray, np.ndarray], p: float, u: float) -> float:
-    """sum_{n>=1} P(V=n) (1 - (1 - p u)^n) for the (n, P(V=n)) arrays ``law``
-    from n = 0, i.e. 1 - G_{V'}(1 - u).
+def _complement_sum(mass: np.ndarray, p: float, u: float) -> float:
+    """sum_{n>=1} mass[n] (1 - (1 - p u)^n) for masses P(V=n) from n = 0,
+    i.e. 1 - G_{V'}(1 - u); the exponents n are built here.
 
     Every term is positive and keeps full relative precision (log1p/expm1).
     The n = 0 term, always 0, is skipped: at p u = 1 it would be 0 * -inf.
     """
-    n, mass = law
     log_base = math.log1p(-p * u) if p * u < 1 else -math.inf
-    return -float(mass[1:].dot(np.expm1(n[1:] * log_base)))
+    return -float(mass[1:].dot(np.expm1(np.arange(1.0, mass.size) * log_base)))
 
 
-def _survival_root(law: tuple[np.ndarray, np.ndarray], p: float) -> float:
+def _survival_root(mass: np.ndarray, p: float) -> float:
     """Largest fixed point u of H(u) = 1 - G_{V'}(1 - u) on [0, 1], for the
-    (n, P(V=n)) arrays ``law``, with H the ``_complement_sum``.
+    masses P(V=n) from n = 0, with H the ``_complement_sum``.
 
     1 - u is the smallest fixed point of G_{V'}, the extinction probability.
     f(u) = H(u) - u is concave, negative above the root and zero at it, so
@@ -384,11 +390,11 @@ def _survival_root(law: tuple[np.ndarray, np.ndarray], p: float) -> float:
     their geometric tail step * r / (1 - r), with r the ratio of the last
     two steps, is below ``_SURVIVAL_TOL``.
     """
-    u0, f0 = 1.0, _complement_sum(law, p, 1.0) - 1.0
+    u0, f0 = 1.0, _complement_sum(mass, p, 1.0) - 1.0
     u1 = 1.0 + f0
     prev_step = 0.0  # no ratio before the first secant step
     for _ in range(2, _SURVIVAL_MAX_EVALS + 1):
-        f1 = _complement_sum(law, p, u1) - u1
+        f1 = _complement_sum(mass, p, u1) - u1
         if f1 >= 0.0 or f1 == f0:  # at the root to rounding
             return u1
         u2 = max(u1 - f1 * (u1 - u0) / (f1 - f0), 0.0)
@@ -401,11 +407,10 @@ def _survival_root(law: tuple[np.ndarray, np.ndarray], p: float) -> float:
     raise NumericFault(f"fixed-point iteration did not converge in {_SURVIVAL_MAX_EVALS} steps")
 
 
-def _pgf(law: tuple[np.ndarray, np.ndarray], p: float, s: float) -> float:
-    """G_{V'}(s) = sum_n P(V=n) (1 - p + p s)^n for the (n, P(V=n)) arrays
-    ``law`` from n = 0: P(V=0) plus the dot product of the rest."""
-    n, mass = law
-    return float(mass[0] + mass[1:].dot((s * p + 1.0 - p) ** n[1:]))
+def _pgf(mass: np.ndarray, p: float, s: float) -> float:
+    """G_{V'}(s) = sum_n mass[n] (1 - p + p s)^n for masses P(V=n) from
+    n = 0: P(V=0) plus the dot product of the rest with the powers."""
+    return float(mass[0] + mass[1:].dot((s * p + 1.0 - p) ** np.arange(1.0, mass.size)))
 
 
 def pgf_X_prime(d: int, p: float, s: float) -> float:

@@ -108,14 +108,15 @@ def psi_root(d: int, p: float) -> RootResult:
     eps = _mean_excess(d, p)
     if eps <= 0.0:
         return RootResult(psi=1.0, u=0.0, iterations=0, residual=0.0)
-    n, mass = _masses(d, root=False)
-    j, tails = n[:-1], np.cumsum(mass[:0:-1])[::-1]  # P(X > j), j = 0..d-1
+    mass = _masses(d, root=False)
+    tails = np.cumsum(mass[:0:-1])[::-1]  # P(X > j) from j = 0
     # the slope's j = 0 term is 0; left in, it would move the dot's rounding
-    j_tails, powers = j[1:] * tails[1:], j[1:] - 1.0
+    j = np.arange(1.0, tails.size)
+    j_tails, powers = j * tails[1:], j - 1.0
     u = 0.0
     for steps in range(1, _NEWTON_MAX_STEPS + 1):
         slope = float(j_tails.dot(np.exp(powers * math.log1p(-p * u))))
-        step = (eps - p * _complement_sum((j, tails), p, u)) / (p * p * slope)
+        step = (eps - p * _complement_sum(tails, p, u)) / (p * p * slope)
         u += max(step, 0.0)
         if step <= 1e-15 * u:
             break
@@ -125,7 +126,7 @@ def psi_root(d: int, p: float) -> RootResult:
     if residual > _RESIDUAL_BOUND:
         raise NumericFault(f"survival root residual {residual} exceeds bound")
 
-    u_iter = _survival_root((n, mass), p)
+    u_iter = _survival_root(mass, p)
     if abs(u_iter - u) > _RESIDUAL_BOUND:
         raise NumericFault(
             f"Newton ({1.0 - u}) and fixed-point ({1.0 - u_iter}) roots disagree for d={d}, p={p}"

@@ -176,7 +176,7 @@ def test_criterion_8_monotone_coupling():
     budget = Budget(120.0)
     for d, p1, p2 in ((3, 0.5, 0.9), (4, 0.3, 1.0), (6, 0.45, 0.5)):
         for seed in range(10**4):
-            assert rl.coupled_monotonicity_trial(d, p1, p2, horizon=15, seed=seed), (
+            assert rl.coupled_monotonicity_trial(d, p1, p2, seed=seed), (
                 f"domination violated at d={d}, p1={p1}, p2={p2}, seed={seed}"
             )
     for d in (3, 6, 10):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from rumorlab import cli
+from rumorlab import cli, laws
 from rumorlab.cli import build_parser, main
 from rumorlab.errors import NumericFault
 from rumorlab.laws import beta_paper, law_X_prime
@@ -230,6 +230,18 @@ class TestOffspring:
         assert [row["i"] for row in rows] == list(exact.support())
         for row in rows:
             assert row["analytic"] == pytest.approx(float(exact.p(row["i"])), rel=1e-12)
+
+
+    def test_one_row_per_count_past_the_normal_masses(self, capsys):
+        # X's float table at d = 800 ends at its last normal mass; the rows
+        # past it read an analytic mass of 0.0
+        _, out = run_cli(["offspring", "800", "1.0", "--replicas", "200", "--seed", "4", "--format", "json"], capsys)
+        rows = json.loads(out)["rows"]
+        cut = laws._masses(800, False).size
+        assert cut < 801
+        assert [row["i"] for row in rows] == list(range(801))
+        assert all(row["analytic"] > 0.0 for row in rows[:cut])
+        assert all(row["analytic"] == 0.0 for row in rows[cut:])
 
 
 _HUB_TREE = ["--tree", "hub_path", "--d", "20", "--k", "4", "--alpha", "0.6", "--h", "2", "--p", "0.9"]

@@ -266,20 +266,20 @@ class TestOffspringSampling:
 
 class TestMonotoneCoupling:
     def test_equal_probabilities_trivially_dominate(self):
-        assert coupled_monotonicity_trial(3, 0.7, 0.7, horizon=15, seed=0)
+        assert coupled_monotonicity_trial(3, 0.7, 0.7, seed=0)
 
     @pytest.mark.parametrize("seed", range(300))
     def test_domination_holds(self, seed):
-        assert coupled_monotonicity_trial(4, 0.5, 0.9, horizon=15, seed=seed)
+        assert coupled_monotonicity_trial(4, 0.5, 0.9, seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_extreme_gap(self, seed):
-        assert coupled_monotonicity_trial(3, 0.01, 1.0, horizon=15, seed=seed)
+        assert coupled_monotonicity_trial(3, 0.01, 1.0, seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_large_d(self, seed):
         # d = 3,000 samples from the float mass ladders in well under a second
-        assert coupled_monotonicity_trial(3000, 0.02, 0.5, horizon=15, seed=seed)
+        assert coupled_monotonicity_trial(3000, 0.02, 0.5, seed=seed)
 
     @pytest.mark.parametrize("d", [1000, 3000])
     def test_default_guard_bounds_memory(self, d):

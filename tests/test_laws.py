@@ -286,6 +286,39 @@ class TestMassLadderCache:
         assert info.maxsize == 2 and info.currsize == 2
 
 
+def _full_ladder(d: int, root: bool) -> np.ndarray:
+    """P(V = n) for every n the law allows, from the whole g_n ladder as one
+    cumprod; past d = 711 its tail holds subnormal plateaus and zeros."""
+    g = np.cumprod(np.concatenate(([1.0 / (d + 1)], np.arange(d, 0, -1) / (d + 1))))
+    n = np.arange(d + 2.0) if root else np.arange(d + 1.0)
+    return n * np.concatenate(([0.0], g)) if root else (n + 1) * g
+
+
+TINY = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("root", [False, True], ids=["X", "N"])
+class TestNormalMassTables:
+    @pytest.mark.parametrize("d", [711, 712, 1000, 10**5, 10**8])
+    def test_no_subnormal_and_sqrt_d_long(self, d, root):
+        mass = laws._masses(d, root)
+        # N's n = 0 term is exactly 0
+        assert np.all(mass[1:] >= TINY) and (mass[0] == 0.0 if root else mass[0] >= TINY)
+        assert mass.size <= math.isqrt(1417 * (d + 1)) + 3
+        assert not mass.flags.writeable
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 100, 500, 711])
+    def test_small_d_keeps_the_whole_ladder(self, d, root):
+        np.testing.assert_array_equal(laws._masses(d, root), _full_ladder(d, root))
+
+    @pytest.mark.parametrize("d", [712, 1000, 30_000])
+    def test_large_d_is_the_ladders_normal_prefix(self, d, root):
+        mass, full = laws._masses(d, root), _full_ladder(d, root)
+        assert mass.size < full.size
+        assert mass.tobytes() == full[: mass.size].tobytes()
+        assert full[mass.size :].max() < TINY
+
+
 class TestThinnedLawsMatchBinomialSum:
     @pytest.mark.parametrize("d", [2, 3, 4, 10, 30])
     @pytest.mark.parametrize("p", [F(1, 1000), F(3, 10), F(9, 10), 1, 0.9], ids=["1e-3", "0.3", "0.9", "1", "0.9f"])

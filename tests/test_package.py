@@ -14,7 +14,6 @@ from rumorlab import (
     beta_paper,
     beta_series,
     cayley,
-    coupled_monotonicity_trial,
     estimate_survival_levels,
     hub_path,
     max_h,
@@ -108,9 +107,6 @@ BOUNDED_INTEGERS = {
     "beta_series-d": (beta_series, "d", 1),
     "beta_gap-d": (beta_gap, "d", 1),
     "run_jobs-workers": (lambda v: run_jobs(abs, [], v), "workers", 1),
-    "coupled_monotonicity_trial-horizon": (
-        lambda v: coupled_monotonicity_trial(3, 0.5, 0.9, horizon=v), "horizon", 1
-    ),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -7,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rumorlab import thresholds
+from rumorlab import laws, thresholds
 from rumorlab.errors import NumericFault
 from rumorlab.laws import Pmf, cpgf_N_prime, law_X_prime, law_X_prime_float, mean_X, pgf_N_prime
 from rumorlab.gw import extinction_by_iteration
@@ -126,6 +127,22 @@ class TestPsiRoot:
         assert theta(d, p) > 0.0
         law = Pmf(tuple(law_X_prime_float(d, p)))
         assert abs(psi_root(d, p).psi - extinction_by_iteration(law)) <= 1e-10
+
+    def test_peak_memory_is_sublinear_in_d(self):
+        # d = 10^7 tables of all d + 1 masses would take 80 MB each; the
+        # normal prefix holds about 1.2e5.  p is 1.5 times p_c's asymptote
+        # sqrt(2/(pi d)), 0.034% below 1.5 p_c, so no log-mode table is built
+        d = 10**7
+        p = 1.5 * math.sqrt(2.0 / (math.pi * d))
+        laws._masses.cache_clear()
+        tracemalloc.start()
+        try:
+            root = psi_root(d, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < root.u < 1.0
+        assert peak < 16 * 2**20
 
     def test_root_closer_to_one_than_old_bracket(self):
         # 1 - psi is about 2e-10 here, inside the former bracket end 1 - 1e-9
