@@ -272,7 +272,6 @@ def cmd_simulate(args) -> tuple[list[dict], dict | None]:
     topology = treegen.TreeTopology(args.tree, args.d, args.k, args.alpha, args.h)
     run = dict(
         replicas=args.replicas,
-        event_cap=args.event_cap,
         seed=args.seed,
         workers=args.threads,
         level_unit=args.level_unit,
@@ -374,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     level.add_argument("--level-sweep", help="MIN:MAX:STEP emits a CSV series of reach estimates")
     p.add_argument("--level-unit", choices=("graph", "hub"))
     p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--event-cap", type=int, default=ctmc.DEFAULT_EVENT_CAP)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gw", parents=[common, threads], help="branching-process survival estimate")

@@ -25,6 +25,7 @@ the leaf in graph units), and the leaf is never stacked.  At p = 1 every
 contacted ignorant spreads, so the thinning uniform is drawn only for p < 1.
 The offspring law and the path-traversal probability are read off one
 census of a single spreader's race on one row, drawn by these same rules.
+``_EVENT_GUARD`` bounds the time of a run near p_c: a run it stops counts as reaching.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .errors import _check_p, check_at_least
 from .laws import Pmf
 from .treegen import TreeTopology, cayley, hub_path
 
-DEFAULT_EVENT_CAP = 10 ** 8
+#: a run stops after this many contacts, counts as reaching and is reported in ``cap_hits``
+_EVENT_GUARD = 10 ** 8
 
 #: default level targets for survival runs
 DEFAULT_LEVEL_CAYLEY = 30
@@ -64,8 +66,8 @@ class SimOutcome:
 
 @dataclass(frozen=True)
 class SurvivalEstimate(EstimateCI):
-    """Level-reach estimate; the ``cap_hits`` replicas that hit the event cap
-    are counted as reaching."""
+    """Level-reach estimate; the ``cap_hits`` replicas that ``_EVENT_GUARD``
+    stopped, after 10^8 contacts, are counted as reaching."""
 
     cap_hits: int = 0
     target_level: int = 0
@@ -150,12 +152,12 @@ def simulate_mt(
     topology: TreeTopology,
     p: float,
     target_level: int,
-    event_cap: int = DEFAULT_EVENT_CAP,
     seed: int = 0,
     level_unit: str | None = None,
 ) -> SimOutcome:
     """Run the dynamics from a single root spreader until absorption, the
-    first spreader at ``target_level``, or ``event_cap`` contacts.
+    first spreader at ``target_level``, or the 10^8 contacts of ``_EVENT_GUARD``
+    (stop reason 'event_cap', counted as reaching and reported in ``cap_hits``).
 
     ``level_unit`` 'graph' counts edges from the root; 'hub' counts hub
     generations (the branching process of the hub analysis lives on hubs)
@@ -171,11 +173,10 @@ def simulate_mt(
     """
     _check_p(p)
     check_at_least("target_level", target_level, 1)
-    check_at_least("event_cap", event_cap, 1)
     unit = _resolve_level_unit(topology, level_unit)
     rand = substream_random(seed, "mt").random
     roles = topology.role_table()
-    return SimOutcome(*_explore(rand, roles, topology.alpha, p, target_level, event_cap, unit == "hub"), unit)
+    return SimOutcome(*_explore(rand, roles, topology.alpha, p, target_level, _EVENT_GUARD, unit == "hub"), unit)
 
 
 def _census(row, alpha, p: float, replicas: int, seed: int, stream: str) -> list[int]:
@@ -260,7 +261,6 @@ def estimate_survival_levels(
     p: float,
     levels: list[int],
     replicas: int = 10_000,
-    event_cap: int = DEFAULT_EVENT_CAP,
     seed: int = 0,
     workers: int = 1,
     level_unit: str | None = None,
@@ -269,14 +269,14 @@ def estimate_survival_levels(
 
     Each replica runs once, to the highest level.  The exploration order
     does not depend on the target, so a separate run to L would reach L
-    exactly when this run's ``reached_level`` is at least L, and would hit
-    the cap exactly when this run capped below L.  Cap hits are counted as
-    reaching.  Replica r runs from the substream (seed, 'survival', r), and
-    jobs of ``_JOB`` replicas go to ``run_jobs``, so the estimates are
+    exactly when this run's ``reached_level`` is at least L, and would be
+    stopped by ``_EVENT_GUARD`` (10^8 contacts) exactly when this run was
+    stopped below L; such a replica counts as reaching and is reported in
+    ``cap_hits``.  Replica r runs from the substream (seed, 'survival', r),
+    and jobs of ``_JOB`` replicas go to ``run_jobs``, so the estimates are
     independent of the worker count and of scheduling.
     """
     _check_p(p)
-    check_at_least("event_cap", event_cap, 1)
     check_at_least("replicas", replicas, 1)
     if not levels:
         raise ValueError("levels must be a nonempty list")
@@ -284,7 +284,7 @@ def estimate_survival_levels(
     unit = _resolve_level_unit(topology, level_unit)
     top = max(levels)
     jobs = [
-        (topology, p, top, event_cap, seed, lo, min(lo + _JOB, replicas), unit)
+        (topology, p, top, _EVENT_GUARD, seed, lo, min(lo + _JOB, replicas), unit)
         for lo in range(0, replicas, _JOB)
     ]
     ended, capped = Counter(), Counter()
@@ -308,7 +308,6 @@ def estimate_survival_ctmc(
     p: float,
     target_level: int | None = None,
     replicas: int = 10_000,
-    event_cap: int = DEFAULT_EVENT_CAP,
     seed: int = 0,
     workers: int = 1,
     level_unit: str | None = None,
@@ -317,13 +316,13 @@ def estimate_survival_ctmc(
 
     The reach event upper-bounds survival and decreases to it as the level
     grows.  The default level is DEFAULT_LEVEL_HUB in hub units and
-    DEFAULT_LEVEL_CAYLEY in graph units.
+    DEFAULT_LEVEL_CAYLEY in graph units.  A replica that ``_EVENT_GUARD``
+    stops, at 10^8 contacts, counts as reaching and is reported in ``cap_hits``.
     """
     if target_level is None:
         hub_unit = _resolve_level_unit(topology, level_unit) == "hub"
         target_level = DEFAULT_LEVEL_HUB if hub_unit else DEFAULT_LEVEL_CAYLEY
     (est,) = estimate_survival_levels(
-        topology, p, [target_level], replicas=replicas, event_cap=event_cap,
-        seed=seed, workers=workers, level_unit=level_unit,
+        topology, p, [target_level], replicas=replicas, seed=seed, workers=workers, level_unit=level_unit,
     )
     return est

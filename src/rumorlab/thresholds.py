@@ -220,6 +220,8 @@ def max_h(d: int, k: int, beta_form: str = "paper", exact: bool = False) -> int:
     """
     _check_d(d, minimum=3)
     check_at_least("k", k, 2)
+    if k >= d:
+        warnings.warn(f"max_h assumes k < d; got k={k}, d={d}", stacklevel=2)
     pc = p_critical(d, exact=exact).value
     beta = beta_value(k - 1, form=beta_form, exact=exact)
     # alpha_c(h) < 1  <=>  p_c < beta^(h-1); beta < 1 so the power decreases

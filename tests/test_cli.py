@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from rumorlab import cli, laws
+from rumorlab import cli, ctmc, laws
 from rumorlab.cli import build_parser, main
 from rumorlab.errors import NumericFault
 from rumorlab.laws import beta_paper, law_X_prime
@@ -311,23 +311,25 @@ class TestSimulate:
         estimates = [float(r["estimate"]) for r in rows]
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
 
-    # the two hub-tree runs are mostly leaves, and their small event cap
-    # makes some replicas cap below some of the levels
+    # (tree, sweep, event guard): the two hub-tree runs are mostly leaves,
+    # and a guard lowered to 150 contacts stops some replicas below some of
+    # the levels
     SWEEPS = [
-        (["--tree", "cayley", "--d", "4", "--p", "0.9"], "5:40:5"),
-        (_HUB_TREE + ["--level-unit", "hub", "--event-cap", "150"], "1:8:1"),
-        (_HUB_TREE + ["--level-unit", "graph", "--event-cap", "150"], "2:16:2"),
+        (["--tree", "cayley", "--d", "4", "--p", "0.9"], "5:40:5", ctmc._EVENT_GUARD),
+        (_HUB_TREE + ["--level-unit", "hub"], "1:8:1", 150),
+        (_HUB_TREE + ["--level-unit", "graph"], "2:16:2", 150),
     ]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_level_sweep_matches_separate_levels(self, capsys, threads):
-        for tree, sweep in self.SWEEPS:
+    def test_level_sweep_matches_separate_levels(self, capsys, monkeypatch, threads):
+        for tree, sweep, guard in self.SWEEPS:
+            monkeypatch.setattr(ctmc, "_EVENT_GUARD", guard)
             common = ["simulate", *tree, "--replicas", "300", "--seed", "10", "--threads", threads]
             _, out = run_cli(common + ["--level-sweep", sweep], capsys)
             swept = parse_csv(out)
             lo, hi, step = (int(x) for x in sweep.split(":"))
             assert [r["level"] for r in swept] == [str(level) for level in range(lo, hi + 1, step)]
-            if "--event-cap" in tree:
+            if guard == 150:
                 assert 0 < int(swept[-1]["cap_hits"]) < 300
             for row in swept:
                 _, out = run_cli(common + ["--level", row["level"]], capsys)
@@ -336,8 +338,10 @@ class TestSimulate:
                 for key in ("estimate", "ci_low", "ci_high", "cap_hits"):
                     assert single[key] == row[key]
 
-    def test_level_sweep_on_the_pool_matches_inline(self, capsys, pool_only):
-        for tree, sweep in self.SWEEPS:
+    def test_level_sweep_on_the_pool_matches_inline(self, capsys, monkeypatch, pool_only):
+        # the guard goes to the workers in each job
+        for tree, sweep, guard in self.SWEEPS:
+            monkeypatch.setattr(ctmc, "_EVENT_GUARD", guard)
             common = ["simulate", *tree, "--replicas", "300", "--seed", "10", "--level-sweep", sweep]
             _, inline = run_cli(common + ["--threads", "1"], capsys)
             _, pooled = run_cli(common + ["--threads", "2"], capsys)
@@ -384,12 +388,6 @@ class TestGwCommand:
         assert 0.6 < doc["estimate"] < 0.9
         assert doc["method"] == "wilson"
         assert 0 <= doc["cap_hits"] <= doc["estimate"] * doc["replicas"]
-
-    @pytest.mark.parametrize("flag", ["--event-cap"])
-    def test_nonpositive_limit_is_usage_error(self, flag):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--d", "4", "--p", "0.9", flag, "0", "--replicas", "10", "--seed", "1"])
-        assert exc.value.code == 2
 
     def test_theta_gw_mc_reports_cap_hits(self, capsys):
         tail = ["--replicas", "500", "--seed", "9", "--format", "json"]
@@ -558,7 +556,7 @@ FLAGS = {
     "offspring": _COMMON | {"--replicas"},
     "simulate": _COMMON | _THREADS | {
         "--tree", "--d", "--k", "--alpha", "--h", "--p", "--level", "--level-sweep",
-        "--level-unit", "--replicas", "--event-cap",
+        "--level-unit", "--replicas",
     },
     "gw": _COMMON | _THREADS | {"--replicas"},
 }
@@ -589,9 +587,10 @@ class TestFlagSurface:
             ["psi", "3", "1.0", "--threads", "2"], ["gw", "4", "0.9", "--exact"], ["audit-beta", "3", "--float"],
             ["pc-table", "--float"], ["alpha-c", "5", "3", "1", "--float"], ["max-h", "5", "3", "--float"],
             ["gw", "4", "0.9", "--cap", "5"], ["gw", "4", "0.9", "--horizon", "60"],
+            ["simulate", "--d", "4", "--event-cap", "5"],
         ],
         ids=["psi-threads", "gw-exact", "audit-beta-float", "pc-table-float", "alpha-c-float", "max-h-float", "gw-cap",
-             "gw-horizon"],
+             "gw-horizon", "simulate-event-cap"],
     )
     def test_flag_the_command_ignores_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,6 @@ import pytest
 from rumorlab import ctmc
 from rumorlab._seeds import substream
 from rumorlab.ctmc import (
-    DEFAULT_EVENT_CAP,
     SimOutcome,
     SurvivalEstimate,
     estimate_survival_ctmc,
@@ -66,20 +65,22 @@ class TestSimulateMt:
                 assert out.reached_level < 5
         assert reasons == {"level_reached", "absorbed"}
 
-    def test_exploration_order_ignores_target(self):
+    def test_exploration_order_ignores_target(self, monkeypatch):
         # a run to a deeper level passes through the states of a shallower
         # run; on the hub trees a leaf's contact is counted when the leaf is
-        # made, and the cap falls on such a contact in a few of these runs
+        # made, and the guard, lowered to the cap, falls on such a contact in
+        # a few of these runs
         cases = [
             (cayley(4), 0.9, "graph", 400),
             (hub_path(20, 4, 0.9, 2), 1.0, "hub", 200),
             (hub_path(20, 3, 1.0, 2), 0.9, "graph", 100),
         ]
         for topology, p, unit, cap in cases:
+            monkeypatch.setattr(ctmc, "_EVENT_GUARD", cap)
             reasons = set()
             for seed in range(40):
                 deep, shallow = (
-                    simulate_mt(topology, p, level, event_cap=cap, seed=seed, level_unit=unit)
+                    simulate_mt(topology, p, level, seed=seed, level_unit=unit)
                     for level in (12, 6)
                 )
                 reasons.add(deep.stop_reason)
@@ -109,8 +110,9 @@ class TestSimulateMt:
         )
         assert reached / 10**4 < 0.01
 
-    def test_event_cap_stop(self):
-        out = simulate_mt(cayley(3), 1.0, target_level=10**6, event_cap=5, seed=0)
+    def test_event_cap_stop(self, monkeypatch):
+        monkeypatch.setattr(ctmc, "_EVENT_GUARD", 5)
+        out = simulate_mt(cayley(3), 1.0, target_level=10**6, seed=0)
         assert out.stop_reason == "event_cap"
         assert out.events_processed == 5
 
@@ -127,11 +129,6 @@ class TestSimulateMt:
     def test_graph_unit_on_hub_tree(self):
         out = simulate_mt(hub_path(5, 4, 0.8, 2), 1.0, target_level=4, seed=3, level_unit="graph")
         assert out.level_unit == "graph"
-
-    @pytest.mark.parametrize("event_cap", [0, -3])
-    def test_event_cap_below_one_rejected(self, event_cap):
-        with pytest.raises(ValueError, match="event_cap must be at least 1"):
-            simulate_mt(cayley(3), 0.5, 5, event_cap=event_cap, seed=1)
 
     def test_seed_must_be_an_integer(self):
         with pytest.raises(TypeError):
@@ -184,20 +181,20 @@ class TestDraws:
         est = estimate_survival_ctmc(cayley(4), 0.9, 30, replicas=500, seed=9190)
         assert (est.estimate, est.cap_hits) == (377 / 500, 0)
 
-    def test_outcome_grid_is_pinned(self):
+    def test_outcome_grid_is_pinned(self, monkeypatch):
         # every draw, its order and each stop rule show in this digest: both
         # families, role draws at h = 1, 2, 3, p = 1 and p < 1, both level
-        # units and caps that fall on every kind of contact
+        # units and guards, the last the default, that fall on every kind of
+        # contact
         topologies = [
             cayley(3), cayley(4),
             hub_path(10, 4, 0.7, 1), hub_path(10, 4, 0.7, 2), hub_path(10, 3, 0.9, 3),
         ]
-        grid = itertools.product(topologies, (1.0, 0.85), ("graph", "hub"), (1, 5, 37, DEFAULT_EVENT_CAP))
-        outcomes = [
-            astuple(simulate_mt(topology, p, 6, event_cap=cap, seed=seed, level_unit=unit))
-            for topology, p, unit, cap in grid
-            for seed in range(50)
-        ]
+        grid = itertools.product(topologies, (1.0, 0.85), ("graph", "hub"), (1, 5, 37, ctmc._EVENT_GUARD))
+        outcomes = []
+        for topology, p, unit, cap in grid:
+            monkeypatch.setattr(ctmc, "_EVENT_GUARD", cap)
+            outcomes += [astuple(simulate_mt(topology, p, 6, seed=seed, level_unit=unit)) for seed in range(50)]
         assert {o[3] for o in outcomes} == {"absorbed", "level_reached", "event_cap"}
         digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
         assert digest == "5d940644627a47edbf5335889375b5981fa31d5c76bf24ba6724583febc991f9"
@@ -211,13 +208,12 @@ class TestDraws:
         ],
         ids=["cayley", "hub_path", "hub_path_graph"],
     )
-    def test_survival_chunk_counts_single_runs(self, topology, p, top, cap, unit):
+    def test_survival_chunk_counts_single_runs(self, monkeypatch, topology, p, top, cap, unit):
+        monkeypatch.setattr(ctmc, "_EVENT_GUARD", cap)
         seed, lo, hi = 31, 64, 128
         ended, capped = Counter(), Counter()
         for r in range(lo, hi):
-            out = simulate_mt(
-                topology, p, top, event_cap=cap, seed=substream(seed, "survival", r), level_unit=unit
-            )
+            out = simulate_mt(topology, p, top, seed=substream(seed, "survival", r), level_unit=unit)
             ended[out.reached_level] += 1
             if out.stop_reason == "event_cap":
                 capped[out.reached_level] += 1
@@ -341,17 +337,20 @@ class TestEstimateSurvival:
         inline = estimate_survival_ctmc(topology, p, workers=1, **kwargs)
         assert estimate_survival_ctmc(topology, p, workers=2, **kwargs) == inline
 
-    def test_levels_on_the_pool_match_inline(self, pool_only):
-        kwargs = dict(replicas=400, event_cap=60, seed=24)
+    def test_levels_on_the_pool_match_inline(self, pool_only, monkeypatch):
+        # the guard goes to the workers in each job
+        monkeypatch.setattr(ctmc, "_EVENT_GUARD", 60)
+        kwargs = dict(replicas=400, seed=24)
         inline = estimate_survival_levels(cayley(4), 0.9, [2, 5, 9, 14], workers=1, **kwargs)
         assert estimate_survival_levels(cayley(4), 0.9, [2, 5, 9, 14], workers=2, **kwargs) == inline
         assert 0 < inline[-1].cap_hits < 400
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_levels_in_one_pass_match_separate_runs(self, workers):
-        # a small event cap makes some replicas cap below some of the levels
+    def test_levels_in_one_pass_match_separate_runs(self, monkeypatch, workers):
+        # a small guard stops some replicas below some of the levels
+        monkeypatch.setattr(ctmc, "_EVENT_GUARD", 60)
         levels = [2, 5, 9, 14]
-        kwargs = dict(replicas=400, event_cap=60, seed=24, workers=workers)
+        kwargs = dict(replicas=400, seed=24, workers=workers)
         swept = estimate_survival_levels(cayley(4), 0.9, levels, **kwargs)
         separate = [
             estimate_survival_ctmc(cayley(4), 0.9, target_level=level, **kwargs) for level in levels
@@ -398,14 +397,14 @@ class TestEstimateSurvival:
         with pytest.raises(ValueError):
             estimate_survival_levels(cayley(3), 0.5, [3, 0], replicas=10)
 
-    @pytest.mark.parametrize("p,event_cap", [(1.5, 100), (0.0, 100), (0.5, 0), (0.5, -5)])
-    def test_levels_rejects_bad_p_and_cap_before_any_run(self, monkeypatch, p, event_cap):
+    @pytest.mark.parametrize("p,replicas", [(1.5, 100), (0.0, 100)])
+    def test_levels_rejects_bad_p_and_cap_before_any_run(self, monkeypatch, p, replicas):
         def no_runs(*args, **kwargs):
             raise AssertionError("replicas started")
 
         monkeypatch.setattr(ctmc, "run_jobs", no_runs)
         with pytest.raises(ValueError):
-            estimate_survival_levels(cayley(3), p, [5], replicas=10, event_cap=event_cap, workers=2)
+            estimate_survival_levels(cayley(3), p, [5], replicas=replicas, workers=2)
 
     def test_nonincreasing_in_level(self):
         lo = estimate_survival_ctmc(cayley(3), 1.0, target_level=5, replicas=3000, seed=17)

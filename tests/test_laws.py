@@ -270,8 +270,11 @@ class TestCpgfNPrime:
 
 class TestMassLadderCache:
     def test_keeps_only_the_two_ladders_of_one_d(self):
-        # a ladder costs 16 bytes per unit of d: sixteen of them at d = 10^5
-        # would hold 25.6 MB, the X and N ladders of one d hold 3.2 MB
+        # a table ends at its last normal mass: at d = 10^5 it holds about
+        # 11,650 floats (93 KB), so the X and N tables of one d hold about
+        # two tables' worth, and a cache of sixteen tables would hold eight
+        # times that; the bound allows four
+        bound = 4 * laws._masses(100_000, False).nbytes
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -281,7 +284,7 @@ class TestMassLadderCache:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held < 4e6
+        assert held < bound
         info = laws._masses.cache_info()
         assert info.maxsize == 2 and info.currsize == 2
 

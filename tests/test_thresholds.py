@@ -341,6 +341,12 @@ class TestMaxH:
                 assert alpha_critical(d, k, hm).feasible
                 assert not alpha_critical(d, k, hm + 1).feasible
 
+    def test_warns_when_k_not_below_d(self):
+        # the warning names this file's line, as alpha_critical's does
+        with pytest.warns(UserWarning, match="max_h assumes k < d") as record:
+            max_h(5, 5)
+        assert record[0].filename == __file__
+
     def test_series_form(self):
         hm = max_h(50, 2, beta_form="series")
         assert alpha_critical(50, 2, hm, beta_form="series").feasible
