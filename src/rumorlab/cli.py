@@ -5,6 +5,10 @@ simulate, gw.  Every command is deterministic given its flags and seed; the
 seed defaults to the RUMORLAB_SEED environment variable, then OS entropy,
 and is always echoed in the emitted manifest.
 
+One table, ``_COMMANDS``, defines every command's flags and arguments.  A
+call builds the parser of the command it names alone; the full tree
+(``build_parser``) is built only for top-level help and errors.
+
 Exit codes: 0 success, 2 usage error, 3 numeric fault.
 """
 
@@ -51,22 +55,25 @@ def _thread_count(text: str) -> int:
     return count
 
 
-def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
-    """The flags every command takes, ``--threads`` for the commands that
-    run replica jobs, and ``--exact`` for those that print exact rationals."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=os.environ.get("RUMORLAB_SEED"), help="master seed in [-2**127, 2**127) (default: RUMORLAB_SEED env or OS entropy)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv", dest="out_format")
-    common.add_argument("--out", default="-", help="output path (default stdout)")
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument(
+def _common_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags every command takes."""
+    parser.add_argument("--seed", type=_seed, default=os.environ.get("RUMORLAB_SEED"), help="master seed in [-2**127, 2**127) (default: RUMORLAB_SEED env or OS entropy)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="out_format")
+    parser.add_argument("--out", default="-", help="output path (default stdout)")
+
+
+def _threads_flag(parser: argparse.ArgumentParser) -> None:
+    """``--threads``, for the commands that run replica jobs."""
+    parser.add_argument(
         "--threads", type=_thread_count, default=1,
         help="at most this many worker processes (capped at the core count) for replica jobs "
         "still left after a short inline start",
     )
-    exact = argparse.ArgumentParser(add_help=False)
-    exact.add_argument("--exact", action="store_true", help=f"exact rationals past d = {laws.EXACT_LIMIT} too (log-space floats by default)")
-    return common, threads, exact
+
+
+def _exact_flag(parser: argparse.ArgumentParser) -> None:
+    """``--exact``, for the commands that print exact rationals."""
+    parser.add_argument("--exact", action="store_true", help=f"exact rationals past d = {laws.EXACT_LIMIT} too (log-space floats by default)")
 
 
 def _manifest(args: argparse.Namespace, started: float) -> dict:
@@ -311,82 +318,89 @@ def cmd_gw(args) -> tuple[list[dict], dict | None]:
     return rows, payload
 
 
+# name: (help, flag groups past the common ones, arguments, handler); an
+# argument is (name or flag, add_argument keywords), and a list of them is
+# one mutually exclusive group
+_D, _K, _P = ("d", dict(type=int)), ("k", dict(type=int)), ("p", dict(type=float))
+_BETA_FORM = ("--beta-form", dict(choices=("paper", "series"), default="paper"))
+_COMMANDS = {
+    "pc-table": ("critical probability table", (_exact_flag,), [
+        ("--d-min", dict(type=int, default=3)),
+        ("--d-max", dict(type=int, default=11)),
+    ], cmd_pc_table),
+    "theta": ("survival probability", (_threads_flag,), [
+        _D, _P,
+        ("--method", dict(choices=("analytic", "gw_mc", "ctmc_mc", "all"), default="analytic")),
+        ("--replicas", dict(type=int, default=10_000)),
+        ("--level", dict(type=int, default=ctmc.DEFAULT_LEVEL_CAYLEY)),
+    ], cmd_theta),
+    "psi": ("extinction fixed point", (), [_D, _P], cmd_psi),
+    "alpha-c": ("hub-tree critical alpha", (_exact_flag,), [_D, _K, ("h", dict(type=int)), _BETA_FORM], cmd_alpha_c),
+    "max-h": ("largest feasible hub distance", (_exact_flag,), [_D, _K, _BETA_FORM], cmd_max_h),
+    "audit-beta": ("compare traversal probability forms", (), [
+        _K, ("--replicas", dict(type=int, default=100_000)),
+    ], cmd_audit_beta),
+    "offspring": ("empirical offspring law", (), [
+        _D, _P, ("--replicas", dict(type=int, default=100_000)),
+    ], cmd_offspring),
+    "simulate": ("level-reach survival estimate from the simulated dynamics", (_threads_flag,), [
+        ("--tree", dict(choices=("cayley", "hub_path"), default="cayley")),
+        ("--d", dict(type=int, required=True)),
+        ("--k", dict(type=int)),
+        ("--alpha", dict(type=float)),
+        ("--h", dict(type=int)),
+        ("--p", dict(type=float, default=1.0)),
+        [
+            ("--level", dict(type=int)),
+            ("--level-sweep", dict(help="MIN:MAX:STEP emits a CSV series of reach estimates")),
+        ],
+        ("--level-unit", dict(choices=("graph", "hub"))),
+        ("--replicas", dict(type=int, default=10_000)),
+    ], cmd_simulate),
+    "gw": ("branching-process survival estimate", (_threads_flag,), [
+        _D, _P, ("--replicas", dict(type=int, default=10_000)),
+    ], cmd_gw),
+}
+
+
+def _command_parser(name: str, parser: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+    """Command ``name``'s flags and arguments, added to ``parser`` (the tree's
+    subparser) or by default to a parser of that command alone."""
+    if parser is None:
+        parser = argparse.ArgumentParser(prog=f"rumorlab {name}")
+    _, flag_groups, arguments, handler = _COMMANDS[name]
+    for add_flags in (_common_flags, *flag_groups):
+        add_flags(parser)
+    for argument in arguments:
+        exclusive = isinstance(argument, list)
+        group = parser.add_mutually_exclusive_group() if exclusive else parser
+        for flag, keywords in argument if exclusive else [argument]:
+            group.add_argument(flag, **keywords)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common, threads, exact = _parent_parsers()
+    """The full tree: the top-level parser with one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="rumorlab",
         description="Thresholds and simulation for rumor spreading on trees",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pc-table", parents=[common, exact], help="critical probability table")
-    p.add_argument("--d-min", type=int, default=3)
-    p.add_argument("--d-max", type=int, default=11)
-    p.set_defaults(func=cmd_pc_table)
-
-    p = sub.add_parser("theta", parents=[common, threads], help="survival probability")
-    p.add_argument("d", type=int)
-    p.add_argument("p", type=float)
-    p.add_argument("--method", choices=("analytic", "gw_mc", "ctmc_mc", "all"), default="analytic")
-    p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--level", type=int, default=ctmc.DEFAULT_LEVEL_CAYLEY)
-    p.set_defaults(func=cmd_theta)
-
-    p = sub.add_parser("psi", parents=[common], help="extinction fixed point")
-    p.add_argument("d", type=int)
-    p.add_argument("p", type=float)
-    p.set_defaults(func=cmd_psi)
-
-    p = sub.add_parser("alpha-c", parents=[common, exact], help="hub-tree critical alpha")
-    p.add_argument("d", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("h", type=int)
-    p.add_argument("--beta-form", choices=("paper", "series"), default="paper")
-    p.set_defaults(func=cmd_alpha_c)
-
-    p = sub.add_parser("max-h", parents=[common, exact], help="largest feasible hub distance")
-    p.add_argument("d", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--beta-form", choices=("paper", "series"), default="paper")
-    p.set_defaults(func=cmd_max_h)
-
-    p = sub.add_parser("audit-beta", parents=[common], help="compare traversal probability forms")
-    p.add_argument("k", type=int)
-    p.add_argument("--replicas", type=int, default=100_000)
-    p.set_defaults(func=cmd_audit_beta)
-
-    p = sub.add_parser("offspring", parents=[common], help="empirical offspring law")
-    p.add_argument("d", type=int)
-    p.add_argument("p", type=float)
-    p.add_argument("--replicas", type=int, default=100_000)
-    p.set_defaults(func=cmd_offspring)
-
-    p = sub.add_parser("simulate", parents=[common, threads], help="level-reach survival estimate from the simulated dynamics")
-    p.add_argument("--tree", choices=("cayley", "hub_path"), default="cayley")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--h", type=int)
-    p.add_argument("--p", type=float, default=1.0)
-    level = p.add_mutually_exclusive_group()
-    level.add_argument("--level", type=int)
-    level.add_argument("--level-sweep", help="MIN:MAX:STEP emits a CSV series of reach estimates")
-    p.add_argument("--level-unit", choices=("graph", "hub"))
-    p.add_argument("--replicas", type=int, default=10_000)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("gw", parents=[common, threads], help="branching-process survival estimate")
-    p.add_argument("d", type=int)
-    p.add_argument("p", type=float)
-    p.add_argument("--replicas", type=int, default=10_000)
-    p.set_defaults(func=cmd_gw)
-
+    for name, (help_text, *_) in _COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = extras = None
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or extras:
+        # no command, an unknown one, or unrecognized arguments: the full
+        # tree reports them at top level, as it reports a command's ValueError
+        args = build_parser().parse_args(argv)
     if args.seed is None:
         args.seed = secrets.randbits(63)
     started = time.perf_counter()
@@ -397,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC_FAULT
     except ValueError as exc:
-        parser.error(str(exc))
+        build_parser().error(str(exc))
     return 0
 
 

@@ -607,6 +607,88 @@ class TestFlagSurface:
         assert not set(manifest["parameters"]) & set(manifest)
 
 
+def _tree_main(argv):
+    """The reference ``main`` for calls that end in help or a usage error:
+    the full tree parses every call, and reports a command's ValueError."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _run_to_exit(entry, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        entry(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# name: (argv, exit code, the usage line of the help or the error line printed)
+USAGE_CASES = {
+    "no-command": ([], 2, "rumorlab: error: the following arguments are required: command"),
+    "bogus": (["bogus"], 2, "rumorlab: error: argument command: invalid choice: 'bogus'"),
+    "help": (["-h"], 0, "usage: rumorlab [-h]"),
+    "theta-help": (["theta", "-h"], 0, "usage: rumorlab theta [-h]"),
+    "missing-positional": (["theta"], 2, "rumorlab theta: error: the following arguments are required: d, p"),
+    "bad-int": (["theta", "x", "0.5"], 2, "rumorlab theta: error: argument d: invalid int value: 'x'"),
+    "unrecognized": (["gw", "4", "0.9", "--cap", "5"], 2, "rumorlab: error: unrecognized arguments: --cap 5"),
+    "command-value-error": (
+        ["pc-table", "--d-min", "5", "--d-max", "3"], 2, "rumorlab: error: empty range: d-min=5 > d-max=3",
+    ),
+    "seed-range": (["gw", "4", "0.9", "--seed", str(2**127)], 2, "rumorlab gw: error: argument --seed: a seed"),
+}
+
+
+class TestCommandParser:
+    """``main`` builds only the invoked command's parser; the full tree
+    reports top-level help and errors."""
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_matches_the_tree_subparser(self, monkeypatch, command):
+        monkeypatch.setenv("RUMORLAB_SEED", "12345")
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+        (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        tree, alone = commands[command], cli._command_parser(command)
+
+        def surface(parser):
+            actions = [
+                (type(a), {key: value for key, value in vars(a).items() if key != "container"})
+                for a in parser._actions
+            ]
+            groups = [[a.dest for a in g._group_actions] for g in parser._mutually_exclusive_groups]
+            return actions, groups, parser._defaults
+
+        assert surface(alone) == surface(tree)
+        assert alone.get_default("seed") == "12345"
+        assert alone.format_help() == tree.format_help()
+
+    @pytest.mark.parametrize("argv,code,line", list(USAGE_CASES.values()), ids=list(USAGE_CASES))
+    def test_usage_errors_match_the_tree(self, capsys, monkeypatch, argv, code, line):
+        monkeypatch.setenv("COLUMNS", "80")
+        result = _run_to_exit(main, argv, capsys)
+        assert result == _run_to_exit(_tree_main, argv, capsys)
+        assert result[0] == code
+        assert line in (result[2] if code else result[1])
+
+    @pytest.mark.parametrize("command", sorted(QUICK_RUNS))
+    def test_valid_call_builds_no_full_tree(self, capsys, monkeypatch, command):
+        argv = [command, *QUICK_RUNS[command], "--seed", "1", "--format", "json"]
+        _, usual = run_cli(argv, capsys)
+
+        def no_tree():
+            raise AssertionError("a valid call built the full parser tree")
+
+        monkeypatch.setattr(cli, "build_parser", no_tree)
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        reports = [json.loads(text) for text in (usual, out)]
+        for doc in reports:
+            del doc["manifest"]["duration_s"]
+        assert reports[0] == reports[1]
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
