@@ -790,6 +790,19 @@ REPORT_DIGESTS = {
         [["offspring", "5", "0.7", "--replicas", "20000"]],
         "3bbc207614140e32d9aec22a984e1f01114793f25dac8f8de4a2de33cbec4a64",
     ),
+    # the dynamics engine: one level and a sweep on each family, hub trees
+    # at h = 2 and at h = 3 with p < 1
+    "simulate": (
+        [
+            ["simulate", "--tree", "cayley", "--d", "4", "--p", "0.9", "--level", "12", "--replicas", "2000"],
+            ["simulate", "--tree", "cayley", "--d", "3", "--p", "0.95", "--level-sweep", "2:20:3", "--replicas", "2000"],
+            ["simulate", "--tree", "hub_path", "--d", "20", "--k", "4", "--alpha", "0.6", "--h", "2", "--p", "1.0",
+             "--level", "6", "--replicas", "2000"],
+            ["simulate", "--tree", "hub_path", "--d", "50", "--k", "4", "--alpha", "0.9", "--h", "3", "--p", "0.95",
+             "--level-sweep", "1:10:1", "--replicas", "2000"],
+        ],
+        "77c82313a86ff44377d0efb1bee612798ba0c9163f71119ab998e3ff89cc1a6d",
+    ),
 }
 
 

@@ -183,21 +183,20 @@ class TestDraws:
 
     def test_outcome_grid_is_pinned(self, monkeypatch):
         # every draw, its order and each stop rule show in this digest: both
-        # families, role draws at h = 1, 2, 3, p = 1 and p < 1, both level
-        # units and guards, the last the default, that fall on every kind of
-        # contact
+        # families, role draws at h = 1, 2, 3, p = 1 and p < 1, and guards,
+        # the last the default, that fall on every kind of contact
         topologies = [
             cayley(3), cayley(4),
             hub_path(10, 4, 0.7, 1), hub_path(10, 4, 0.7, 2), hub_path(10, 3, 0.9, 3),
         ]
-        grid = itertools.product(topologies, (1.0, 0.85), ("graph", "hub"), (1, 5, 37, ctmc._EVENT_GUARD))
+        grid = itertools.product(topologies, (1.0, 0.85), (1, 5, 37, ctmc._EVENT_GUARD))
         outcomes = []
-        for topology, p, unit, cap in grid:
+        for topology, p, cap in grid:
             monkeypatch.setattr(ctmc, "_EVENT_GUARD", cap)
-            outcomes += [astuple(simulate_mt(topology, p, 6, seed=seed, level_unit=unit)) for seed in range(50)]
+            outcomes += [astuple(simulate_mt(topology, p, 6, seed=seed)) for seed in range(50)]
         assert {o[3] for o in outcomes} == {"absorbed", "level_reached", "event_cap"}
         digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-        assert digest == "5d940644627a47edbf5335889375b5981fa31d5c76bf24ba6724583febc991f9"
+        assert digest == "34e19d6873a6587a4438ab75e08ab60d4d28a98b1e7bc017485ba3d6ca9012ee"
 
     @pytest.mark.parametrize(
         "topology,p,top,cap,unit",
