@@ -267,9 +267,11 @@ def cmd_offspring(args) -> tuple[list[dict], dict | None]:
     empirical = ctmc.offspring_empirical(args.d, args.p, args.replicas, seed=args.seed)
     analytic = laws.Pmf(tuple(laws.law_X_prime_float(args.d, args.p)))
     tv = laws.tv_distance(empirical, analytic)
+    # rows end at the last nonzero mass of either column: the counts run to d, nearly all 0
+    size = max(i for probs in (empirical.probs, analytic.probs) for i, q in enumerate(probs, 1) if q)
     rows = [
         {"i": i, "empirical": float(empirical.p(i)), "analytic": float(analytic.p(i))}
-        for i in empirical.support()
+        for i in range(size)
     ]
     payload = {"tv_distance": tv, "empirical_mean": float(empirical.mean()), "analytic_mean": float(analytic.mean())}
     return rows, payload
@@ -277,12 +279,7 @@ def cmd_offspring(args) -> tuple[list[dict], dict | None]:
 
 def cmd_simulate(args) -> tuple[list[dict], dict | None]:
     topology = treegen.TreeTopology(args.tree, args.d, args.k, args.alpha, args.h)
-    run = dict(
-        replicas=args.replicas,
-        seed=args.seed,
-        workers=args.threads,
-        level_unit=args.level_unit,
-    )
+    run = dict(replicas=args.replicas, seed=args.seed, workers=args.threads)
 
     if args.level_sweep:
         try:
@@ -351,10 +348,10 @@ _COMMANDS = {
         ("--h", dict(type=int)),
         ("--p", dict(type=float, default=1.0)),
         [
-            ("--level", dict(type=int)),
+            ("--level", dict(type=int, help="target level in hub generations, which are graph levels on cayley "
+                             f"(default {ctmc.DEFAULT_LEVEL_CAYLEY} on cayley, {ctmc.DEFAULT_LEVEL_HUB} on hub_path)")),
             ("--level-sweep", dict(help="MIN:MAX:STEP emits a CSV series of reach estimates")),
         ],
-        ("--level-unit", dict(choices=("graph", "hub"))),
         ("--replicas", dict(type=int, default=10_000)),
     ], cmd_simulate),
     "gw": ("branching-process survival estimate", (_threads_flag,), [

@@ -11,18 +11,20 @@ draws no waiting times.
 
 The engine materializes only informed vertices and explores spreaders depth
 first from a stack of their depths: a popped spreader runs its whole contact
-race and pushes the children it made spreaders.  A run stops at the first
-spreader created at the target level.  A spreader's depth picks its row of
-the topology's role table (``treegen``): its degree and which of its contacts
-can make a child spreader.  That table is all the engine knows of the tree's
-shape.  Child subtrees on a tree are exchangeable, so whether a hub's child
-is a leaf is drawn when the child is made.
+race and pushes the children it made spreaders.  A level is a hub generation,
+as in the hub analysis, whose branching process lives on hubs; on a Cayley
+tree every vertex is a hub, so it is a graph level.  A run stops at the
+first hub spreader created at the target level.  A spreader's depth picks its
+row of the topology's role table (``treegen``): its degree and which of its
+contacts can make a child spreader.  That table is all the engine knows of
+the tree's shape.  Child subtrees on a tree are exchangeable, so whether a
+hub's child is a leaf is drawn when the child is made.
 
 No uniform is drawn for an outcome that is already decided.  A leaf's one
 neighbor is its informer, so its whole race is one stifling contact: that
-event is counted when the leaf is made (after the level check that counts
-the leaf in graph units), and the leaf is never stacked.  At p = 1 every
-contacted ignorant spreads, so the thinning uniform is drawn only for p < 1.
+event is counted when the leaf is made, and the leaf is never stacked.  At
+p = 1 every contacted ignorant spreads, so the thinning uniform is drawn
+only for p < 1.
 The offspring law and the path-traversal probability are read off one
 census of a single spreader's race on one row, drawn by these same rules.
 ``_EVENT_GUARD`` bounds the time of a run near p_c: a run it stops counts as reaching.
@@ -61,7 +63,7 @@ class SimOutcome:
     events_processed: int
     informed_total: int
     stop_reason: str  # 'absorbed' | 'level_reached' | 'event_cap'
-    level_unit: str  # 'graph' | 'hub'
+    level_unit: str  # 'graph' on a Cayley tree, 'hub' on a hub_path tree
 
 
 @dataclass(frozen=True)
@@ -74,50 +76,50 @@ class SurvivalEstimate(EstimateCI):
     level_unit: str = "graph"
 
 
-def _resolve_level_unit(topology: TreeTopology, level_unit: str | None) -> str:
-    if level_unit is None:
-        return "hub" if topology.kind == "hub_path" else "graph"
-    if level_unit not in ("graph", "hub"):
-        raise ValueError(f"level_unit must be 'graph' or 'hub', got {level_unit!r}")
-    return level_unit
+def _level_unit(topology: TreeTopology) -> str:
+    return "hub" if topology.kind == "hub_path" else "graph"
 
 
-def _explore(rand, roles, alpha, p: float, target_level: int, event_cap: int, hub_unit: bool):
+def _rows(topology: TreeTopology) -> tuple[tuple[float, float, float, bool, bool], ...]:
+    """The role table, each row with one more flag: its children are hubs."""
+    roles = topology.role_table()
+    return tuple((*row, (depth + 1) % len(roles) == 0) for depth, row in enumerate(roles))
+
+
+def _explore(rand, rows, alpha, p: float, target_level: int, event_cap: int):
     """One run of the dynamics from a root spreader, drawing from ``rand``.
 
     Returns ``(reached_level, events, informed, stop_reason)``; the
-    arguments are taken as checked.  ``roles`` is the topology's
-    ``role_table()``: a spreader at ``depth`` takes row ``depth % h``, so a
-    stack entry is the depth alone, and a depth divisible by h is hub
-    generation ``depth // h``.  Every spreader takes one path: it unpacks its
-    row once, its free slots are its degree less its informer's slot (the
-    root has none), and ``alpha`` is drawn against only where the row says.
-    A contact then only draws, tests the free slots and checks the level
-    and the cap.
+    arguments are taken as checked.  ``rows`` is ``_rows(topology)``: a
+    spreader at ``depth`` takes row ``depth % h``, so a stack entry is the
+    depth alone, and a depth divisible by h is hub generation ``depth // h``.
+    The run tracks the deepest hub spreader, so it compares depths and
+    divides by h only when it returns.  Every spreader takes one path: it
+    unpacks its row once, its free slots are its degree less its informer's
+    slot (the root has none), and ``alpha`` is drawn against only where the
+    row says.  A contact then only draws, tests the free slots and checks
+    the level and the cap.
     """
-    h = len(roles)
+    h = len(rows)
+    target_depth = target_level * h
     thin = p < 1.0  # at p = 1 every contacted ignorant spreads
 
     stack = [0]  # depths of the unexplored spreaders
     events = 0
     informed = 1
-    max_level = 0
+    max_depth = 0  # of the hub spreaders made
 
     while stack:
         depth = stack.pop()
         child = depth + 1
-        deg, onward, onward_after, role_draw = roles[depth % h]
+        deg, onward, onward_after, role_draw, hub_children = rows[depth % h]
         free = deg - 1.0 if depth else deg
-        if hub_unit:
-            leaf_level = 0
-            child_level = 0 if child % h else child // h
-        else:
-            leaf_level = child_level = child
+        hub_depth = child if hub_children else 0
 
         while True:
             events += 1
             if events >= event_cap:
-                return max_level, events, informed, "event_cap"
+                return max_depth // h, events, informed, "event_cap"
             u = rand() * deg
             if u >= free:
                 break  # contacted the informer or an already-informed neighbor
@@ -129,23 +131,19 @@ def _explore(rand, roles, alpha, p: float, target_level: int, event_cap: int, hu
             if thin and rand() >= p:
                 continue  # the contacted ignorant stifles at once
             if makes_child and not (role_draw and rand() >= alpha):
-                if child_level > max_level:
-                    max_level = child_level
-                    if child_level >= target_level:
-                        return child_level, events, informed, "level_reached"
+                if hub_depth > max_depth:
+                    max_depth = hub_depth
+                    if hub_depth >= target_depth:
+                        return target_level, events, informed, "level_reached"
                 stack.append(child)
                 continue
-            if leaf_level > max_level:
-                max_level = leaf_level
-                if leaf_level >= target_level:
-                    return leaf_level, events, informed, "level_reached"
             # a leaf's one neighbor is its informer: its whole race is one
             # stifling contact, counted now and drawn from nothing
             events += 1
             if events >= event_cap:
-                return max_level, events, informed, "event_cap"
+                return max_depth // h, events, informed, "event_cap"
 
-    return max_level, events, informed, "absorbed"
+    return max_depth // h, events, informed, "absorbed"
 
 
 def simulate_mt(
@@ -153,17 +151,16 @@ def simulate_mt(
     p: float,
     target_level: int,
     seed: int = 0,
-    level_unit: str | None = None,
 ) -> SimOutcome:
     """Run the dynamics from a single root spreader until absorption, the
-    first spreader at ``target_level``, or the 10^8 contacts of ``_EVENT_GUARD``
-    (stop reason 'event_cap', counted as reaching and reported in ``cap_hits``).
+    first hub spreader at ``target_level``, or the 10^8 contacts of
+    ``_EVENT_GUARD`` (stop reason 'event_cap', counted as reaching and
+    reported in ``cap_hits``).
 
-    ``level_unit`` 'graph' counts edges from the root; 'hub' counts hub
-    generations (the branching process of the hub analysis lives on hubs)
-    and is the default for hub_path topologies.  The exploration order does
-    not depend on ``target_level``: a run to a higher level passes through
-    exactly the states of a run to a lower one until that one stops.
+    Levels count hub generations, which are graph levels on a Cayley tree;
+    ``level_unit`` says which.  The exploration order does not depend on
+    ``target_level``: a run to a higher level passes through exactly the
+    states of a run to a lower one until that one stops.
 
     Per contact a replica draws the neighbor uniform, then the thinning
     uniform only if p < 1, then the alpha uniform only for a child spreader
@@ -173,10 +170,9 @@ def simulate_mt(
     """
     _check_p(p)
     check_at_least("target_level", target_level, 1)
-    unit = _resolve_level_unit(topology, level_unit)
     rand = substream_random(seed, "mt").random
-    roles = topology.role_table()
-    return SimOutcome(*_explore(rand, roles, topology.alpha, p, target_level, _EVENT_GUARD, unit == "hub"), unit)
+    outcome = _explore(rand, _rows(topology), topology.alpha, p, target_level, _EVENT_GUARD)
+    return SimOutcome(*outcome, _level_unit(topology))
 
 
 def _census(row, alpha, p: float, replicas: int, seed: int, stream: str) -> list[int]:
@@ -241,15 +237,14 @@ def _survival_chunk(args) -> tuple[Counter, Counter]:
 
     Replica r runs exactly as ``simulate_mt`` with the seed
     ``substream(seed, "survival", r)``, on one reseeded generator."""
-    (topology, p, top, event_cap, seed, lo, hi, unit) = args
-    hub_unit = unit == "hub"
-    roles = topology.role_table()
+    (topology, p, top, event_cap, seed, lo, hi) = args
+    rows = _rows(topology)
     rng = random.Random()
     rand = rng.random
     ended, capped = Counter(), Counter()
     for replica_seed in substreams(seed, "survival", indices=range(lo, hi)):
         rng.seed(substream(replica_seed, "mt"))
-        reached, _, _, stop_reason = _explore(rand, roles, topology.alpha, p, top, event_cap, hub_unit)
+        reached, _, _, stop_reason = _explore(rand, rows, topology.alpha, p, top, event_cap)
         ended[reached] += 1
         if stop_reason == "event_cap":
             capped[reached] += 1
@@ -263,7 +258,6 @@ def estimate_survival_levels(
     replicas: int = 10_000,
     seed: int = 0,
     workers: int = 1,
-    level_unit: str | None = None,
 ) -> list[SurvivalEstimate]:
     """Wilson 95% CIs on P(the rumor reaches L), one for each L in ``levels``.
 
@@ -281,12 +275,9 @@ def estimate_survival_levels(
     if not levels:
         raise ValueError("levels must be a nonempty list")
     check_at_least("target_level", min(levels), 1)
-    unit = _resolve_level_unit(topology, level_unit)
+    unit = _level_unit(topology)
     top = max(levels)
-    jobs = [
-        (topology, p, top, _EVENT_GUARD, seed, lo, min(lo + _JOB, replicas), unit)
-        for lo in range(0, replicas, _JOB)
-    ]
+    jobs = [(topology, p, top, _EVENT_GUARD, seed, lo, min(lo + _JOB, replicas)) for lo in range(0, replicas, _JOB)]
     ended, capped = Counter(), Counter()
     for job_ended, job_capped in run_jobs(_survival_chunk, jobs, workers):
         ended += job_ended
@@ -310,19 +301,15 @@ def estimate_survival_ctmc(
     replicas: int = 10_000,
     seed: int = 0,
     workers: int = 1,
-    level_unit: str | None = None,
 ) -> SurvivalEstimate:
     """Wilson 95% CI on P(the rumor reaches ``target_level``).
 
     The reach event upper-bounds survival and decreases to it as the level
-    grows.  The default level is DEFAULT_LEVEL_HUB in hub units and
-    DEFAULT_LEVEL_CAYLEY in graph units.  A replica that ``_EVENT_GUARD``
+    grows.  The default level is DEFAULT_LEVEL_HUB on a hub_path tree and
+    DEFAULT_LEVEL_CAYLEY on a Cayley tree.  A replica that ``_EVENT_GUARD``
     stops, at 10^8 contacts, counts as reaching and is reported in ``cap_hits``.
     """
     if target_level is None:
-        hub_unit = _resolve_level_unit(topology, level_unit) == "hub"
-        target_level = DEFAULT_LEVEL_HUB if hub_unit else DEFAULT_LEVEL_CAYLEY
-    (est,) = estimate_survival_levels(
-        topology, p, [target_level], replicas=replicas, seed=seed, workers=workers, level_unit=level_unit,
-    )
+        target_level = DEFAULT_LEVEL_HUB if topology.kind == "hub_path" else DEFAULT_LEVEL_CAYLEY
+    (est,) = estimate_survival_levels(topology, p, [target_level], replicas=replicas, seed=seed, workers=workers)
     return est

@@ -233,15 +233,14 @@ class TestOffspring:
 
 
     def test_one_row_per_count_past_the_normal_masses(self, capsys):
-        # X's float table at d = 800 ends at its last normal mass; the rows
-        # past it read an analytic mass of 0.0
+        # X's float table at d = 800 ends at its last normal mass, and the
+        # rows end with it, not at d
         _, out = run_cli(["offspring", "800", "1.0", "--replicas", "200", "--seed", "4", "--format", "json"], capsys)
         rows = json.loads(out)["rows"]
         cut = laws._masses(800, False).size
         assert cut < 801
-        assert [row["i"] for row in rows] == list(range(801))
-        assert all(row["analytic"] > 0.0 for row in rows[:cut])
-        assert all(row["analytic"] == 0.0 for row in rows[cut:])
+        assert [row["i"] for row in rows] == list(range(cut))
+        assert all(row["analytic"] > 0.0 for row in rows)
 
 
 _HUB_TREE = ["--tree", "hub_path", "--d", "20", "--k", "4", "--alpha", "0.6", "--h", "2", "--p", "0.9"]
@@ -311,13 +310,13 @@ class TestSimulate:
         estimates = [float(r["estimate"]) for r in rows]
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
 
-    # (tree, sweep, event guard): the two hub-tree runs are mostly leaves,
-    # and a guard lowered to 150 contacts stops some replicas below some of
-    # the levels
+    # (tree, sweep, event guard): the two hub-tree runs, at h = 2 and 3, are
+    # mostly leaves, and a guard lowered to 150 contacts stops some replicas
+    # below some of the levels
     SWEEPS = [
         (["--tree", "cayley", "--d", "4", "--p", "0.9"], "5:40:5", ctmc._EVENT_GUARD),
-        (_HUB_TREE + ["--level-unit", "hub"], "1:8:1", 150),
-        (_HUB_TREE + ["--level-unit", "graph"], "2:16:2", 150),
+        (_HUB_TREE, "1:8:1", 150),
+        (["--tree", "hub_path", "--d", "20", "--k", "4", "--alpha", "0.6", "--h", "3", "--p", "0.9"], "1:6:1", 150),
     ]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -555,8 +554,7 @@ FLAGS = {
     "audit-beta": _COMMON | {"--replicas"},
     "offspring": _COMMON | {"--replicas"},
     "simulate": _COMMON | _THREADS | {
-        "--tree", "--d", "--k", "--alpha", "--h", "--p", "--level", "--level-sweep",
-        "--level-unit", "--replicas",
+        "--tree", "--d", "--k", "--alpha", "--h", "--p", "--level", "--level-sweep", "--replicas",
     },
     "gw": _COMMON | _THREADS | {"--replicas"},
 }
@@ -587,10 +585,10 @@ class TestFlagSurface:
             ["psi", "3", "1.0", "--threads", "2"], ["gw", "4", "0.9", "--exact"], ["audit-beta", "3", "--float"],
             ["pc-table", "--float"], ["alpha-c", "5", "3", "1", "--float"], ["max-h", "5", "3", "--float"],
             ["gw", "4", "0.9", "--cap", "5"], ["gw", "4", "0.9", "--horizon", "60"],
-            ["simulate", "--d", "4", "--event-cap", "5"],
+            ["simulate", "--d", "4", "--event-cap", "5"], ["simulate", "--d", "4", "--level-unit", "graph"],
         ],
         ids=["psi-threads", "gw-exact", "audit-beta-float", "pc-table-float", "alpha-c-float", "max-h-float", "gw-cap",
-             "gw-horizon", "simulate-event-cap"],
+             "gw-horizon", "simulate-event-cap", "simulate-level-unit"],
     )
     def test_flag_the_command_ignores_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -71,18 +71,15 @@ class TestSimulateMt:
         # made, and the guard, lowered to the cap, falls on such a contact in
         # a few of these runs
         cases = [
-            (cayley(4), 0.9, "graph", 400),
-            (hub_path(20, 4, 0.9, 2), 1.0, "hub", 200),
-            (hub_path(20, 3, 1.0, 2), 0.9, "graph", 100),
+            (cayley(4), 0.9, 400),
+            (hub_path(20, 4, 0.9, 2), 1.0, 200),
+            (hub_path(20, 3, 1.0, 2), 0.9, 200),
         ]
-        for topology, p, unit, cap in cases:
+        for topology, p, cap in cases:
             monkeypatch.setattr(ctmc, "_EVENT_GUARD", cap)
             reasons = set()
             for seed in range(40):
-                deep, shallow = (
-                    simulate_mt(topology, p, level, seed=seed, level_unit=unit)
-                    for level in (12, 6)
-                )
+                deep, shallow = (simulate_mt(topology, p, level, seed=seed) for level in (12, 6))
                 reasons.add(deep.stop_reason)
                 if deep.stop_reason == "event_cap":
                     assert deep.events_processed == cap
@@ -126,10 +123,6 @@ class TestSimulateMt:
         out = simulate_mt(cayley(4), 1.0, target_level=3, seed=2)
         assert out.level_unit == "graph"
 
-    def test_graph_unit_on_hub_tree(self):
-        out = simulate_mt(hub_path(5, 4, 0.8, 2), 1.0, target_level=4, seed=3, level_unit="graph")
-        assert out.level_unit == "graph"
-
     def test_seed_must_be_an_integer(self):
         with pytest.raises(TypeError):
             simulate_mt(cayley(4), 0.9, 30, seed=7.7)
@@ -139,8 +132,6 @@ class TestSimulateMt:
             simulate_mt(cayley(3), 0.0, target_level=5)
         with pytest.raises(ValueError):
             simulate_mt(cayley(3), 0.5, target_level=0)
-        with pytest.raises(ValueError):
-            simulate_mt(cayley(3), 0.5, target_level=5, level_unit="depth")
 
 
 class CountingRandom(random.Random):
@@ -167,7 +158,7 @@ class TestDraws:
         monkeypatch.setattr(ctmc, "substream_random", counting_substream_random)
         topology = hub_path(5, 4, 1e-12, 1)
         for seed in range(200):
-            out = simulate_mt(topology, 1.0, 2, seed=seed, level_unit="graph")
+            out = simulate_mt(topology, 1.0, 2, seed=seed)
             children = out.informed_total - 1
             assert streams[-1].calls == (children + 1) + children
         assert len(streams) == 200
@@ -199,25 +190,25 @@ class TestDraws:
         assert digest == "34e19d6873a6587a4438ab75e08ab60d4d28a98b1e7bc017485ba3d6ca9012ee"
 
     @pytest.mark.parametrize(
-        "topology,p,top,cap,unit",
+        "topology,p,top,cap",
         [
-            (cayley(4), 0.9, 14, 60, "graph"),
-            (hub_path(10, 4, 0.7, 2), 1.0, 8, 80, "hub"),
-            (hub_path(10, 3, 0.9, 3), 0.85, 12, 10**8, "graph"),
+            (cayley(4), 0.9, 14, 60),
+            (hub_path(10, 4, 0.7, 2), 1.0, 8, 80),
+            (hub_path(10, 3, 0.9, 3), 0.85, 12, 10**8),
         ],
-        ids=["cayley", "hub_path", "hub_path_graph"],
+        ids=["cayley", "hub_path", "hub_path_h3"],
     )
-    def test_survival_chunk_counts_single_runs(self, monkeypatch, topology, p, top, cap, unit):
+    def test_survival_chunk_counts_single_runs(self, monkeypatch, topology, p, top, cap):
         monkeypatch.setattr(ctmc, "_EVENT_GUARD", cap)
         seed, lo, hi = 31, 64, 128
         ended, capped = Counter(), Counter()
         for r in range(lo, hi):
-            out = simulate_mt(topology, p, top, seed=substream(seed, "survival", r), level_unit=unit)
+            out = simulate_mt(topology, p, top, seed=substream(seed, "survival", r))
             ended[out.reached_level] += 1
             if out.stop_reason == "event_cap":
                 capped[out.reached_level] += 1
         assert len(ended) > 1
-        assert ctmc._survival_chunk((topology, p, top, cap, seed, lo, hi, unit)) == (ended, capped)
+        assert ctmc._survival_chunk((topology, p, top, cap, seed, lo, hi)) == (ended, capped)
 
 
 class TestOffspringEmpirical:
@@ -323,16 +314,16 @@ class TestEstimateSurvival:
         assert a == b
 
     @pytest.mark.parametrize(
-        "topology,p,level,replicas,seed,unit",
+        "topology,p,level,replicas,seed",
         [
-            (cayley(3), 0.9, 10, 400, 16, None),
-            (hub_path(20, 4, 0.6, 2), 1.0, 6, 300, 23, None),
-            (hub_path(20, 4, 0.6, 2), 0.9, 12, 300, 26, "graph"),
+            (cayley(3), 0.9, 10, 400, 16),
+            (hub_path(20, 4, 0.6, 2), 1.0, 6, 300, 23),
+            (hub_path(20, 4, 0.6, 3), 0.9, 6, 300, 26),
         ],
-        ids=["cayley", "hub_path", "hub_path_graph"],
+        ids=["cayley", "hub_path", "hub_path_h3"],
     )
-    def test_pool_matches_inline(self, pool_only, topology, p, level, replicas, seed, unit):
-        kwargs = dict(target_level=level, replicas=replicas, seed=seed, level_unit=unit)
+    def test_pool_matches_inline(self, pool_only, topology, p, level, replicas, seed):
+        kwargs = dict(target_level=level, replicas=replicas, seed=seed)
         inline = estimate_survival_ctmc(topology, p, workers=1, **kwargs)
         assert estimate_survival_ctmc(topology, p, workers=2, **kwargs) == inline
 
@@ -365,8 +356,9 @@ class TestEstimateSurvival:
             (20, 3, 1.0, 2, 0.8, 10, 0.42582, 9202),
             (10, 4, 0.7, 2, 0.9, 8, 0.02297, 9203),
             (50, 3, 1.0, 3, 1.0, 10, 0.56099, 9204),
+            (100, 2, 1.0, 4, 1.0, 3, 0.56528, 9205),
         ],
-        ids=["hub_leaves_p1", "path_leaves_thinned", "near_critical", "supercritical_h3"],
+        ids=["hub_leaves_p1", "path_leaves_thinned", "near_critical", "supercritical_h3", "leafless_paths_h4"],
     )
     def test_hub_reach_matches_closed_form(self, d, k, alpha, h, p, level, closed_form, seed):
         # in hub units the hubs form a Galton-Watson process with the cayley
@@ -429,9 +421,7 @@ class TestEstimateSurvival:
 
     def test_alpha_one_h_one_indistinguishable_from_cayley(self):
         d, level, n = 4, 15, 3000
-        hub = estimate_survival_ctmc(
-            hub_path(d, 3, 1.0, 1), 1.0, target_level=level, replicas=n, seed=18, level_unit="hub"
-        )
+        hub = estimate_survival_ctmc(hub_path(d, 3, 1.0, 1), 1.0, target_level=level, replicas=n, seed=18)
         cay = estimate_survival_ctmc(cayley(d), 1.0, target_level=level, replicas=n, seed=19)
         gap = abs(hub.estimate - cay.estimate)
         assert gap <= 3 * math.sqrt(mc_se(hub.estimate, n) ** 2 + mc_se(cay.estimate, n) ** 2)
