@@ -24,6 +24,7 @@ import secrets
 import sys
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import __version__
 from . import ctmc, gw, laws, thresholds, treegen
@@ -244,7 +245,7 @@ def cmd_audit_beta(args) -> tuple[list[dict], dict | None]:
     payload = {
         "beta_paper": float(paper),
         "beta_series": float(series),
-        "exact_gap": f"{_digits(gap.numerator)}/{_digits(gap.denominator)}",
+        "exact_gap": "/".join(_fraction_fields(gap)) if isinstance(gap, Fraction) else "",
         "gap_float": float(gap),
         "empirical": est.__dict__,
         "empirical_covers": (
@@ -265,15 +266,16 @@ def cmd_audit_beta(args) -> tuple[list[dict], dict | None]:
 
 def cmd_offspring(args) -> tuple[list[dict], dict | None]:
     empirical = ctmc.offspring_empirical(args.d, args.p, args.replicas, seed=args.seed)
-    analytic = laws.Pmf(tuple(laws.law_X_prime_float(args.d, args.p)))
+    analytic = laws.law_X_prime_float(args.d, args.p)
     tv = laws.tv_distance(empirical, analytic)
-    # rows end at the last nonzero mass of either column: the counts run to d, nearly all 0
-    size = max(i for probs in (empirical.probs, analytic.probs) for i, q in enumerate(probs, 1) if q)
+    # rows end at the last nonzero mass of either column, the other zero-filled
+    size = max(i for probs in (empirical, analytic) for i, q in enumerate(probs, 1) if q)
     rows = [
-        {"i": i, "empirical": float(empirical.p(i)), "analytic": float(analytic.p(i))}
-        for i in range(size)
+        {"i": i, "empirical": float(q_emp), "analytic": float(q_law)}
+        for i, (q_emp, q_law) in enumerate(zip_longest(empirical[:size], analytic[:size], fillvalue=0.0))
     ]
-    payload = {"tv_distance": tv, "empirical_mean": float(empirical.mean()), "analytic_mean": float(analytic.mean())}
+    mean_emp, mean_law = (float(sum(n * q for n, q in enumerate(probs))) for probs in (empirical, analytic))
+    payload = {"tv_distance": tv, "empirical_mean": mean_emp, "analytic_mean": mean_law}
     return rows, payload
 
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 from ._seeds import EstimateCI, run_jobs, substream, substream_random, substreams, wilson_interval
 from .errors import _check_p, check_at_least
-from .laws import Pmf
 from .treegen import TreeTopology, cayley, hub_path
 
 #: a run stops after this many contacts, counts as reaching and is reported in ``cap_hits``
@@ -80,18 +79,12 @@ def _level_unit(topology: TreeTopology) -> str:
     return "hub" if topology.kind == "hub_path" else "graph"
 
 
-def _rows(topology: TreeTopology) -> tuple[tuple[float, float, float, bool, bool], ...]:
-    """The role table, each row with one more flag: its children are hubs."""
-    roles = topology.role_table()
-    return tuple((*row, (depth + 1) % len(roles) == 0) for depth, row in enumerate(roles))
-
-
 def _explore(rand, rows, alpha, p: float, target_level: int, event_cap: int):
     """One run of the dynamics from a root spreader, drawing from ``rand``.
 
     Returns ``(reached_level, events, informed, stop_reason)``; the
-    arguments are taken as checked.  ``rows`` is ``_rows(topology)``: a
-    spreader at ``depth`` takes row ``depth % h``, so a stack entry is the
+    arguments are taken as checked.  ``rows`` is ``topology.role_table()``:
+    a spreader at ``depth`` takes row ``depth % h``, so a stack entry is the
     depth alone, and a depth divisible by h is hub generation ``depth // h``.
     The run tracks the deepest hub spreader, so it compares depths and
     divides by h only when it returns.  Every spreader takes one path: it
@@ -171,18 +164,18 @@ def simulate_mt(
     _check_p(p)
     check_at_least("target_level", target_level, 1)
     rand = substream_random(seed, "mt").random
-    outcome = _explore(rand, _rows(topology), topology.alpha, p, target_level, _EVENT_GUARD)
+    outcome = _explore(rand, topology.role_table(), topology.alpha, p, target_level, _EVENT_GUARD)
     return SimOutcome(*outcome, _level_unit(topology))
 
 
-def _census(row, alpha, p: float, replicas: int, seed: int, stream: str) -> list[int]:
+def _census(row, alpha, p: float, replicas: int, seed: int, stream: str) -> Counter:
     """Counts, by the child spreaders made, of ``replicas`` contact races of a
     non-root spreader on the role-table ``row``, drawn as in ``_explore``; a
     race also stops once ``onward`` is 0.  The races run in chunks of
     ``_CHUNK``, and the chunk from replica c draws from (seed, stream, c)."""
-    deg, onward_first, onward_after, role_draw = row
+    deg, onward_first, onward_after, role_draw, _ = row
     thin = p < 1.0
-    counts = [0] * int(deg)
+    counts = Counter()
     for chunk_start in range(0, replicas, _CHUNK):
         rand = substream_random(seed, stream, chunk_start).random
         for _ in range(min(_CHUNK, replicas - chunk_start)):
@@ -205,15 +198,15 @@ def _census(row, alpha, p: float, replicas: int, seed: int, stream: str) -> list
     return counts
 
 
-def offspring_empirical(d: int, p: float, replicas: int, seed: int = 0) -> Pmf:
-    """Empirical law of the spreaders generated by one non-root spreader:
-    the census of the one row of ``cayley(d)``, whose informer takes one of
-    its d + 1 slots and whose other d neighbors are ignorant."""
+def offspring_empirical(d: int, p: float, replicas: int, seed: int = 0) -> tuple[float, ...]:
+    """Empirical law of the spreaders one non-root spreader generates, 0 up to
+    the largest count seen: the census of the one row of ``cayley(d)``, whose
+    informer takes one of its d + 1 slots and whose other d are ignorant."""
     topology = cayley(d)
     _check_p(p)
     check_at_least("replicas", replicas, 1)
     counts = _census(topology.role_table()[0], topology.alpha, p, replicas, seed, "offspring")
-    return Pmf(tuple(c / replicas for c in counts))
+    return tuple(counts[n] / replicas for n in range(max(counts) + 1))
 
 
 def path_traversal_empirical(k: int, replicas: int, seed: int = 0) -> EstimateCI:
@@ -238,7 +231,7 @@ def _survival_chunk(args) -> tuple[Counter, Counter]:
     Replica r runs exactly as ``simulate_mt`` with the seed
     ``substream(seed, "survival", r)``, on one reseeded generator."""
     (topology, p, top, event_cap, seed, lo, hi) = args
-    rows = _rows(topology)
+    rows = topology.role_table()
     rng = random.Random()
     rand = rng.random
     ended, capped = Counter(), Counter()

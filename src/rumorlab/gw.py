@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -163,13 +164,14 @@ def _cap_for(psi: float, replicas: int) -> int:
     return min(c, DEFAULT_POPULATION_CAP)
 
 
-def extinction_by_iteration(offspring_law: Pmf) -> float:
-    """Extinction probability, the smallest fixed point of s = G(s), from the raw pmf.
+def extinction_by_iteration(offspring_law: Pmf | Sequence[float]) -> float:
+    """Extinction probability, the smallest fixed point of s = G(s), from the raw masses.
 
     ``laws._survival_root`` solves it from the masses alone, at p = 1, so no
     closed-form pgf enters and this is an oracle independent of ``psi_root``.
     """
-    return 1.0 - _survival_root(offspring_law.to_floats(), 1.0)
+    masses = offspring_law.to_floats() if isinstance(offspring_law, Pmf) else np.asarray(offspring_law, dtype=float)
+    return 1.0 - _survival_root(masses, 1.0)
 
 
 def coupled_monotonicity_trial(d: int, p1: float, p2: float, seed: int = 0) -> bool:

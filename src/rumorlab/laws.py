@@ -25,13 +25,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericFault, _check_d, _check_p, check_unit_interval
 
-_SUM_TOL = 1e-9
 #: ``_survival_root`` stops once its secant steps' geometric tail is below this
 _SURVIVAL_TOL = 1e-12
 _SURVIVAL_MAX_EVALS = 10_000
@@ -105,35 +105,29 @@ def log_partial_exp_sum(m: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class Pmf:
-    """Probability mass function: ``probs[n]`` = P(V = n) for n = 0, 1, ...,
-    len(probs) - 1."""
+    """Exact probability mass function: ``probs[n]`` = P(V = n) for n = 0, 1,
+    ..., len(probs) - 1, each a Fraction or an int.  A float law is a plain
+    sequence of the same masses."""
 
     probs: tuple
 
     def __post_init__(self) -> None:
         if len(self.probs) == 0:
             raise ValueError("empty pmf")
+        if not all(isinstance(q, (Fraction, int)) for q in self.probs):
+            raise ValueError("pmf masses must be Fractions or ints; a float law is a plain sequence")
         if any(q < 0 for q in self.probs):
             raise ValueError("negative probability mass")
         total = sum(self.probs)
-        if self.is_exact:
-            if total != 1:
-                raise ValueError(f"exact pmf sums to {total}, not 1")
-        elif abs(float(total) - 1.0) > _SUM_TOL:
-            raise ValueError(f"pmf sums to {float(total)!r}, not 1")
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(q, (Fraction, int)) for q in self.probs)
+        if total != 1:
+            raise ValueError(f"pmf sums to {total}, not 1")
 
     def support(self) -> range:
         return range(len(self.probs))
 
     def p(self, value: int):
         """Mass at ``value`` (zero outside the support)."""
-        if 0 <= value < len(self.probs):
-            return self.probs[value]
-        return Fraction(0) if self.is_exact else 0.0
+        return self.probs[value] if 0 <= value < len(self.probs) else Fraction(0)
 
     def mean(self):
         return sum(v * q for v, q in zip(self.support(), self.probs))
@@ -143,14 +137,10 @@ class Pmf:
 
 
 def tv_distance(a: Pmf | Sequence[float], b: Pmf | Sequence[float]) -> float:
-    """Total-variation distance between two finite distributions."""
-
-    def as_map(x) -> dict[int, float]:
-        return dict(enumerate(float(q) for q in (x.probs if isinstance(x, Pmf) else x)))
-
-    ma, mb = as_map(a), as_map(b)
-    keys = set(ma) | set(mb)
-    return 0.5 * sum(abs(ma.get(k, 0.0) - mb.get(k, 0.0)) for k in keys)
+    """Total-variation distance between two laws, each a ``Pmf`` or float
+    masses P(V = n) from n = 0, the shorter one zero-filled."""
+    a, b = (x.probs if isinstance(x, Pmf) else x for x in (a, b))
+    return 0.5 * sum(abs(float(qa) - float(qb)) for qa, qb in zip_longest(a, b, fillvalue=0.0))
 
 
 def law_X(d: int) -> Pmf:
@@ -336,10 +326,13 @@ def beta_value(d: int, form: str = "paper", exact: bool = False) -> Fraction | f
     raise ValueError(f"unknown beta form {form!r}")
 
 
-def beta_gap(d: int) -> Fraction:
-    """Exact gap beta_series(d) - beta_paper(d) = (d-1)!/(d+1)^d."""
+def beta_gap(d: int) -> Fraction | float:
+    """Gap beta_series(d) - beta_paper(d) = (d-1)!/(d+1)^d: a Fraction for
+    d <= EXACT_LIMIT, and beyond a float from log space."""
     _check_d(d, 1)
-    return Fraction(math.factorial(d - 1), (d + 1) ** d)
+    if d <= EXACT_LIMIT:
+        return Fraction(math.factorial(d - 1), (d + 1) ** d)
+    return math.exp(math.lgamma(d) - d * math.log(d + 1))
 
 
 @functools.lru_cache(maxsize=2)

@@ -49,9 +49,10 @@ class TreeTopology:
         elif self.k is not None or self.alpha is not None or self.h is not None:
             raise ValueError("cayley trees take no k/alpha/h parameters")
 
-    def role_table(self) -> tuple[tuple[float, float, float, bool], ...]:
-        """One row ``(degree, onward, onward_after, role_draw)`` per depth
-        modulo h; a spreader at ``depth`` has row ``depth % h``, hubs first.
+    def role_table(self) -> tuple[tuple[float, float, float, bool, bool], ...]:
+        """One row ``(degree, onward, onward_after, role_draw, hub_children)``
+        per depth modulo h; a spreader at ``depth`` has row ``depth % h``,
+        hubs first, and only the last row's child spreaders are hubs.
 
         A contact lands on a slot in [0, degree).  A fresh slot below
         ``onward`` holds a vertex that can become a child spreader, and after
@@ -63,9 +64,9 @@ class TreeTopology:
         """
         hub_deg = float(self.d + 1)
         if self.kind == "cayley":
-            return ((hub_deg, hub_deg, hub_deg, False),)
-        path = (float(self.k), 1.0, 0.0, False)
-        return ((hub_deg, hub_deg, hub_deg, True),) + (path,) * (self.h - 1)
+            return ((hub_deg, hub_deg, hub_deg, False, True),)
+        rows = ((hub_deg, hub_deg, hub_deg, True),) + ((float(self.k), 1.0, 0.0, False),) * (self.h - 1)
+        return tuple((*row, depth == self.h - 1) for depth, row in enumerate(rows))
 
 
 #: ``cayley(d)`` and ``hub_path(d, k, alpha, h)``; as partials they add no

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,18 @@ class TestOffspring:
         assert cut < 801
         assert [row["i"] for row in rows] == list(range(cut))
         assert all(row["analytic"] > 0.0 for row in rows)
+
+    def test_memory_does_not_grow_with_d(self, capsys):
+        # the census, the frequencies and the total variation hold only the
+        # counts seen and the O(sqrt(d)) float law, not d + 1 entries each
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(["offspring", "100000", "0.01", "--replicas", "100", "--seed", "4"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 5_000_000
 
 
 _HUB_TREE = ["--tree", "hub_path", "--d", "20", "--k", "4", "--alpha", "0.6", "--h", "2", "--p", "0.9"]
@@ -531,12 +544,18 @@ class TestLongExactValues:
         assert value == 1 / mean_X_term_sum(2000) / beta_paper(9)
 
     def test_audit_beta_gap(self, capsys):
-        k = 1457
-        code, out = run_cli(["audit-beta", str(k), "--replicas", "100", "--seed", "1", "--format", "json"], capsys)
-        assert code == 0
-        gap = Fraction(math.factorial(k - 2), k ** (k - 1))
-        with all_int_digits():
-            assert json.loads(out)["exact_gap"] == f"{gap.numerator}/{gap.denominator}"
+        # the gap (k-2)!/k^(k-1) is printed exactly while its d = k - 1 is at
+        # most EXACT_LIMIT, and beyond only as a float
+        for k in (laws.EXACT_LIMIT + 1, laws.EXACT_LIMIT + 2):
+            code, out = run_cli(["audit-beta", str(k), "--replicas", "100", "--seed", "1", "--format", "json"], capsys)
+            assert code == 0
+            doc, gap = json.loads(out), Fraction(math.factorial(k - 2), k ** (k - 1))
+            if k - 1 <= laws.EXACT_LIMIT:
+                assert doc["exact_gap"] == f"{gap.numerator}/{gap.denominator}"
+                assert doc["gap_float"] == float(gap)
+            else:
+                assert doc["exact_gap"] == ""
+                assert doc["gap_float"] == pytest.approx(float(gap), rel=1e-12)
 
 
 _COMMON = {"-h", "--help", "--seed", "--format", "--out"}
@@ -769,7 +788,7 @@ REPORT_DIGESTS = {
     ),
     "audit-beta": (
         [["audit-beta", str(k), "--replicas", "20000"] for k in (3, 30, 501, 800)],
-        "d553c9565177ac0283e646ed2ea1aea645f14f9a546f8a42537c3233eaa59428",
+        "65d14b238457a6416bca6772ba1f31e70412511418c425595be169b9022cf9f4",
     ),
     # the reports that read the offspring mass tables
     "gw": (

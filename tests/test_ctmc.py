@@ -218,32 +218,32 @@ class TestOffspringEmpirical:
 
     def test_thinned_mean(self):
         emp = offspring_empirical(3, 0.5, 200_000, seed=6)
-        mean = float(emp.mean())
+        mean = sum(v * q for v, q in enumerate(emp))
         # E(X') = p E(X) = 0.609375; allow 3 standard errors of the mean
-        second = sum(v * v * float(q) for v, q in zip(emp.support(), emp.probs))
+        second = sum(v * v * q for v, q in enumerate(emp))
         se = math.sqrt(max(second - mean * mean, 1e-12) / 200_000)
         assert abs(mean - 0.609375) <= 3 * se
 
     def test_d2_mean(self):
         emp = offspring_empirical(2, 1.0, 100_000, seed=7)
-        mean = float(emp.mean())
-        second = sum(v * v * float(q) for v, q in zip(emp.support(), emp.probs))
+        mean = sum(v * q for v, q in enumerate(emp))
+        second = sum(v * v * q for v, q in enumerate(emp))
         se = math.sqrt(max(second - mean * mean, 1e-12) / 100_000)
         assert abs(mean - float(mean_X(2))) <= 3 * se
 
     def test_support(self):
         emp = offspring_empirical(4, 0.9, 1000, seed=8)
-        assert len(emp.probs) == 5
+        assert len(emp) == 5
 
     def test_deterministic(self):
         a = offspring_empirical(3, 0.7, 5000, seed=9)
         b = offspring_empirical(3, 0.7, 5000, seed=9)
-        assert a.probs == b.probs
+        assert a == b
 
     def test_seeded_counts_are_pinned(self):
         # the draws of each replica, and so these counts, are fixed by the seed
         emp = offspring_empirical(4, 0.8, 20_000, seed=2718)
-        assert [q * 20_000 for q in emp.probs] == [5521, 7447, 4957, 1800, 275]
+        assert [q * 20_000 for q in emp] == [5521, 7447, 4957, 1800, 275]
 
 
 class TestPathTraversal:
@@ -277,12 +277,12 @@ class TestCensusRows:
     def test_non_root_hub_row_is_x_thinned_by_p_alpha(self):
         topology = hub_path(10, 3, 0.6, 2)
         counts = ctmc._census(topology.role_table()[0], topology.alpha, 0.8, 200_000, 2201, "census")
-        assert tv_distance([c / 200_000 for c in counts], law_X_prime(10, F(12, 25))) < 0.01
+        assert tv_distance([counts[n] / 200_000 for n in range(max(counts) + 1)], law_X_prime(10, F(12, 25))) < 0.01
 
     def test_thinned_path_row_makes_a_child_with_p_beta(self):
         topology = hub_path(10, 5, 0.6, 3)
         counts = ctmc._census(topology.role_table()[1], topology.alpha, 0.8, 200_000, 2202, "census")
-        assert counts[2:] == [0, 0, 0]  # one onward slot
+        assert set(counts) <= {0, 1}  # one onward slot
         target = 0.8 * beta_series(4)
         assert abs(counts[1] / 200_000 - target) <= 4 * mc_se(target, 200_000)
 

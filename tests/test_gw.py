@@ -18,7 +18,7 @@ from rumorlab.gw import (
     survival_mc,
     wilson_interval,
 )
-from rumorlab.laws import Pmf, law_X, law_X_prime, tv_distance
+from rumorlab.laws import Pmf, law_X, law_X_prime, law_X_prime_float, tv_distance
 from rumorlab.thresholds import p_critical, psi_root, theta
 
 from oracles import sample_offspring
@@ -243,6 +243,12 @@ class TestExtinctionIteration:
     def test_matches_bisection_root(self):
         psi = psi_root(3, 1.0).psi
         assert abs(extinction_by_iteration(law_X(3)) - psi) <= 1e-10
+
+    @pytest.mark.parametrize("d,p", [(3, 1.0), (4, 0.9), (10, 0.5), (40, 0.2)])
+    def test_float_law_matches_exact_law(self, d, p):
+        # the float masses and the exact Pmf give one root to 1e-12
+        exact = extinction_by_iteration(law_X_prime(d, p))
+        assert abs(extinction_by_iteration(law_X_prime_float(d, p)) - exact) <= 1e-12
 
 
 class TestOffspringSampling:

@@ -447,6 +447,13 @@ class TestPmf:
         with pytest.raises(ValueError):
             Pmf((0.5, 0.4))
 
+    def test_rejects_float_masses(self):
+        # a float law is a plain sequence; Pmf holds exact masses only
+        with pytest.raises(ValueError):
+            Pmf((0.5, 0.5))
+        with pytest.raises(ValueError):
+            Pmf(tuple(law_X_prime_float(3, 0.7)))
+
     def test_p_outside_support(self):
         pmf = law_X(2)
         assert pmf.p(-1) == 0

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rumorlab import laws, thresholds
 from rumorlab.errors import NumericFault
-from rumorlab.laws import Pmf, cpgf_N_prime, law_X_prime, law_X_prime_float, mean_X, pgf_N_prime
+from rumorlab.laws import cpgf_N_prime, law_X_prime, law_X_prime_float, mean_X, pgf_N_prime
 from rumorlab.gw import extinction_by_iteration
 from rumorlab.thresholds import (
     alpha_critical,
@@ -125,7 +125,7 @@ class TestPsiRoot:
     def test_just_above_critical(self, d, k):
         p = p_critical(d).float_value * (1 + 10.0 ** -k)
         assert theta(d, p) > 0.0
-        law = Pmf(tuple(law_X_prime_float(d, p)))
+        law = law_X_prime_float(d, p)
         assert abs(psi_root(d, p).psi - extinction_by_iteration(law)) <= 1e-10
 
     def test_peak_memory_is_sublinear_in_d(self):
@@ -261,7 +261,7 @@ class TestNearCriticalProperties:
     @given(d=st.integers(3, 1000), k=st.integers(1, 8))
     def test_psi_root_agrees_with_iteration(self, d, k):
         p = just_above_critical(d, k)
-        law = Pmf(tuple(law_X_prime_float(d, p)))
+        law = law_X_prime_float(d, p)
         assert abs(psi_root(d, p).psi - extinction_by_iteration(law)) <= 1e-10
 
 

@@ -42,14 +42,16 @@ class TestTopology:
 
 class TestRoleTable:
     def test_cayley_has_one_hub_row(self):
-        assert cayley(4).role_table() == ((5.0, 5.0, 5.0, False),)
+        assert cayley(4).role_table() == ((5.0, 5.0, 5.0, False, True),)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 5])
     def test_hub_path_has_a_hub_row_then_path_rows(self, h):
         table = hub_path(6, 4, 0.5, h).role_table()
         assert len(table) == h
-        assert table[0] == (7.0, 7.0, 7.0, True)
-        assert table[1:] == ((4.0, 1.0, 0.0, False),) * (h - 1)
+        assert table[0][:4] == (7.0, 7.0, 7.0, True)
+        assert [row[:4] for row in table[1:]] == [(4.0, 1.0, 0.0, False)] * (h - 1)
+        # only the last row's children are hubs
+        assert [row[4] for row in table] == [False] * (h - 1) + [True]
         assert all(type(slots) is float for row in table for slots in row[:3])
 
 
