@@ -25,7 +25,7 @@ from rumorlab import (
 print("Offspring law, dynamics vs closed form (d = 3, p = 1):")
 emp = offspring_empirical(3, 1.0, 300_000, seed=11)
 for i, q in enumerate(emp):
-    print(f"  P(X = {i})  empirical {q:.4f}   exact {float(law_X(3).p(i)):.4f}")
+    print(f"  P(X = {i})  empirical {q:.4f}   exact {float(law_X(3)[i]):.4f}")
 print(f"  total variation distance: {tv_distance(emp, law_X(3)):.5f}")
 print()
 

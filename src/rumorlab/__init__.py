@@ -10,7 +10,6 @@ from ._seeds import EstimateCI, wilson_interval
 from .errors import NumericFault
 from .laws import (
     EXACT_LIMIT,
-    Pmf,
     beta_gap,
     beta_paper,
     beta_series,
@@ -60,7 +59,6 @@ __all__ = [
     "EXACT_LIMIT",
     "EstimateCI",
     "NumericFault",
-    "Pmf",
     "RootResult",
     "SimOutcome",
     "SurvivalEstimate",

@@ -1,5 +1,5 @@
-"""Galton-Watson engine: survival Monte Carlo, the pmf-based extinction
-oracle, and the shared-uniform monotone coupling.
+"""Galton-Watson engine: survival Monte Carlo, the extinction oracle on a
+law's masses, and the shared-uniform monotone coupling.
 
 The embedded branching process has initial count distributed as N' and
 offspring distributed as X'.  ``survival_mc`` runs replicas in fixed-size
@@ -29,7 +29,7 @@ import numpy as np
 
 from ._seeds import EstimateCI, run_jobs, substream, wilson_interval
 from .errors import _check_d, check_at_least
-from .laws import _SURVIVAL_TOL, Pmf, _masses, _survival_root, law_N_prime_float, law_X_prime_float
+from .laws import _SURVIVAL_TOL, _masses, _survival_root, law_N_prime_float, law_X_prime_float
 
 #: the cap of a subcritical law, or where the rule's cap would be larger
 DEFAULT_POPULATION_CAP = 10_000_000
@@ -164,14 +164,15 @@ def _cap_for(psi: float, replicas: int) -> int:
     return min(c, DEFAULT_POPULATION_CAP)
 
 
-def extinction_by_iteration(offspring_law: Pmf | Sequence[float]) -> float:
-    """Extinction probability, the smallest fixed point of s = G(s), from the raw masses.
+def extinction_by_iteration(offspring_law: Sequence) -> float:
+    """Extinction probability, the smallest fixed point of s = G(s), from the
+    raw masses P(V = n) from n = 0, exact or float; an exact mass enters as
+    its ``float``.
 
     ``laws._survival_root`` solves it from the masses alone, at p = 1, so no
     closed-form pgf enters and this is an oracle independent of ``psi_root``.
     """
-    masses = offspring_law.to_floats() if isinstance(offspring_law, Pmf) else np.asarray(offspring_law, dtype=float)
-    return 1.0 - _survival_root(masses, 1.0)
+    return 1.0 - _survival_root(np.asarray(offspring_law, dtype=float), 1.0)
 
 
 def coupled_monotonicity_trial(d: int, p1: float, p2: float, seed: int = 0) -> bool:

@@ -4,26 +4,26 @@
 ``d+1`` tree; ``N`` the spreaders generated by the root.  Primed variants
 thin every successful contact by the spread probability ``p``, so
 G_{X'}(s) = G_X(1 - p + p s); one routine, ``_thin``, expands that
-composition for every primed law.  ``law_*`` give exact rationals and
-``law_*_float`` float masses for the Monte Carlo engine; every law is one
-table of P(V = n) from n = 0.  The generating functions are evaluated
-through their finite polynomial forms, which stay bounded and well-defined
-at every point of ``[0, 1]`` (including s = 0 with p = 1, where the closed
-gamma-function forms are singular).  One secant
+composition for every primed law.  Every law is one table of P(V = n)
+from n = 0 that no type wraps: ``law_*`` give tuples of exact Fractions and
+``law_*_float`` float arrays for the Monte Carlo engine.  The generating
+functions are evaluated through their finite polynomial forms, which stay
+bounded and well-defined at every point of ``[0, 1]`` (including s = 0 with
+p = 1, where the closed gamma-function forms are singular).  One secant
 routine, ``_survival_root``, solves u = 1 - G_{V'}(1 - u) on a mass table
 for ``psi_root``'s cross-check and for both roots of the GW engine.
 
 E(X), p_c = 1/E(X) and both traversal-probability forms come from one
 integer, Sigma_d = (d-1)! S(d, d+1) with S(m, n) = sum_{i<m} n^i/i!.  ``d``
 alone picks the arithmetic: exact Fractions up to ``EXACT_LIMIT`` (every d
-with ``exact``), and beyond it floats summed in log space.
+with ``exact``), and beyond it floats summed in log space, up to
+``LOG_LIMIT``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
@@ -41,6 +41,8 @@ _EPS_MAX_BITS = 4096
 #: largest d with exact rationals by default; beyond it, log-space floats
 #: unless ``exact`` asks for rationals
 EXACT_LIMIT = 500
+#: largest d in log space: its ``log_ints(d - 1)`` table is 2^24 floats (128 MiB)
+LOG_LIMIT = 2**24 + 1
 
 
 def _use_exact(d: int, exact: bool) -> bool:
@@ -77,8 +79,12 @@ def log_ints(n: int) -> np.ndarray:
     numpy's vectorised ``log`` can differ from the C library's by one ulp
     (on AVX-512 hosts it does at i = 9170), which would move log-mode values
     off the scalar recurrences they reproduce.  Tables are built at powers
-    of two, and only the two latest are kept.
+    of two, and only the two latest are kept.  Log space at d reads
+    ``log_ints(d - 1)``, so past d = ``LOG_LIMIT`` a ValueError is raised
+    before any table is built.
     """
+    if n >= LOG_LIMIT:
+        raise ValueError(f"d = {n + 1} exceeds {LOG_LIMIT}, the largest d evaluated in log space")
     return _log_ints(1 << max(n - 1, 0).bit_length())[:n]
 
 
@@ -103,54 +109,19 @@ def log_partial_exp_sum(m: int, n: int) -> float:
     return log_sum_exp_walk(0.0, math.log(n) - log_ints(m - 1))
 
 
-@dataclass(frozen=True)
-class Pmf:
-    """Exact probability mass function: ``probs[n]`` = P(V = n) for n = 0, 1,
-    ..., len(probs) - 1, each a Fraction or an int.  A float law is a plain
-    sequence of the same masses."""
-
-    probs: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.probs) == 0:
-            raise ValueError("empty pmf")
-        if not all(isinstance(q, (Fraction, int)) for q in self.probs):
-            raise ValueError("pmf masses must be Fractions or ints; a float law is a plain sequence")
-        if any(q < 0 for q in self.probs):
-            raise ValueError("negative probability mass")
-        total = sum(self.probs)
-        if total != 1:
-            raise ValueError(f"pmf sums to {total}, not 1")
-
-    def support(self) -> range:
-        return range(len(self.probs))
-
-    def p(self, value: int):
-        """Mass at ``value`` (zero outside the support)."""
-        return self.probs[value] if 0 <= value < len(self.probs) else Fraction(0)
-
-    def mean(self):
-        return sum(v * q for v, q in zip(self.support(), self.probs))
-
-    def to_floats(self) -> np.ndarray:
-        return np.array([float(q) for q in self.probs], dtype=float)
-
-
-def tv_distance(a: Pmf | Sequence[float], b: Pmf | Sequence[float]) -> float:
-    """Total-variation distance between two laws, each a ``Pmf`` or float
-    masses P(V = n) from n = 0, the shorter one zero-filled."""
-    a, b = (x.probs if isinstance(x, Pmf) else x for x in (a, b))
+def tv_distance(a: Sequence, b: Sequence) -> float:
+    """Total-variation distance between two laws, each masses P(V = n) from
+    n = 0, exact or float, the shorter one zero-filled."""
     return 0.5 * sum(abs(float(qa) - float(qb)) for qa, qb in zip_longest(a, b, fillvalue=0.0))
 
 
-def law_X(d: int) -> Pmf:
+def law_X(d: int) -> tuple[Fraction, ...]:
     """Exact law of X on {0, ..., d}: P(X=i) = C(d,i) (i+1)! / (d+1)^(i+1)."""
     _check_d(d)
-    probs = tuple(
+    return tuple(
         Fraction(math.comb(d, i) * math.factorial(i + 1), (d + 1) ** (i + 1))
         for i in range(d + 1)
     )
-    return Pmf(probs)
 
 
 def _log_mean_X(d: int) -> float:
@@ -207,20 +178,18 @@ def _mean_excess(d: int, p) -> float:
     return float(pf * mean_X(d, exact=True) - 1)
 
 
-def law_N(d: int) -> Pmf:
+def law_N(d: int) -> tuple[Fraction, ...]:
     """Exact law of N on {0, ..., d+1}: P(N=i) = i! C(d+1,i) i / (d+1)^(i+1),
     so P(N=0) = 0."""
     _check_d(d)
-    probs = tuple(
+    return tuple(
         Fraction(math.factorial(i) * math.comb(d + 1, i) * i, (d + 1) ** (i + 1))
         for i in range(d + 2)
     )
-    return Pmf(probs)
 
 
 def mean_N(d: int) -> Fraction:
-    _check_d(d)
-    return Fraction(law_N(d).mean())
+    return sum(n * q for n, q in enumerate(law_N(d)))
 
 
 def _thin(masses: np.ndarray, p) -> np.ndarray:
@@ -243,15 +212,14 @@ def _thin(masses: np.ndarray, p) -> np.ndarray:
     return out
 
 
-def law_X_prime(d: int, p) -> Pmf:
+def law_X_prime(d: int, p) -> tuple[Fraction, ...]:
     """Law of X' on {0, ..., d}: X given X=i thinned by Binomial(i, p)."""
     _check_d(d)
     _check_p(p)
-    masses = np.array(law_X(d).probs, dtype=object)
-    return Pmf(tuple(_thin(masses, Fraction(p))))
+    return tuple(_thin(np.array(law_X(d), dtype=object), Fraction(p)))
 
 
-def law_N_prime(d: int, p) -> Pmf:
+def law_N_prime(d: int, p) -> tuple[Fraction, ...]:
     """Law of N' on {0, ..., d+1}; at p = 1 this is law_N with P(N'=0) = 0.
 
     Computed by binomial thinning of law_N, which regroups the printed
@@ -259,8 +227,7 @@ def law_N_prime(d: int, p) -> Pmf:
     """
     _check_d(d)
     _check_p(p)
-    masses = np.array(law_N(d).probs, dtype=object)
-    return Pmf(tuple(_thin(masses, Fraction(p))))
+    return tuple(_thin(np.array(law_N(d), dtype=object), Fraction(p)))
 
 
 def law_X_prime_float(d: int, p: float) -> np.ndarray:

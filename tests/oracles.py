@@ -22,7 +22,6 @@ import numpy as np
 from rumorlab.errors import _check_d, _check_p
 from rumorlab.laws import (
     _partial_exp_sum_scaled_int,
-    Pmf,
     law_X,
     law_X_prime,
     pgf_N_prime,
@@ -50,7 +49,7 @@ def mean_X_term_sum(d: int) -> Fraction:
     return total
 
 
-def law_N_prime_printed(d: int, p) -> Pmf:
+def law_N_prime_printed(d: int, p) -> tuple[Fraction, ...]:
     """Literal evaluation of the published N' formula (requires p < 1).
 
     P(N'=i) = (p/(1-p))^i (d+1)^{-1} sum_{k>=i} k k! C(k,i) C(d+1,k) ((1-p)/(d+1))^k.
@@ -74,24 +73,24 @@ def law_N_prime_printed(d: int, p) -> Pmf:
                 * ((1 - pf) / (d + 1)) ** k
             )
         probs.append(ratio ** i * inner / (d + 1))
-    return Pmf(tuple(probs))
+    return tuple(probs)
 
 
-def thinned_binomial_sum(base: Pmf, p) -> tuple:
-    """Masses of the law ``base`` thinned by p on its support {0, ..., n}:
+def thinned_binomial_sum(base: tuple, p) -> tuple:
+    """Masses of the exact law ``base`` thinned by p on its support {0, ..., n}:
     P'(i) = sum_k C(k, i) p^i (1-p)^(k-i) P(k), one exact term at a time."""
     pf = Fraction(p)
-    out = [Fraction(0)] * len(base.probs)
-    for k, mass in zip(base.support(), base.probs):
+    out = [Fraction(0)] * len(base)
+    for k, mass in enumerate(base):
         for i in range(k + 1):
             out[i] += math.comb(k, i) * pf ** i * (1 - pf) ** (k - i) * mass
     return tuple(out)
 
 
-def pmf_pgf(pmf: Pmf, s: float) -> float:
-    """E[s^V] by Horner's rule over the float masses of ``pmf``."""
+def pmf_pgf(pmf: tuple, s: float) -> float:
+    """E[s^V] by Horner's rule over the float masses of the law ``pmf``."""
     acc = 0.0
-    for q in reversed(pmf.to_floats()):
+    for q in reversed(np.asarray(pmf, dtype=float)):
         acc = acc * s + q
     return float(acc)
 
@@ -122,9 +121,9 @@ def enumerate_traversal_probability(d: int) -> Fraction:
     return total
 
 
-def _support_and_pvals(law: Pmf) -> tuple[np.ndarray, np.ndarray]:
-    values = np.arange(len(law.probs))
-    pvals = law.to_floats()
+def _support_and_pvals(law: tuple) -> tuple[np.ndarray, np.ndarray]:
+    values = np.arange(len(law))
+    pvals = np.asarray(law, dtype=float)
     return values, pvals / pvals.sum()
 
 

@@ -187,6 +187,31 @@ class TestPsiAlphaMaxH:
         )
 
 
+class TestLogSpaceLimit:
+    @pytest.mark.parametrize(
+        "argv,d",
+        [
+            (["pc-table", "--d-min", "1000000000", "--d-max", "1000000000"], 10**9),
+            (["alpha-c", "1000000000", "5", "2"], 10**9),
+            (["audit-beta", "1000000000", "--replicas", "10"], 10**9 - 1),  # beta at k - 1
+            (["max-h", "100000000000", "30"], 10**11),
+        ],
+        ids=["pc-table", "alpha-c", "audit-beta", "max-h"],
+    )
+    def test_past_the_limit_is_usage_error(self, capsys, argv, d):
+        # log space at these d would need a table of 8 GiB or more
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        assert f"d = {d} exceeds 16777217, the largest d evaluated in log space" in capsys.readouterr().err
+        assert peak < 5_000_000
+
+
 class TestAuditBeta:
     def test_k3_report(self, capsys):
         code, out = run_cli(
@@ -228,9 +253,9 @@ class TestOffspring:
         _, out = run_cli(["offspring", "5", "0.7", "--replicas", "100", "--seed", "4", "--format", "json"], capsys)
         exact = law_X_prime(5, 0.7)
         rows = json.loads(out)["rows"]
-        assert [row["i"] for row in rows] == list(exact.support())
+        assert [row["i"] for row in rows] == list(range(len(exact)))
         for row in rows:
-            assert row["analytic"] == pytest.approx(float(exact.p(row["i"])), rel=1e-12)
+            assert row["analytic"] == pytest.approx(float(exact[row["i"]]), rel=1e-12)
 
 
     def test_one_row_per_count_past_the_normal_masses(self, capsys):

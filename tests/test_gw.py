@@ -18,14 +18,14 @@ from rumorlab.gw import (
     survival_mc,
     wilson_interval,
 )
-from rumorlab.laws import Pmf, law_X, law_X_prime, law_X_prime_float, tv_distance
+from rumorlab.laws import law_X, law_X_prime, law_X_prime_float, tv_distance
 from rumorlab.thresholds import p_critical, psi_root, theta
 
 from oracles import sample_offspring
 
 F = Fraction
 
-DELTA_0 = Pmf((F(1),))
+DELTA_0 = (F(1),)
 
 
 def run_block(init, off, seed, cap=10**7, n=100):
@@ -246,8 +246,10 @@ class TestExtinctionIteration:
 
     @pytest.mark.parametrize("d,p", [(3, 1.0), (4, 0.9), (10, 0.5), (40, 0.2)])
     def test_float_law_matches_exact_law(self, d, p):
-        # the float masses and the exact Pmf give one root to 1e-12
+        # an exact law enters as the floats of its masses, bit for bit; the
+        # float build of the same law gives one root to 1e-12
         exact = extinction_by_iteration(law_X_prime(d, p))
+        assert exact == extinction_by_iteration([float(q) for q in law_X_prime(d, p)])
         assert abs(extinction_by_iteration(law_X_prime_float(d, p)) - exact) <= 1e-12
 
 
@@ -260,7 +262,7 @@ class TestOffspringSampling:
 
     def test_both_modes_match_law(self):
         n = 10**6
-        law = law_X_prime(3, 0.7).to_floats()
+        law = law_X_prime(3, 0.7)
         for mode, seed in (("cdf", 3), ("thin", 4)):
             emp = np.bincount(sample_offspring(3, 0.7, n, seed=seed, mode=mode), minlength=4) / n
             assert tv_distance(emp, law) < 0.005

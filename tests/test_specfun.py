@@ -6,6 +6,7 @@ import pytest
 from rumorlab import laws
 from rumorlab.laws import (
     EXACT_LIMIT,
+    LOG_LIMIT,
     _partial_exp_sum_scaled_int,
     beta_paper,
     beta_series,
@@ -13,6 +14,7 @@ from rumorlab.laws import (
     log_partial_exp_sum,
     mean_X,
 )
+from rumorlab.thresholds import p_critical
 
 from oracles import gamma_recurrence_residual, log_partial_exp_sum_loop
 
@@ -85,6 +87,15 @@ class TestLogModeBitIdentity:
         for n in (3000, 70_000, 600_000, 20_000):
             assert log_ints(n).tolist() == [math.log(i) for i in range(1, n + 1)]
             assert laws._log_ints.cache_info().currsize <= 2
+
+
+class TestLogSpaceLimit:
+    def test_one_past_the_limit_raises(self):
+        # d = LOG_LIMIT + 1 would build a table of 2^25 floats (256 MiB)
+        assert LOG_LIMIT == 16_777_217
+        for fn in (p_critical, beta_series):
+            with pytest.raises(ValueError, match="d = 16777218 exceeds 16777217"):
+                fn(LOG_LIMIT + 1)
 
 
 class TestScaledIncompleteGamma:
