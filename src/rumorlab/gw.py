@@ -3,12 +3,18 @@ law's masses, and the shared-uniform monotone coupling.
 
 The embedded branching process has initial count distributed as N' and
 offspring distributed as X'.  ``survival_mc`` runs replicas in fixed-size
-blocks.  One generation step draws the offspring of every live replica of a
-block, each as a multinomial split of its population over the offspring
-support, which is exact and O(support) per replica and generation however
-large the population grows.  It draws at most ``_DRAW_CELLS`` counts (or
-one replica's) at a time.  The laws come from the float builders in
-``laws``, whose support ends at X's last normal mass, O(sqrt(d)) long.
+blocks.  One generation step draws the next population of every live
+replica of a block.  When the z-fold laws of the offspring law for every
+live population z below the cap fit in ``_DRAW_CELLS`` cells, their cdfs
+are tabulated once per call and each replica draws with one uniform and one
+search of the table (inverse-cdf lookup; Devroye, *Non-Uniform Random
+Variate Generation*, 1986, ch. III).  Otherwise each replica draws a
+multinomial split of its population over the offspring support, which is
+exact and O(support) per replica and generation however large the
+population grows, at most ``_DRAW_CELLS`` counts (or one replica's) at a
+time.  The choice reads only the law and the cap.  The laws come from the
+float builders in ``laws``, whose support ends at the thinned law's last
+normal mass, O(sqrt(d)) long.
 
 Each replica runs until it dies out or reaches a cap, where it counts as
 surviving, so the estimate targets theta.  The cap is the smallest c with
@@ -46,8 +52,11 @@ _GENERATION_GUARD = 10_000
 #: blocks, not the workers, fix every draw
 _BLOCK = 1024
 
-#: cells of one multinomial draw (live replicas x support); a generation
-#: past it draws in row slices, which take the same draws as one call
+#: cells of one draw table, and of one multinomial draw.  A law whose
+#: z-fold cdfs for the live populations z < cap take more cells than this
+#: draws multinomial splits instead, each over at most this many cells (live
+#: replicas x support): a generation past it draws in row slices, which take
+#: the same draws as one call
 _DRAW_CELLS = 1 << 16
 
 #: a coupling trial stops before a generation that would draw more contacts
@@ -80,9 +89,18 @@ class CappedEstimate(EstimateCI):
 
 def _survival_block(args) -> tuple[int, int, int]:
     """(survivors, cap hits, unresolved) among the ``n`` replicas of block
-    ``b``; the survivors include both other counts."""
-    seed, b, n, init_pvals, off_values, off_pvals, cap = args
+    ``b``; the survivors include both other counts.
+
+    With ``keys`` from ``_draw_keys``, a live population z draws its next
+    generation with one uniform u from its z-fold law: the keys of row z
+    that u clears count the cdf entries <= u.  Without, it draws a
+    multinomial split of z over the offspring support, in row slices of at
+    most ``_DRAW_CELLS`` cells.
+    """
+    seed, b, n, init_pvals, off_pvals, keys, cap = args
     rng = np.random.default_rng(substream(seed, "gw", b))
+    m = off_pvals.size - 1
+    off_values = np.arange(m + 1)
     rows = max(1, _DRAW_CELLS // off_pvals.size)
     z = rng.choice(init_pvals.size, size=n, p=init_pvals)
     z = z[z > 0]
@@ -94,12 +112,47 @@ def _survival_block(args) -> tuple[int, int, int]:
             z = z[~at_cap]
         if z.size == 0 or generation == _GENERATION_GUARD:
             break
-        if z.size <= rows:
+        if keys is not None:
+            u = (rng.random(z.size) * 2.0**53).astype(np.int64)
+            z = np.searchsorted(keys, u + ((z - 1) << 53), side="right") - m * z * (z - 1) // 2
+        elif z.size <= rows:
             z = rng.multinomial(z, off_pvals) @ off_values
         else:
             z = np.concatenate([rng.multinomial(z[i : i + rows], off_pvals) @ off_values for i in range(0, z.size, rows)])
         z = z[z > 0]
     return z.size + cap_hits, cap_hits, z.size
+
+
+def _draw_keys(off_pvals: np.ndarray, cap: int) -> np.ndarray | None:
+    """Sorted int64 keys that draw the next generation of every live
+    population z = 1 ... cap-1 with one uniform, or None when their
+    m cap (cap-1)/2 keys and one cell per row exceed ``_DRAW_CELLS``; the
+    offspring support is {0, ..., m}.
+
+    Row z holds ceil(c 2^53) + ((z-1) << 53) for each entry c of the z-fold
+    law's cdf but its last, clipped at 2^53 so that a cdf that rounds past 1
+    stays in its row.  numpy's ``random()`` returns multiples u of 2^-53, and
+    ceil(c 2^53) <= u 2^53 iff c <= u, so past the m z (z-1)/2 keys of the
+    rows before, the keys at or below u 2^53 + ((z-1) << 53) number
+    ``np.searchsorted(cdf_z[:-1], u, side="right")``.
+    """
+    m = off_pvals.size - 1
+    if m * cap * (cap - 1) // 2 + cap - 1 > _DRAW_CELLS:
+        return None
+    keys = [np.empty(0, np.int64)]
+    for row, law in enumerate(_fold_laws(off_pvals, cap - 1)):
+        cdf = np.minimum(np.ceil(np.cumsum(law)[:-1] * 2.0**53), 2.0**53)
+        keys.append(cdf.astype(np.int64) + (row << 53))
+    return np.concatenate(keys)
+
+
+def _fold_laws(off_pvals: np.ndarray, rows: int) -> list[np.ndarray]:
+    """Masses of the sum of z independent offspring counts, for z = 1 ...
+    ``rows``, by repeated convolution of ``off_pvals``."""
+    laws = [off_pvals][:rows]
+    while len(laws) < rows:
+        laws.append(np.convolve(laws[-1], off_pvals))
+    return laws
 
 
 def survival_mc(
@@ -123,7 +176,10 @@ def survival_mc(
     above ``DEFAULT_POPULATION_CAP``, takes that cap instead.  The cap
     depends only on the law and ``replicas``.  A replica still alive below
     the cap after ``_GENERATION_GUARD`` generations counts as surviving and
-    is reported in ``unresolved``.  Replicas run in blocks of
+    is reported in ``unresolved``.  A law whose z-fold cdfs for z = 1 ...
+    cap-1 fit in ``_DRAW_CELLS`` cells (``_draw_keys``) draws one uniform
+    per live replica and generation; any other draws multinomial splits.
+    Replicas run in blocks of
     ``_BLOCK``; block b draws from the substream (seed, "gw", b) and workers
     take whole blocks, so results are independent of scheduling and of the
     worker count.
@@ -131,13 +187,13 @@ def survival_mc(
     check_at_least("replicas", replicas, 1)
     init_pvals = law_N_prime_float(d, p)
     off_pvals = law_X_prime_float(d, p)
-    off_values = np.arange(off_pvals.size)
     init_pvals /= init_pvals.sum()
     off_pvals /= off_pvals.sum()
     psi = min(1.0 - _survival_root(off_pvals, 1.0) + _SURVIVAL_TOL, 1.0)
     cap = _cap_for(psi, replicas)
+    keys = _draw_keys(off_pvals, cap)
     jobs = [
-        (seed, b, min(_BLOCK, replicas - lo), init_pvals, off_values, off_pvals, cap)
+        (seed, b, min(_BLOCK, replicas - lo), init_pvals, off_pvals, keys, cap)
         for b, lo in enumerate(range(0, replicas, _BLOCK))
     ]
     parts = run_jobs(_survival_block, jobs, workers)

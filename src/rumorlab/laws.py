@@ -232,23 +232,25 @@ def law_N_prime(d: int, p) -> tuple[Fraction, ...]:
 
 def law_X_prime_float(d: int, p: float) -> np.ndarray:
     """Masses of X' on {0, ..., m} as floats, thinned from X's cached
-    ``_masses`` table, which ends at X's last normal mass, m = O(sqrt(d)).
+    ``_masses`` table, which ends at X's last normal mass, and cut in turn
+    at the last normal mass of X', so m = O(sqrt(d)) and falls with p.
 
-    The Monte Carlo engines use this form: it costs O(m^2) float operations
-    and O(m) memory where ``law_X_prime`` costs O(d^2) big-rational ones,
-    and it agrees with the exact law to about 1e-16 in total variation.
+    The Monte Carlo engines use this form: it costs O(L^2) float operations
+    for a table of L masses, and O(L) memory, where ``law_X_prime`` costs
+    O(d^2) big-rational ones, and it agrees with the exact law to about
+    1e-16 in total variation.
     """
     _check_d(d)
     _check_p(p)
-    return _thin(_masses(d, root=False), float(p))
+    return _normal_head(_thin(_masses(d, root=False), float(p)))
 
 
 def law_N_prime_float(d: int, p: float) -> np.ndarray:
     """Masses of N' on {0, ..., m} as floats, thinned from N's cached
-    ``_masses`` table like ``law_X_prime_float``."""
+    ``_masses`` table and cut like ``law_X_prime_float``."""
     _check_d(d)
     _check_p(p)
-    return _thin(_masses(d, root=True), float(p))
+    return _normal_head(_thin(_masses(d, root=True), float(p)))
 
 
 def beta_paper(d: int, exact: bool = False) -> Fraction | float:
@@ -322,9 +324,15 @@ def _masses(d: int, root: bool) -> np.ndarray:
     g = np.cumprod(np.concatenate(([1.0 / (d + 1)], np.arange(d, d - steps, -1) / (d + 1))))
     n = np.arange(steps + 2.0) if root else np.arange(steps + 1.0)
     mass = n * np.concatenate(([0.0], g)) if root else (n + 1) * g
-    mass = mass[: np.flatnonzero(mass >= np.finfo(float).tiny)[-1] + 1]
+    mass = _normal_head(mass)
     mass.flags.writeable = False
     return mass
+
+
+def _normal_head(mass: np.ndarray) -> np.ndarray:
+    """``mass`` through its last entry >= tiny, the smallest normal float:
+    past it a product of factors leaves fake subnormal masses."""
+    return mass[: np.flatnonzero(mass >= np.finfo(float).tiny)[-1] + 1]
 
 
 def _complement_sum(mass: np.ndarray, p: float, u: float) -> float:

@@ -815,10 +815,11 @@ REPORT_DIGESTS = {
         [["audit-beta", str(k), "--replicas", "20000"] for k in (3, 30, 501, 800)],
         "65d14b238457a6416bca6772ba1f31e70412511418c425595be169b9022cf9f4",
     ),
-    # the reports that read the offspring mass tables
+    # the reports that read the offspring mass tables; gw 4 0.9 draws from
+    # its z-fold table, theta's GW row near p_c(10) draws multinomials
     "gw": (
         [["gw", "4", "0.9", "--replicas", "2000"]],
-        "92201f43c37a43ae1f27ee9dd800f94f97bbd4d922bb84ae77d61d25d16a4383",
+        "7efbbb64576665e6258909a92e5496a7c948f79c0adfcf97439f434dd0e816c9",
     ),
     "theta": (
         [["theta", "10", "0.3509", "--method", "all", "--replicas", "2000"], ["theta", "1000", "0.0262"]],

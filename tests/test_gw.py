@@ -12,6 +12,8 @@ from rumorlab.gw import (
     DEFAULT_POPULATION_CAP,
     EstimateCI,
     _cap_for,
+    _draw_keys,
+    _fold_laws,
     _survival_block,
     coupled_monotonicity_trial,
     extinction_by_iteration,
@@ -32,12 +34,17 @@ def run_block(init, off, seed, cap=10**7, n=100):
     """(survivors, cap hits, unresolved) of one block of the survival_mc kernel.
 
     ``init`` and ``off`` are the masses of the initial and offspring laws
-    on {0, 1, ...}.
+    on {0, 1, ...}; the block draws from a table where survival_mc would.
     """
     init_pvals = np.asarray(init, dtype=float)
     off_pvals = np.asarray(off, dtype=float)
-    off_values = np.arange(off_pvals.size)
-    return _survival_block((seed, 0, n, init_pvals, off_values, off_pvals, cap))
+    return _survival_block((seed, 0, n, init_pvals, off_pvals, _draw_keys(off_pvals, cap), cap))
+
+
+def normalised_offspring(d, p):
+    """The offspring masses survival_mc samples."""
+    off = law_X_prime_float(d, p)
+    return off / off.sum()
 
 
 def se_of(est):
@@ -95,8 +102,11 @@ class TestSimulateGw:
         assert run_block([1], [0, 0, 1], 3, cap=1) == (0, 0, 0)
 
     def test_cap_counts_as_survival(self):
-        # deterministic doubling passes a cap of 1000 after ten generations
-        assert run_block([0, 1], [0, 0, 1], 5, cap=1000) == (100, 100, 0)
+        # deterministic doubling passes a cap of 1000 after ten generations,
+        # drawing multinomials, and one of 100 after seven, from a table
+        for cap, table in ((1000, False), (100, True)):
+            assert (_draw_keys(np.array([0.0, 0.0, 1.0]), cap) is not None) == table
+            assert run_block([0, 1], [0, 0, 1], 5, cap=cap) == (100, 100, 0)
 
     def test_bitwise_determinism(self):
         a = survival_mc(4, 0.9, replicas=300, seed=123)
@@ -184,16 +194,83 @@ class TestSurvivalMc:
 
     def test_row_slices_draw_as_one_call(self, monkeypatch):
         # numpy's multinomial takes the same draws for row slices as for one
-        # call over all rows, so slicing leaves every estimate unchanged
-        whole = survival_mc(4, 0.9, 10_000, seed=3)
-        monkeypatch.setattr(gw, "_DRAW_CELLS", 7 * 5)  # 7 rows of the 5-point support
-        assert survival_mc(4, 0.9, 10_000, seed=3).__dict__ == whole.__dict__
+        # call over all rows, so slicing leaves every estimate unchanged; the
+        # law near p_c(10) draws multinomials under either _DRAW_CELLS
+        whole = survival_mc(10, 0.3509, 4_000, seed=3)
+        monkeypatch.setattr(gw, "_DRAW_CELLS", 7 * 11)  # 7 rows of the 11-point support
+        assert survival_mc(10, 0.3509, 4_000, seed=3).__dict__ == whole.__dict__
 
     def test_estimate_ci_shape(self):
         est = survival_mc(3, 1.0, replicas=500, seed=2)
         assert isinstance(est, EstimateCI)
         assert est.ci_low <= est.estimate <= est.ci_high
         assert est.method == "wilson"
+
+
+class TestDrawTable:
+    """Populations below the cap draw from z-fold cdfs when they fit."""
+
+    @pytest.mark.parametrize("d,p", [(4, 0.9), (10, 0.5)])
+    def test_rows_match_exact_convolutions(self, d, p):
+        # row z is the law of z offspring counts, within 1e-14 of each
+        # exact mass of the z-fold convolution of law_X_prime(d, p)
+        cap = survival_mc(d, p, 10_000, seed=1).cap
+        exact = law_X_prime(d, p)
+        fold = exact
+        rows = _fold_laws(normalised_offspring(d, p), cap - 1)
+        assert len(rows) == cap - 1 >= 7
+        for z, row in enumerate(rows, 1):
+            if z > 1:
+                fold = [sum(fold[i] * exact[n - i] for i in range(max(0, n - d), min(n, len(fold) - 1) + 1))
+                        for n in range(len(fold) + d)]
+            assert len(row) == len(fold) == z * d + 1
+            for mass, truth in zip(row, fold):
+                assert abs(F(mass) - truth) <= F(1, 10**14) * truth
+
+    @pytest.mark.parametrize("d,p", [(4, 0.9), (100, 0.126), (1000, 0.05)])
+    def test_keys_search_like_the_cdf(self, d, p):
+        # every uniform of numpy's 53-bit grid at and next to a cdf entry
+        # draws the next population np.searchsorted(cdf_z[:-1], u) would
+        off = normalised_offspring(d, p)
+        cap = survival_mc(d, p, 10_000, seed=1).cap
+        keys = _draw_keys(off, cap)
+        m = off.size - 1
+        assert keys.size == m * cap * (cap - 1) // 2 and np.all(np.diff(keys) >= 0)
+        for z, law in enumerate(_fold_laws(off, cap - 1), 1):
+            cdf = np.cumsum(law)[:-1]
+            grid = np.floor(cdf * 2.0**53)
+            grid = np.concatenate(([0.0, 2.0**53 - 1], grid - 1, grid, grid + 1))
+            grid = grid[(grid >= 0) & (grid < 2.0**53)]
+            u = grid / 2.0**53
+            drawn = np.searchsorted(keys, grid.astype(np.int64) + ((z - 1) << 53), side="right")
+            assert np.array_equal(drawn - m * z * (z - 1) // 2, np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize(
+        "d,p,replicas,table",
+        [(4, 0.9, 10_000, True), (1000, 0.05, 10_000, True), (10, 0.3509, 4_000, False),
+         (3000, 1.05 * p_critical(3000).float_value, 1_024, False)],
+        ids=["d4", "d1000", "near-pc10", "near-pc3000"],
+    )
+    def test_gate_reads_the_law_and_the_cap(self, monkeypatch, d, p, replicas, table):
+        built = []
+
+        def recording_draw_keys(off_pvals, cap):
+            built.append(_draw_keys(off_pvals, cap))
+            return built[-1]
+
+        monkeypatch.setattr(gw, "_draw_keys", recording_draw_keys)
+        survival_mc(d, p, replicas, seed=1)
+        assert [keys is not None for keys in built] == [table]
+
+    def test_wide_table_matches_analytic_theta(self):
+        # cap 20: 19 rows over a support of 101, 19,000 keys
+        est = survival_mc(100, 0.126, replicas=10_000, seed=17)
+        assert est.cap == 20
+        assert abs(est.estimate - theta(100, 0.126)) <= 3 * se_of(est)
+
+    def test_delta0_law_at_the_default_cap_draws_multinomials(self):
+        # no offspring gives rows without keys, but still one cell per row
+        assert _draw_keys(np.array([1.0]), DEFAULT_POPULATION_CAP) is None
 
 
 class TestDefaultCap:
