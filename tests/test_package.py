@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import re
 import subprocess
@@ -30,16 +31,42 @@ def test_every_public_name_resolves():
     assert len(set(rumorlab.__all__)) == len(rumorlab.__all__)
 
 
+def _src_env() -> dict:
+    """The environment, with the package's source tree first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(rumorlab.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_start_up_imports_no_process_pool():
     # the pool stack is imported only once a run hands jobs to a pool
-    src = os.path.dirname(os.path.dirname(rumorlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     code = (
         "import sys, rumorlab.cli; rumorlab.cli.build_parser(); "
         "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+#: SHA-256 of each demo's stdout; every demo is deterministic (seeded draws)
+DEMO_DIGESTS = {
+    "01_critical_thresholds.py": "ea08f3508804ef34ab34c36e4c6d751f7677427ebd22b18c3369c6007a4dc5c5",
+    "02_survival_probability.py": "1d91248fd070717fdb504d7b212919a02fb2eb2901c3b0bf1df4f17b26db3a55",
+    "03_branching_oracle.py": "cc889c44765b8e24376df7b380ed72a7f24db4f5f1c829b56e9a90bf299a51fd",
+    "04_event_driven_dynamics.py": "a9cd0b052444cc5e6db3ca1b029e473d954ee517c5f80f884128b2e1191067fd",
+    "05_hub_trees.py": "dd9dec81db0316969ab81fba35288812e66870eb7aa37c7131523f4161866c62",
+}
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+def test_demo_outputs_are_pinned():
+    assert sorted(name for name in os.listdir(DEMOS) if name.endswith(".py")) == sorted(DEMO_DIGESTS)
+    env = _src_env()
+    for name, digest in DEMO_DIGESTS.items():
+        out = subprocess.run(
+            [sys.executable, os.path.join(DEMOS, name)], env=env, capture_output=True, timeout=120, check=True
+        )
+        assert hashlib.sha256(out.stdout).hexdigest() == digest, name
 
 
 #: the three oracles (closed form, GW engine, simulated dynamics) must agree
