@@ -9,7 +9,7 @@ the two printed forms of theta.
 from rumorlab import p_critical, psi_root, theta, theta_double_sum
 
 for d in (3, 4, 6):
-    pc = p_critical(d).float_value
+    pc = float(p_critical(d))
     print(f"d = {d}   p_c = {pc:.4f}")
     for p in (0.3, 0.5, 0.7, 0.8, 0.9, 1.0):
         root = psi_root(d, p)

@@ -24,10 +24,10 @@ for d in (50, 200, 1000, 10**4):
 print()
 
 d, k, h = 50, 4, 2
-ac = alpha_critical(d, k, h)
-print(f"alpha_c({d}, {k}, {h}) = {ac.float_value:.4f}")
+ac = float(alpha_critical(d, k, h))
+print(f"alpha_c({d}, {k}, {h}) = {ac:.4f}")
 for factor, replicas in ((0.5, 4000), (1.5, 300)):
-    alpha = min(1.0, factor * ac.float_value)
+    alpha = min(1.0, factor * ac)
     est = estimate_survival_ctmc(
         hub_path(d, k, alpha, h), 1.0, target_level=20, replicas=replicas, seed=21
     )

@@ -26,11 +26,11 @@ from .laws import (
 )
 from .thresholds import (
     RootResult,
-    ThresholdReport,
     alpha_critical,
     asymptotic_h_bound,
     max_h,
     p_critical,
+    pc_asymptotic,
     psi_root,
     theta,
     theta_double_sum,
@@ -62,7 +62,6 @@ __all__ = [
     "RootResult",
     "SimOutcome",
     "SurvivalEstimate",
-    "ThresholdReport",
     "TreeTopology",
     "alpha_critical",
     "asymptotic_h_bound",
@@ -86,6 +85,7 @@ __all__ = [
     "offspring_empirical",
     "p_critical",
     "path_traversal_empirical",
+    "pc_asymptotic",
     "pgf_N_prime",
     "pgf_X_prime",
     "psi_root",

@@ -162,17 +162,19 @@ def cmd_pc_table(args) -> tuple[list[dict], dict | None]:
     check_at_least("--d-min", args.d_min, 3)  # p_c(2) = 9/8: no threshold below d = 3
     if args.d_min > args.d_max:
         raise ValueError(f"empty range: d-min={args.d_min} > d-max={args.d_max}")
+    if not args.exact and args.d_max > laws.LOG_LIMIT:  # log_ints' error, before any row
+        raise ValueError(f"d = {args.d_max} exceeds {laws.LOG_LIMIT}, the largest d evaluated in log space")
     rows = []
     for d in range(args.d_min, args.d_max + 1):
-        report = thresholds.p_critical(d, exact=args.exact)
-        num, den = _fraction_fields(report.value)
+        pc = thresholds.p_critical(d, exact=args.exact)
+        num, den = _fraction_fields(pc)
         rows.append(
             {
                 "d": d,
                 "pc_numerator": num,
                 "pc_denominator": den,
-                "pc_float": report.float_value,
-                "pc_asymptotic": report.asymptotic_value,
+                "pc_float": float(pc),
+                "pc_asymptotic": thresholds.pc_asymptotic(d),
             }
         )
     return rows, None
@@ -208,14 +210,18 @@ def cmd_psi(args) -> tuple[list[dict], dict | None]:
 
 
 def cmd_alpha_c(args) -> tuple[list[dict], dict | None]:
-    report = thresholds.alpha_critical(args.d, args.k, args.h, beta_form=args.beta_form, exact=args.exact)
-    num, den = _fraction_fields(report.value)
+    alpha_c = thresholds.alpha_critical(args.d, args.k, args.h, beta_form=args.beta_form, exact=args.exact)
+    num, den = _fraction_fields(alpha_c)
+    try:
+        alpha_float = float(alpha_c)
+    except OverflowError:  # an exact value past the float range
+        alpha_float = math.inf
     rows = [
         {
             "alpha_c_numerator": num,
             "alpha_c_denominator": den,
-            "alpha_c_float": report.float_value,
-            "feasible": report.feasible,
+            "alpha_c_float": alpha_float,
+            "feasible": alpha_c < 1,
             "beta_form": args.beta_form,
         }
     ]

@@ -139,12 +139,6 @@ def mean_X(d: int, exact: bool = False) -> Fraction | float:
     return math.exp(_log_mean_X(d))
 
 
-def _inverse_mean_X(d: int, exact: bool) -> Fraction | float:
-    """1/E(X), the exact reciprocal where ``mean_X`` is exact (it needs no
-    further gcd) and exp(-log E(X)) from the same log-space sum beyond."""
-    return 1 / mean_X(d, exact=True) if _use_exact(d, exact) else math.exp(-_log_mean_X(d))
-
-
 def _mean_excess(d: int, p) -> float:
     """eps = p E(X) - 1, correctly rounded, its sign exact.
 

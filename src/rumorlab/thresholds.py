@@ -21,32 +21,20 @@ import numpy as np
 from .errors import NumericFault, _check_d, _check_p, check_at_least
 from .laws import (
     _complement_sum,
-    _inverse_mean_X,
+    _log_mean_X,
     _masses,
     _mean_excess,
     _survival_root,
+    _use_exact,
     beta_value,
     cpgf_N_prime,
     cpgf_X_prime,
+    mean_X,
 )
 
 _RESIDUAL_BOUND = 1e-10
 #: Newton steps from u = 0 take 3-16 for d up to 10^6; more means a fault
 _NEWTON_MAX_STEPS = 30
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """A critical value with exact, float, and asymptotic views.
-
-    ``value`` is a Fraction where the inputs are held exactly and a float
-    otherwise; an infinite threshold, or one past the float range, is
-    math.inf."""
-
-    value: Fraction | float
-    float_value: float
-    asymptotic_value: float | None
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -69,21 +57,22 @@ def is_subcritical(d: int, p) -> bool:
     return _mean_excess(d, p) <= 0.0
 
 
-def p_critical(d: int, exact: bool = False) -> ThresholdReport:
-    """p_c(d) = (d+1)^d / (d! S(d, d+1)), with asymptote sqrt(2/(pi d)).
+def p_critical(d: int, exact: bool = False) -> Fraction | float:
+    """p_c(d) = 1/E(X) = (d+1)^d / (d! S(d, d+1)).
 
-    For d = 2 the value is 9/8 >= 1 and the report is flagged infeasible:
-    the rumor dies for every p, matching E(X) <= 1.  Past EXACT_LIMIT the
-    value is exp(-log E(X)), from the same log-space sum as ``mean_X``.
+    A Fraction where ``mean_X`` is exact, its reciprocal needing no further
+    gcd, and past EXACT_LIMIT the float exp(-log E(X)) from ``mean_X``'s own
+    log-space sum.  For d = 2 it is 9/8 >= 1: the rumor dies for every p,
+    matching E(X) <= 1.
     """
     _check_d(d)
-    value = _inverse_mean_X(d, exact)
-    return ThresholdReport(
-        value=value,
-        float_value=float(value),
-        asymptotic_value=math.sqrt(2.0 / (math.pi * d)),
-        feasible=value < 1,
-    )
+    return 1 / mean_X(d, exact=True) if _use_exact(d, exact) else math.exp(-_log_mean_X(d))
+
+
+def pc_asymptotic(d: int) -> float:
+    """The leading term sqrt(2/(pi d)) of p_c(d) as d grows."""
+    _check_d(d)
+    return math.sqrt(2.0 / (math.pi * d))
 
 
 def psi_root(d: int, p: float) -> RootResult:
@@ -178,15 +167,16 @@ def theta_double_sum(d: int, p: float) -> float:
 
 def alpha_critical(
     d: int, k: int, h: int, beta_form: str = "paper", exact: bool = False
-) -> ThresholdReport:
+) -> Fraction | float:
     """alpha_c(d, k, h) = p_c(d) * beta(k-1)^(1-h).
 
     ``beta_form`` selects the published closed form ('paper', default) or the
-    first-principles series ('series'); see the beta audit.  Values >= 1 are
-    reported with feasible = False (the rumor dies for every alpha).  The
-    product is a Fraction when p_c and beta both are, and a float otherwise;
-    past the float range its float view is inf.  Paper-form beta(1) = 0
-    (k = 2) reaches no hub through a path, so for h >= 2 the value is inf.
+    first-principles series ('series'); see the beta audit.  A value >= 1 is
+    infeasible: the rumor dies for every alpha.  The product is a Fraction
+    when p_c and beta both are, even past the float range, and a float
+    otherwise; a float past that range is inf.  Paper-form
+    beta(1) = 0 (k = 2) reaches no hub through a path, so for h >= 2 the
+    value is inf.
     """
     _check_d(d, minimum=3)
     check_at_least("k", k, 2)
@@ -195,20 +185,12 @@ def alpha_critical(
         warnings.warn(
             f"alpha_critical assumes k < d; got k={k}, d={d}", stacklevel=2
         )
-    pc = p_critical(d, exact=exact).value
+    pc = p_critical(d, exact=exact)
     beta = beta_value(k - 1, form=beta_form, exact=exact) if h > 1 else 1
-    value = math.inf  # stays if beta = 0 or a float power or product overflows
     try:
-        value = pc * beta ** (1 - h)
-        float_value = float(value)
-    except (ZeroDivisionError, OverflowError):  # an exact value keeps its Fraction
-        float_value = math.inf
-    return ThresholdReport(
-        value=value,
-        float_value=float_value,
-        asymptotic_value=None,
-        feasible=value < 1,
-    )
+        return pc * beta ** (1 - h)
+    except (ZeroDivisionError, OverflowError):  # beta = 0, or a float power or product overflows
+        return math.inf
 
 
 def max_h(d: int, k: int, beta_form: str = "paper", exact: bool = False) -> int:
@@ -222,7 +204,7 @@ def max_h(d: int, k: int, beta_form: str = "paper", exact: bool = False) -> int:
     check_at_least("k", k, 2)
     if k >= d:
         warnings.warn(f"max_h assumes k < d; got k={k}, d={d}", stacklevel=2)
-    pc = p_critical(d, exact=exact).value
+    pc = p_critical(d, exact=exact)
     beta = beta_value(k - 1, form=beta_form, exact=exact)
     # alpha_c(h) < 1  <=>  p_c < beta^(h-1); beta < 1 so the power decreases
     # (paper-form beta(1) = 0 leaves only h = 1)

@@ -66,7 +66,7 @@ def test_criterion_1_pc_table(tmp_path, capsys):
 
 def test_criterion_2_exact_identities():
     budget = Budget(1.0)
-    assert rl.p_critical(3).value == F(32, 39)
+    assert rl.p_critical(3) == F(32, 39)
     assert rl.mean_X(3) == F(78, 64)
     for d in range(2, 101):
         assert (rl.mean_X(d) > 1) == (d >= 3)
@@ -89,7 +89,7 @@ def test_criterion_3_asymptotics():
     assert all(a > b for a, b in zip(beta_gaps, beta_gaps[1:]))
     assert beta_gaps[-1] < 0.02
     # the log-mode p_c path must agree with the library's own report
-    assert rl.p_critical(10**4).float_value * math.sqrt(math.pi * 10**4 / 2) == pytest.approx(
+    assert float(rl.p_critical(10**4)) * math.sqrt(math.pi * 10**4 / 2) == pytest.approx(
         1 + pc_gaps[-1], abs=1e-9
     )
     budget.done(
@@ -129,7 +129,7 @@ def test_criterion_6_psi_theta_consistency():
     worst_psi = 0.0
     worst_theta = 0.0
     for d in range(3, 11):
-        pc = rl.p_critical(d).value
+        pc = rl.p_critical(d)
         for ip in range(1, 21):
             p = ip * 0.05
             root = rl.psi_root(d, p)
@@ -189,7 +189,7 @@ def test_criterion_9_hub_tree_thresholds():
     budget = Budget(900.0)
     # h = 1 collapses to the homogeneous threshold, exactly
     for d, k in ((5, 3), (20, 5), (100, 12)):
-        assert rl.alpha_critical(d, k, 1).value == rl.p_critical(d).value
+        assert rl.alpha_critical(d, k, 1) == rl.p_critical(d)
 
     rng = random.Random(901)
     with warnings.catch_warnings():
@@ -198,8 +198,8 @@ def test_criterion_9_hub_tree_thresholds():
             d = rng.randint(5, 200)
             k = rng.randint(3, min(d - 1, 40))
             hm = rl.max_h(d, k)
-            assert rl.alpha_critical(d, k, hm).feasible
-            assert not rl.alpha_critical(d, k, hm + 1).feasible
+            assert rl.alpha_critical(d, k, hm) < 1
+            assert not rl.alpha_critical(d, k, hm + 1) < 1
 
     # feasibility trend tracks log d / log k for k near log d
     trend = [rl.max_h(d, math.ceil(math.log(d))) for d in (10**2, 10**3, 10**4)]
@@ -208,7 +208,7 @@ def test_criterion_9_hub_tree_thresholds():
     assert all(abs(t - b) <= 2 for t, b in zip(trend, bounds))
 
     d, k, h = 50, 4, 2
-    alpha_c = rl.alpha_critical(d, k, h).float_value
+    alpha_c = float(rl.alpha_critical(d, k, h))
     sub = rl.estimate_survival_ctmc(
         rl.hub_path(d, k, 0.5 * alpha_c, h), 1.0, target_level=20, replicas=10**4, seed=902
     )

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from rumorlab import cli, ctmc, laws
+from rumorlab import cli, ctmc, laws, thresholds
 from rumorlab.cli import build_parser, main
 from rumorlab.errors import NumericFault
 from rumorlab.laws import beta_paper, law_X_prime
@@ -210,6 +210,17 @@ class TestLogSpaceLimit:
         assert exc.value.code == 2
         assert f"d = {d} exceeds 16777217, the largest d evaluated in log space" in capsys.readouterr().err
         assert peak < 5_000_000
+
+    def test_pc_table_range_past_the_limit_computes_no_row(self, capsys, monkeypatch):
+        # every row below the limit would cost up to 0.3 s and stay in memory
+        calls = []
+        p_critical = thresholds.p_critical
+        monkeypatch.setattr(thresholds, "p_critical", lambda *a, **kw: calls.append(a) or p_critical(*a, **kw))
+        with pytest.raises(SystemExit) as exc:
+            main(["pc-table", "--d-min", "16777000", "--d-max", "1000000000", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "d = 1000000000 exceeds 16777217, the largest d evaluated in log space" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestAuditBeta:

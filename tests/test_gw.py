@@ -183,7 +183,7 @@ class TestSurvivalMc:
         # one multinomial call over a block's live replicas would hold a
         # live x 3,001 int64 matrix at d = 3,000 (about 15 MB here); row
         # slices under _DRAW_CELLS hold a small part of it
-        p = 1.05 * p_critical(3000).float_value
+        p = 1.05 * float(p_critical(3000))
         tracemalloc.start()
         try:
             survival_mc(3000, p, 1_024, seed=1)
@@ -248,7 +248,7 @@ class TestDrawTable:
     @pytest.mark.parametrize(
         "d,p,replicas,table",
         [(4, 0.9, 10_000, True), (1000, 0.05, 10_000, True), (10, 0.3509, 4_000, False),
-         (3000, 1.05 * p_critical(3000).float_value, 1_024, False)],
+         (3000, 1.05 * float(p_critical(3000)), 1_024, False)],
         ids=["d4", "d1000", "near-pc10", "near-pc3000"],
     )
     def test_gate_reads_the_law_and_the_cap(self, monkeypatch, d, p, replicas, table):
@@ -278,7 +278,7 @@ class TestDefaultCap:
 
     @pytest.mark.parametrize(
         "d,p,replicas",
-        [(4, 0.9, 10_000), (150, 0.9, 200), (10, p_critical(10).float_value * 1.015, 1_000)],
+        [(4, 0.9, 10_000), (150, 0.9, 200), (10, float(p_critical(10)) * 1.015, 1_000)],
         ids=["d4", "d150", "near-pc10"],
     )
     def test_smallest_cap_within_bound(self, d, p, replicas):

@@ -20,6 +20,7 @@ from rumorlab import (
     max_h,
     offspring_empirical,
     path_traversal_empirical,
+    pc_asymptotic,
     survival_mc,
 )
 from rumorlab._seeds import run_jobs
@@ -127,6 +128,7 @@ BOUNDED_INTEGERS = {
     "beta_paper-d": (beta_paper, "d", 1),
     "beta_series-d": (beta_series, "d", 1),
     "beta_gap-d": (beta_gap, "d", 1),
+    "pc_asymptotic-d": (pc_asymptotic, "d", 2),
     "run_jobs-workers": (lambda v: run_jobs(abs, [], v), "workers", 1),
 }
 

@@ -18,6 +18,7 @@ from rumorlab.thresholds import (
     is_subcritical,
     max_h,
     p_critical,
+    pc_asymptotic,
     psi_root,
     theta,
     theta_double_sum,
@@ -43,36 +44,36 @@ def truncate4(x: float) -> str:
 
 class TestPCritical:
     def test_exact_fractions(self):
-        assert p_critical(3).value == F(32, 39)
-        assert p_critical(4).value == F(625, 944)
-        assert p_critical(11).value == F(35831808, 108788009)
+        assert p_critical(3) == F(32, 39)
+        assert p_critical(4) == F(625, 944)
+        assert p_critical(11) == F(35831808, 108788009)
 
     def test_reference_table(self):
-        got = [truncate4(p_critical(d).float_value) for d in range(3, 12)]
+        got = [truncate4(float(p_critical(d))) for d in range(3, 12)]
         assert got == PC_TABLE
 
     def test_d2_infeasible(self):
-        report = p_critical(2)
-        assert report.value == F(9, 8)
-        assert not report.feasible
+        pc = p_critical(2)
+        assert pc == F(9, 8)
+        assert not pc < 1
 
     @pytest.mark.parametrize("d", [3, 7, 30])
     def test_asymptotic_field(self, d):
-        assert p_critical(d).asymptotic_value == pytest.approx(math.sqrt(2 / (math.pi * d)))
+        assert pc_asymptotic(d) == pytest.approx(math.sqrt(2 / (math.pi * d)))
 
     def test_float_agrees_with_exact(self):
         for d in (3, 20, 100):
-            report = p_critical(d)
-            assert report.float_value == pytest.approx(float(report.value), rel=1e-12)
+            pc = p_critical(d)
+            assert isinstance(pc, F) and float(pc) == pytest.approx(1 / float(mean_X(d)), rel=1e-12)
 
     @pytest.mark.parametrize("d", [41, 100, 257, 499, 500])
     def test_exact_range_matches_term_sum(self, d):
-        pc = 1 / mean_X_term_sum(d)
-        report = p_critical(d)
-        assert isinstance(report.value, F) and report.value == pc
-        assert math.gcd(report.value.numerator, report.value.denominator) == 1
-        assert report.float_value == float(pc)
-        assert report.feasible
+        reference = 1 / mean_X_term_sum(d)
+        pc = p_critical(d)
+        assert isinstance(pc, F) and pc == reference
+        assert math.gcd(pc.numerator, pc.denominator) == 1
+        assert float(pc) == float(reference)
+        assert pc < 1
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
@@ -83,12 +84,12 @@ class TestPCritical:
         # rel_tol 1e-12.  It carries the log-mode rounding: the 50-digit value
         # 0.0260939749000265767 lies 1.02e-12 relative above it, so a more
         # accurate log-mode formula would fail that check.
-        assert p_critical(1000).float_value == 0.026093974900000025
+        assert p_critical(1000) == 0.026093974900000025
 
     def test_log_mode_large_d(self):
-        report = p_critical(10**4)
-        assert isinstance(report.value, float) and report.value == report.float_value
-        assert 0 < report.float_value < 0.01
+        pc = p_critical(10**4)
+        assert isinstance(pc, float)
+        assert 0 < pc < 0.01
 
 
 class TestPsiRoot:
@@ -111,7 +112,7 @@ class TestPsiRoot:
 
     def test_exactly_critical_p(self):
         # p = p_c as an exact rational: the process is critical, psi = 1
-        pc = p_critical(3).value
+        pc = p_critical(3)
         assert psi_root(3, pc).psi == 1.0
 
     def test_agrees_with_pmf_iteration(self):
@@ -123,7 +124,7 @@ class TestPsiRoot:
     @pytest.mark.parametrize("d", [10, 100, 1000])
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_just_above_critical(self, d, k):
-        p = p_critical(d).float_value * (1 + 10.0 ** -k)
+        p = float(p_critical(d)) * (1 + 10.0 ** -k)
         assert theta(d, p) > 0.0
         law = law_X_prime_float(d, p)
         assert abs(psi_root(d, p).psi - extinction_by_iteration(law)) <= 1e-10
@@ -146,7 +147,7 @@ class TestPsiRoot:
 
     def test_root_closer_to_one_than_old_bracket(self):
         # 1 - psi is about 2e-10 here, inside the former bracket end 1 - 1e-9
-        p = p_critical(10).float_value * (1 + 1e-10)
+        p = float(p_critical(10)) * (1 + 1e-10)
         assert 0.0 < 1.0 - psi_root(10, p).psi < 1e-9
 
     def test_cli_example_just_above_critical(self):
@@ -179,7 +180,7 @@ class TestTheta:
 
     def test_positive_iff_supercritical(self):
         for d in (3, 5, 8):
-            pc = p_critical(d).value
+            pc = p_critical(d)
             for ip in range(1, 101):
                 p = ip / 100
                 if F(p) <= pc:
@@ -201,7 +202,7 @@ class TestTheta:
         # theta is O(p - p_c) here; compare with 60-digit arithmetic at the
         # same binary p, solving u = 1 - G_X'(1 - u) by Newton from psi_root
         d = 1000
-        p = p_critical(d).float_value * (1 + eps)
+        p = float(p_critical(d)) * (1 + eps)
         with mpmath.workdps(60):
             pm = mpmath.mpf(p)
             g = [mpmath.mpf(1) / (d + 1)]  # g_n = d! / ((d-n)! (d+1)^(n+1))
@@ -219,7 +220,7 @@ class TestTheta:
 
 
 def just_above_critical(d, k):
-    return p_critical(d).float_value * (1 + 10.0 ** -k)
+    return float(p_critical(d)) * (1 + 10.0 ** -k)
 
 
 class TestNearCriticalProperties:
@@ -268,45 +269,48 @@ class TestNearCriticalProperties:
 class TestAlphaCritical:
     @pytest.mark.parametrize("d,k", [(5, 3), (10, 4), (50, 6)])
     def test_h_one_equals_p_critical(self, d, k):
-        assert alpha_critical(d, k, 1).value == p_critical(d).value
+        assert alpha_critical(d, k, 1) == p_critical(d)
 
     def test_infeasible_example(self):
-        report = alpha_critical(5, 3, 2)
-        assert report.value == 3 * F(324, 575)
-        assert report.float_value == pytest.approx(1.690435, abs=1e-5)
-        assert not report.feasible
+        alpha_c = alpha_critical(5, 3, 2)
+        assert alpha_c == 3 * F(324, 575)
+        assert float(alpha_c) == pytest.approx(1.690435, abs=1e-5)
+        assert not alpha_c < 1
 
     def test_large_d_feasibility_boundary(self):
-        assert alpha_critical(1000, 10, 3).feasible
-        assert not alpha_critical(1000, 10, 4).feasible
+        assert alpha_critical(1000, 10, 3) < 1
+        assert not alpha_critical(1000, 10, 4) < 1
 
     def test_k2_paper_form_is_infinite_beyond_h1(self):
-        report = alpha_critical(5, 2, 2)
-        assert report.value == math.inf
-        assert report.float_value == math.inf
-        assert not report.feasible
+        alpha_c = alpha_critical(5, 2, 2)
+        assert alpha_c == math.inf and isinstance(alpha_c, float)
+        assert not alpha_c < 1
 
     def test_series_form_differs(self):
         paper = alpha_critical(50, 4, 2, beta_form="paper")
         series = alpha_critical(50, 4, 2, beta_form="series")
         # series beta is larger, so its threshold is smaller
-        assert series.value < paper.value
+        assert series < paper
 
     def test_value_is_exact_only_when_both_factors_are(self):
         # p_c(d) and beta(k - 1) are Fractions up to EXACT_LIMIT = 500
-        assert isinstance(alpha_critical(500, 10, 3).value, F)
-        assert isinstance(alpha_critical(501, 10, 3).value, float)
-        assert isinstance(alpha_critical(1000, 600, 2).value, float)
+        assert isinstance(alpha_critical(500, 10, 3), F)
+        assert isinstance(alpha_critical(501, 10, 3), float)
+        assert isinstance(alpha_critical(1000, 600, 2), float)
         exact = alpha_critical(1000, 600, 2, exact=True)
-        assert isinstance(exact.value, F) and exact.float_value == float(exact.value)
-        assert alpha_critical(1000, 600, 2).float_value == pytest.approx(exact.float_value, rel=1e-11)
+        assert isinstance(exact, F)
+        assert alpha_critical(1000, 600, 2) == pytest.approx(float(exact), rel=1e-11)
 
     @pytest.mark.parametrize("d,k,h", [(50, 4, 1000), (1000, 10, 1000), (1000, 600, 2000)])
     def test_beyond_float_range_is_inf(self, d, k, h):
-        # an exact product past the float range keeps its Fraction; a float one is inf
-        report = alpha_critical(d, k, h)
-        assert report.float_value == math.inf and not report.feasible
-        assert report.value == math.inf or (isinstance(report.value, F) and report.value > 2**1024)
+        # an exact product past the float range keeps its Fraction, which the
+        # CLI prints as inf; a float one is inf
+        alpha_c = alpha_critical(d, k, h)
+        assert not alpha_c < 1
+        if d <= laws.EXACT_LIMIT:
+            assert isinstance(alpha_c, F) and alpha_c > 2**1024
+        else:
+            assert alpha_c == math.inf
 
     def test_warns_when_k_not_below_d(self):
         with pytest.warns(UserWarning):
@@ -338,8 +342,8 @@ class TestMaxH:
                 k = rng.randint(3, min(d - 1, 40))
                 hm = max_h(d, k)
                 assert hm >= 1
-                assert alpha_critical(d, k, hm).feasible
-                assert not alpha_critical(d, k, hm + 1).feasible
+                assert alpha_critical(d, k, hm) < 1
+                assert not alpha_critical(d, k, hm + 1) < 1
 
     def test_warns_when_k_not_below_d(self):
         # the warning names this file's line, as alpha_critical's does
@@ -347,10 +351,19 @@ class TestMaxH:
             max_h(5, 5)
         assert record[0].filename == __file__
 
+    @pytest.mark.parametrize("beta_form", ["paper", "series"])
+    def test_grows_like_log_d_over_log_log_d(self, beta_form):
+        # the abstract's h_max = Theta(log d / log log d) at k = ceil(ln d)
+        ds = [10**e for e in range(2, 7)]
+        hs = [max_h(d, math.ceil(math.log(d)), beta_form=beta_form) for d in ds]
+        assert hs == [3, 4, 4, 5, 6]
+        ratios = [h / (math.log(d) / math.log(math.log(d))) for d, h in zip(ds, hs)]
+        assert all(0.95 <= r <= 1.15 for r in ratios), ratios
+
     def test_series_form(self):
         hm = max_h(50, 2, beta_form="series")
-        assert alpha_critical(50, 2, hm, beta_form="series").feasible
-        assert not alpha_critical(50, 2, hm + 1, beta_form="series").feasible
+        assert alpha_critical(50, 2, hm, beta_form="series") < 1
+        assert not alpha_critical(50, 2, hm + 1, beta_form="series") < 1
 
 
 class TestAsymptoticHBound:
@@ -368,7 +381,7 @@ class TestAsymptoticHBound:
 
 class TestSubcriticalPredicate:
     def test_exact_boundary(self):
-        pc = p_critical(3).value
+        pc = p_critical(3)
         assert is_subcritical(3, pc)
         assert not is_subcritical(3, pc + F(1, 10**9))
 
